@@ -34,7 +34,8 @@
 #      under 2% when enabled;
 #   6. chaos: randla_loadgen --chaos drives its own loopback scheduler +
 #      server under the DESIGN.md §10 fault schedule (a device killed at
-#      5% per pickup, 2% connection resets); the loadgen's exit code
+#      5% per pickup, 2% connection resets, 5% of dispatches stalled);
+#      the loadgen's exit code
 #      asserts zero lost jobs, zero duplicated executions, clean sampled
 #      residuals, and that every fault_*/watchdog_* metric series shows
 #      up in the post-run Stats scrape;
@@ -58,7 +59,8 @@
 #      and a loadgen --drain-mid run pricing the drain-window p99 into
 #      BENCH_cluster_avail.json;
 #   7. memory safety: the wire-protocol, server, fault-plane, batched
-#      BLAS, zero-copy decode, and QRCP-engine suites rebuilt with
+#      BLAS, zero-copy decode, QRCP-engine, and observability suites
+#      rebuilt with
 #      -fsanitize=address,undefined (the `asan` preset), so
 #      adversarial frames and the arena lease/recycle paths run under
 #      ASan/UBSan — plus one chaos replay
@@ -203,7 +205,7 @@ awk -v base="$BASE_RATE" -v prof="$PROF_RATE" 'BEGIN {
 }'
 
 echo "== chaos: loopback replay under injected faults =="
-CHAOS_SCHEDULE='device_fail@0.05,conn_reset@0.02'
+CHAOS_SCHEDULE='device_fail@0.05,conn_reset@0.02,device_stall@0.05'
 ./build/examples/randla_loadgen --chaos "$CHAOS_SCHEDULE" --seed 7 \
   --jobs 200 --threads 4
 
@@ -289,7 +291,7 @@ cmake --preset asan
 cmake --build --preset asan -j "$JOBS" \
   --target test_net_protocol test_net_server test_fault \
   test_batched_blas test_zero_copy_decode test_qrcp test_qrcp_rqrcp \
-  randla_loadgen
+  test_obs randla_loadgen
 ctest --preset asan -j "$JOBS"
 
 echo "== chaos under ASan: fault paths memory-clean =="

@@ -2,9 +2,9 @@
 //
 // A FaultInjector is the single decision oracle every layer consults at
 // its injection sites: the scheduler before running a job (device death,
-// worker hangs, artificial latency), sim::Device before a task
-// (transient stalls), and net::Server at frame boundaries (connection
-// resets, corrupted/truncated frames, delayed writes). Decisions are
+// transient stalls, worker hangs, artificial latency) and net::Server at
+// frame boundaries (connection resets, corrupted/truncated frames,
+// delayed writes). Decisions are
 // pure functions of (seed, kind, per-kind decision index) through the
 // library's Philox4x32 block cipher, so the same seed and schedule
 // reproduce the identical injection sequence per kind regardless of
@@ -40,7 +40,7 @@ namespace randla::fault {
 
 enum class FaultKind : std::uint8_t {
   DeviceFail = 0,    ///< simulated device dies at job pickup
-  DeviceStall,       ///< sim::Device sleeps before running a task
+  DeviceStall,       ///< worker sleeps before running a dispatch
   WorkerHang,        ///< job wedges until the watchdog cancels it
   JobLatency,        ///< artificial delay before a job executes
   ConnReset,         ///< server drops the connection at a frame boundary

@@ -336,7 +336,8 @@ void Recorder::record(EventKind kind, std::uint64_t job_id,
   slot.w[7].store(static_cast<std::uint64_t>(b), std::memory_order_relaxed);
   char tagbuf[8 * kTagWords] = {};
   const std::size_t n = std::min(tag.size(), sizeof(tagbuf) - 1);
-  std::memcpy(tagbuf, tag.data(), n);
+  // A default tag has a null data(); memcpy from null is UB even for n=0.
+  if (n > 0) std::memcpy(tagbuf, tag.data(), n);
   for (std::size_t i = 0; i < kTagWords; ++i) {
     std::uint64_t wd;
     std::memcpy(&wd, tagbuf + 8 * i, 8);

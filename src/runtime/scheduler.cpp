@@ -97,14 +97,12 @@ bool escalatable(ortho::Scheme s) {
 
 Scheduler::Scheduler(SchedulerOptions opts)
     : opts_(std::move(opts)),
-      ctx_(std::make_unique<sim::MultiDeviceContext>(
-          std::max(1, opts_.num_workers), opts_.spec, opts_.injector)),
       queue_(opts_.queue_capacity),
       sketches_(opts_.enable_cache ? opts_.sketch_cache_capacity : 0),
       results_(opts_.enable_cache ? opts_.result_cache_capacity : 0),
       rqrcps_(opts_.enable_cache ? opts_.rqrcp_cache_capacity : 0),
       start_(std::chrono::steady_clock::now()) {
-  const int n = ctx_->num_devices();
+  const int n = std::max(1, opts_.num_workers);
   healthy_.store(n);
   unhealthy_gauge().set(0);
   // Touch the fault/watchdog series so a Stats scrape carries them even
@@ -136,14 +134,14 @@ double Scheduler::now() const {
       .count();
 }
 
-int Scheduler::num_workers() const { return ctx_->num_devices(); }
+int Scheduler::num_workers() const { return static_cast<int>(slots_.size()); }
 
 std::vector<WorkerStats> Scheduler::worker_stats() const {
   std::vector<WorkerStats> out;
-  for (int i = 0; i < ctx_->num_devices(); ++i) {
-    auto& dev = ctx_->device(i);
-    out.push_back(WorkerStats{i, dev.tasks_run(), dev.busy_seconds(),
-                              dev.modeled_time()});
+  for (int i = 0; i < num_workers(); ++i) {
+    auto& slot = *slots_[static_cast<std::size_t>(i)];
+    std::lock_guard<std::mutex> lk(slot.mu);
+    out.push_back(WorkerStats{i, slot.jobs, slot.busy_s, slot.modeled_s});
   }
   return out;
 }
@@ -163,25 +161,24 @@ FaultStats Scheduler::fault_stats() const {
 
 std::vector<DeviceHealthInfo> Scheduler::device_health() const {
   std::vector<DeviceHealthInfo> out;
-  for (int i = 0; i < ctx_->num_devices(); ++i) {
-    const auto& dev = ctx_->device(i);
-    out.push_back(DeviceHealthInfo{i, !dev.failed(), dev.tasks_run(),
-                                   dev.modeled_time()});
+  for (int i = 0; i < num_workers(); ++i) {
+    auto& slot = *slots_[static_cast<std::size_t>(i)];
+    std::lock_guard<std::mutex> lk(slot.mu);
+    out.push_back(
+        DeviceHealthInfo{i, !slot.failed.load(), slot.jobs, slot.modeled_s});
   }
   return out;
 }
 
 void Scheduler::mark_device_failed(int widx) {
-  auto& dev = ctx_->device(widx);
-  if (dev.failed()) return;
-  dev.mark_failed();
+  if (slots_[static_cast<std::size_t>(widx)]->failed.exchange(true)) return;
   device_failures_.fetch_add(1);
   const int left = healthy_.fetch_sub(1) - 1;
-  unhealthy_gauge().set(double(ctx_->num_devices() - left));
+  unhealthy_gauge().set(double(num_workers() - left));
 }
 
 void Scheduler::fail_device(int device) {
-  if (device < 0 || device >= ctx_->num_devices()) return;
+  if (device < 0 || device >= num_workers()) return;
   mark_device_failed(device);
   // The retiring worker may be parked in pop(); nothing to wake it with
   // short of work, and that is fine — it hands off or exits on its next
@@ -226,8 +223,9 @@ void Scheduler::handoff(PendingJob pending, int widx) {
   // exclusion mask is a subset of the dead set; the check also guards
   // the window where a device died after being recorded.)
   int eligible = 0;
-  for (int i = 0; i < ctx_->num_devices(); ++i)
-    if (!ctx_->device(i).failed() && !(pending.excluded_devices & (1u << (i & 31))))
+  for (int i = 0; i < num_workers(); ++i)
+    if (!slots_[static_cast<std::size_t>(i)]->failed.load() &&
+        !(pending.excluded_devices & (1u << (i & 31))))
       ++eligible;
   if (pending.resubmits > opts_.max_resubmits) {
     fail_pending(std::move(pending), "device failed; resubmit budget exhausted");
@@ -335,7 +333,7 @@ void Scheduler::drain() {
 }
 
 void Scheduler::worker_loop(int widx) {
-  auto& dev = ctx_->device(widx);
+  const auto& failed = slots_[static_cast<std::size_t>(widx)]->failed;
   for (;;) {
     auto pending = queue_.pop();
     if (!pending) return;
@@ -345,12 +343,13 @@ void Scheduler::worker_loop(int widx) {
     // Injected device death is decided at job pickup, and never fires
     // when this is the last healthy device — chaos runs must degrade,
     // not go dark. An externally failed device (fail_device) is caught
-    // by the same check.
-    if (!dev.failed() && opts_.injector && healthy_.load() > 1 &&
+    // by the same check, including one failed while this worker was
+    // executing: that job was delivered, and the worker retires here.
+    if (!failed.load() && opts_.injector && healthy_.load() > 1 &&
         opts_.injector->fire(fault::FaultKind::DeviceFail)) {
       mark_device_failed(widx);
     }
-    if (dev.failed()) {
+    if (failed.load()) {
       handoff(std::move(*pending), widx);
       // Retire. If this was the last worker standing, nothing will ever
       // pop again: fail the backlog so drain() cannot deadlock.
@@ -374,11 +373,7 @@ void Scheduler::worker_loop(int widx) {
     if (opts_.batch_max > 1) {
       auto batch = collect_batch(std::move(*pending), widx);
       if (batch.size() > 1) {
-        if (!run_batch(std::move(batch), widx)) {
-          // Device died mid-batch; every member was handed off. Retire.
-          if (healthy_.load() == 0) drain_queue_no_workers();
-          return;
-        }
+        run_batch(std::move(batch), widx);
         continue;
       }
       pending = std::move(batch.front());
@@ -397,49 +392,20 @@ void Scheduler::worker_loop(int widx) {
           std::chrono::steady_clock::now());
     }
 
-    // Arm the watchdog slot for the duration of the execution.
-    auto cancel = std::make_shared<std::atomic<bool>>(false);
-    auto& slot = *slots_[static_cast<std::size_t>(widx)];
-    {
-      std::lock_guard<std::mutex> lk(slot.mu);
-      slot.cancel = cancel;
-      slot.started_s = now();
-      slot.budget_s = watchdog_budget(pending->job);
-      slot.job_id = pending->handle->id();
-      slot.fired = false;
-    }
     obs::Recorder::global().record(obs::EventKind::JobDispatched,
                                    pending->handle->id(), trace_id, widx, 0,
                                    pending->job.tag);
-
+    const auto cancel = begin_dispatch(widx, watchdog_budget(pending->job),
+                                       pending->handle->id());
+    const double t0 = now();
     JobOutcome outcome;
-    // Run on the simulated device's own thread, like a kernel launch:
-    // the worker blocks until its device finishes, so each device runs
-    // one job at a time while distinct devices overlap. The trace id is
-    // installed on the *device* thread so rsvd phase spans connect.
-    bool device_died = false;
-    try {
-      dev.submit([&] {
-           obs::ScopedTraceId scoped(trace_id);
-           obs::Span span("worker.exec", "runtime", trace_id);
-           outcome = execute(pending->job, widx, queue_wait, cancel);
-         })
-          .get();
-    } catch (const sim::DeviceFailedError&) {
-      // fail_device raced the failed() check above; treat it exactly
-      // like a pickup-time death.
-      device_died = true;
-    }
     {
-      std::lock_guard<std::mutex> lk(slot.mu);
-      slot.cancel = nullptr;
-      slot.started_s = -1;
+      // Installed on this thread so rsvd phase and kernel spans connect.
+      obs::ScopedTraceId scoped(trace_id);
+      obs::Span span("worker.exec", "runtime", trace_id);
+      outcome = execute(pending->job, widx, queue_wait, cancel);
     }
-    if (device_died) {
-      handoff(std::move(*pending), widx);
-      if (healthy_.load() == 0) drain_queue_no_workers();
-      return;
-    }
+    end_dispatch(widx, now() - t0, outcome.trace.modeled_s);
 
     outcome.trace.job_id = pending->handle->id();
     outcome.trace.trace_id = trace_id;
@@ -448,7 +414,6 @@ void Scheduler::worker_loop(int widx) {
     outcome.trace.submit_s = pending->submit_s;
     outcome.trace.queue_wait_s = queue_wait;
     outcome.trace.worker = widx;
-    dev.charge(outcome.trace.modeled_s);
     if (outcome.trace.exec_s > 0) {
       std::lock_guard<std::mutex> lk(calib_mu_);
       exec_ema_s_ = exec_ema_s_ <= 0
@@ -502,6 +467,37 @@ double Scheduler::watchdog_budget(const Job& job) const {
   double d = job.deadline_s > 0 ? job.deadline_s : opts_.default_deadline_s;
   if (d <= 0) d = opts_.watchdog_grace_s;
   return opts_.watchdog_multiple * d;
+}
+
+std::shared_ptr<std::atomic<bool>> Scheduler::begin_dispatch(
+    int widx, double budget_s, std::uint64_t job_id) {
+  auto cancel = std::make_shared<std::atomic<bool>>(false);
+  auto& slot = *slots_[static_cast<std::size_t>(widx)];
+  {
+    std::lock_guard<std::mutex> lk(slot.mu);
+    slot.cancel = cancel;
+    slot.started_s = now();
+    slot.budget_s = budget_s;
+    slot.job_id = job_id;
+    slot.fired = false;
+  }
+  // Transient stall injection: the device pauses (PCIe hiccup, thermal
+  // throttle) and the dispatch still runs afterwards. The stall counts
+  // against the watchdog budget but not toward busy seconds.
+  if (opts_.injector && opts_.injector->fire(fault::FaultKind::DeviceStall))
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+        opts_.injector->config().stall_ms));
+  return cancel;
+}
+
+void Scheduler::end_dispatch(int widx, double busy_s, double modeled_s) {
+  auto& slot = *slots_[static_cast<std::size_t>(widx)];
+  std::lock_guard<std::mutex> lk(slot.mu);
+  slot.cancel = nullptr;
+  slot.started_s = -1;
+  ++slot.jobs;
+  slot.busy_s += busy_s;
+  slot.modeled_s += modeled_s;
 }
 
 JobOutcome Scheduler::execute(const Job& job, int widx, double queue_wait,
@@ -855,8 +851,7 @@ std::vector<Scheduler::PendingJob> Scheduler::collect_batch(PendingJob first,
   return batch;
 }
 
-bool Scheduler::run_batch(std::vector<PendingJob> batch, int widx) {
-  auto& dev = ctx_->device(widx);
+void Scheduler::run_batch(std::vector<PendingJob> batch, int widx) {
   const std::size_t count = batch.size();
   const double dispatch_s = now();
 
@@ -883,49 +878,29 @@ bool Scheduler::run_batch(std::vector<PendingJob> batch, int widx) {
     }
   }
 
-  // One watchdog slot guards the whole dispatch; the budget is the max
-  // per-job budget so a shared batch is never cancelled earlier than its
-  // most patient member would have been alone.
-  auto cancel = std::make_shared<std::atomic<bool>>(false);
-  double budget = 0;
-  for (const auto& p : batch)
-    budget = std::max(budget, watchdog_budget(p.job));
-  auto& slot = *slots_[static_cast<std::size_t>(widx)];
-  {
-    std::lock_guard<std::mutex> lk(slot.mu);
-    slot.cancel = cancel;
-    slot.started_s = now();
-    slot.budget_s = budget;
-    // A shared dispatch is attributed to its lead job; the per-member
-    // JobBatched events below tie the rest of the batch to it.
-    slot.job_id = batch.front().handle->id();
-    slot.fired = false;
-  }
   for (std::size_t i = 0; i < count; ++i)
     obs::Recorder::global().record(obs::EventKind::JobBatched,
                                    batch[i].handle->id(),
                                    batch[i].job.trace_id, widx,
                                    static_cast<std::int64_t>(count),
                                    batch[i].job.tag);
-
+  // One watchdog slot guards the whole dispatch; the budget is the max
+  // per-job budget so a shared batch is never cancelled earlier than its
+  // most patient member would have been alone. A shared dispatch is
+  // attributed to its lead job; the JobBatched events above tie the rest
+  // of the batch to it.
+  double budget = 0;
+  for (const auto& p : batch)
+    budget = std::max(budget, watchdog_budget(p.job));
+  const auto cancel =
+      begin_dispatch(widx, budget, batch.front().handle->id());
+  const double t0 = now();
   std::vector<JobOutcome> outcomes(count);
-  bool device_died = false;
-  try {
-    dev.submit([&] { execute_batch(batch, queue_wait, outcomes, cancel); })
-        .get();
-  } catch (const sim::DeviceFailedError&) {
-    device_died = true;
-  }
+  execute_batch(batch, queue_wait, outcomes, cancel);
   const auto done_tp = std::chrono::steady_clock::now();
-  {
-    std::lock_guard<std::mutex> lk(slot.mu);
-    slot.cancel = nullptr;
-    slot.started_s = -1;
-  }
-  if (device_died) {
-    for (auto& p : batch) handoff(std::move(p), widx);
-    return false;
-  }
+  double modeled = 0;
+  for (const auto& o : outcomes) modeled += o.trace.modeled_s;
+  end_dispatch(widx, now() - t0, modeled);
 
   for (std::size_t i = 0; i < count; ++i) {
     JobOutcome& outcome = outcomes[i];
@@ -944,7 +919,6 @@ bool Scheduler::run_batch(std::vector<PendingJob> batch, int widx) {
     outcome.trace.queue_wait_s = queue_wait[i];
     outcome.trace.worker = widx;
     outcome.trace.batch_size = static_cast<int>(count);
-    dev.charge(outcome.trace.modeled_s);
     if (outcome.trace.exec_s > 0) {
       std::lock_guard<std::mutex> lk(calib_mu_);
       exec_ema_s_ = exec_ema_s_ <= 0
@@ -960,7 +934,6 @@ bool Scheduler::run_batch(std::vector<PendingJob> batch, int widx) {
     std::lock_guard<std::mutex> lk(drain_mu_);  // pairs with drain()'s wait
   }
   drain_cv_.notify_all();
-  return true;
 }
 
 void Scheduler::execute_batch(std::vector<PendingJob>& batch,

@@ -1,12 +1,11 @@
 // scheduler.hpp — concurrent batch-serving runtime (see DESIGN.md §7).
 //
-// A Scheduler owns a bounded admission queue and one worker per
-// simulated device of a sim::MultiDeviceContext. Producers submit typed
-// Jobs and immediately get a JobHandle plus a reject-on-full
-// backpressure verdict; workers pop jobs and execute them *on the
-// device's thread* (charging modeled K40c time to the device's virtual
-// clock), consulting the two-level sketch/result cache for fixed-rank
-// requests.
+// A Scheduler owns a bounded admission queue and num_workers worker
+// threads, one per simulated device. Producers submit typed Jobs and
+// immediately get a JobHandle plus a reject-on-full backpressure
+// verdict; a worker pops a job and executes it inline on its own thread
+// (charging modeled K40c time to the worker's virtual clock), consulting
+// the two-level sketch/result cache for fixed-rank requests.
 //
 // Robustness policy per job:
 //   * deadline — a job whose queue wait already exceeds its deadline
@@ -17,11 +16,12 @@
 //     the job is re-run with the next stabler orthogonalization
 //     (CholQR → CholQR2 → HHQR), bounded by max_retries;
 //   * failover — a device that dies (injected DeviceFail or an external
-//     fail_device call) is marked unhealthy and its worker retires; the
-//     job it held is requeued at the front onto the survivors with the
-//     dead device recorded in its excluded_devices mask, bounded by
-//     max_resubmits; capacity rebalances because the remaining workers
-//     own the whole queue (DESIGN.md §10);
+//     fail_device call) is marked unhealthy and its worker retires at its
+//     next pickup; the job it popped there is requeued at the front onto
+//     the survivors with the dead device recorded in its excluded_devices
+//     mask, bounded by max_resubmits. A job already executing when its
+//     device dies finishes and is delivered once. Capacity rebalances
+//     because the remaining workers own the whole queue (DESIGN.md §10);
 //   * watchdog — an optional monitor thread cancels (cooperatively)
 //     jobs whose execution exceeds watchdog_multiple × their effective
 //     deadline, so an injected hang fails fast instead of wedging a
@@ -45,7 +45,6 @@
 #include "runtime/job.hpp"
 #include "runtime/queue.hpp"
 #include "runtime/telemetry.hpp"
-#include "sim/multi_gpu.hpp"
 
 namespace randla::runtime {
 
@@ -92,7 +91,7 @@ struct SubmitResult {
   std::shared_ptr<JobHandle> handle;
 };
 
-/// Per-worker utilization snapshot (device counters + virtual clock).
+/// Per-worker utilization snapshot (dispatch counters + virtual clock).
 struct WorkerStats {
   int worker = 0;
   std::uint64_t jobs = 0;
@@ -189,8 +188,9 @@ class Scheduler {
 
   // --- fault plane ----------------------------------------------------
   /// Kill a device from outside (tests, ops tooling): it is marked
-  /// unhealthy, its worker retires after handing any held job to the
-  /// survivors, and no further work lands on it. Irreversible.
+  /// unhealthy, a job it is executing finishes and is delivered, and its
+  /// worker retires at its next pickup after handing that job to the
+  /// survivors; no further work lands on it. Irreversible.
   void fail_device(int device);
   int healthy_workers() const { return healthy_.load(); }
   FaultStats fault_stats() const;
@@ -205,8 +205,9 @@ class Scheduler {
     int resubmits = 0;                   ///< failover handoffs so far
   };
 
-  /// Cooperative cancellation slot, one per worker: the watchdog reads
-  /// the running job's start/budget and flips its cancel token.
+  /// Per-worker state. The watchdog reads the running dispatch's
+  /// start/budget and flips its cancel token; worker_stats() and
+  /// device_health() read the counters and the failed flag.
   struct ExecSlot {
     std::mutex mu;
     std::shared_ptr<std::atomic<bool>> cancel;  ///< null when idle
@@ -214,10 +215,20 @@ class Scheduler {
     double budget_s = 0;
     std::uint64_t job_id = 0;  ///< running job, for flight-recorder events
     bool fired = false;
+    std::uint64_t jobs = 0;    ///< dispatches run (a batch counts once)
+    double busy_s = 0;         ///< real seconds inside dispatches
+    double modeled_s = 0;      ///< modeled K40c seconds charged
+    std::atomic<bool> failed{false};  ///< device dead: retire at next pickup
   };
 
   void worker_loop(int widx);
   void watchdog_loop();
+  /// Arm worker `widx`'s slot for one dispatch, then sleep out an
+  /// injected DeviceStall. Returns the dispatch's cancel token.
+  std::shared_ptr<std::atomic<bool>> begin_dispatch(int widx, double budget_s,
+                                                    std::uint64_t job_id);
+  /// Disarm the slot and account the dispatch's real and modeled seconds.
+  void end_dispatch(int widx, double busy_s, double modeled_s);
   /// Dying worker hands its popped job back (or fails it when the
   /// resubmit budget / eligible survivors run out).
   void handoff(PendingJob pending, int widx);
@@ -239,11 +250,10 @@ class Scheduler {
   // --- batching collector (DESIGN.md §12) -----------------------------
   /// Drain compatible queued jobs behind `first` (size/linger window).
   std::vector<PendingJob> collect_batch(PendingJob first, int widx);
-  /// Dispatch a coalesced batch on device `widx`; false → device died
-  /// mid-batch and every job was handed off (the worker must retire).
-  bool run_batch(std::vector<PendingJob> batch, int widx);
-  /// Device-thread body: per-job deadline/cache/degradation, one shared
-  /// batched Step-1, per-job Steps 2–3 + retry ladder.
+  /// Dispatch a coalesced batch on worker `widx` and deliver every member.
+  void run_batch(std::vector<PendingJob> batch, int widx);
+  /// Batch body: per-job deadline/cache/degradation, one shared batched
+  /// Step-1, per-job Steps 2–3 + retry ladder.
   void execute_batch(std::vector<PendingJob>& batch,
                      const std::vector<double>& queue_wait,
                      std::vector<JobOutcome>& outcomes,
@@ -276,7 +286,6 @@ class Scheduler {
 
   SchedulerOptions opts_;
   Arena arena_;
-  std::unique_ptr<sim::MultiDeviceContext> ctx_;
   BoundedQueue<PendingJob> queue_;
   SketchCache sketches_;
   ResultCache results_;

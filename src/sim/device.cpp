@@ -1,7 +1,6 @@
 #include "sim/device.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 namespace randla::sim {
@@ -18,33 +17,8 @@ Device::~Device() {
   thread_.join();
 }
 
-void Device::mark_failed() {
-  failed_.store(true, std::memory_order_release);
-}
-
 std::future<void> Device::submit(std::function<void()> fn) {
-  if (failed()) {
-    // Dead card: refuse at the queue, through the future, so callers
-    // that only check .get() still observe the failure.
-    std::packaged_task<void()> reject(
-        [id = id_] { throw DeviceFailedError(id); });
-    auto fut = reject.get_future();
-    reject();
-    return fut;
-  }
-  // Counters update inside the packaged task so they are already visible
-  // when the returned future unblocks (a caller may read tasks_run()
-  // right after .get() — e.g. scheduler worker stats after drain()).
-  std::packaged_task<void()> task([this, fn = std::move(fn)] {
-    const auto t0 = std::chrono::steady_clock::now();
-    try {
-      fn();
-    } catch (...) {
-      account(t0);
-      throw;
-    }
-    account(t0);
-  });
+  std::packaged_task<void()> task(std::move(fn));
   auto fut = task.get_future();
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -53,15 +27,6 @@ std::future<void> Device::submit(std::function<void()> fn) {
   }
   cv_.notify_all();
   return fut;
-}
-
-void Device::account(std::chrono::steady_clock::time_point t0) {
-  const double dt =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  std::lock_guard<std::mutex> lk(clock_mu_);
-  ++tasks_run_;
-  busy_seconds_ += dt;
 }
 
 void Device::synchronize() {
@@ -84,16 +49,6 @@ void Device::advance_to(double t) {
   modeled_time_ = std::max(modeled_time_, t);
 }
 
-std::uint64_t Device::tasks_run() const {
-  std::lock_guard<std::mutex> lk(clock_mu_);
-  return tasks_run_;
-}
-
-double Device::busy_seconds() const {
-  std::lock_guard<std::mutex> lk(clock_mu_);
-  return busy_seconds_;
-}
-
 void Device::worker_loop() {
   for (;;) {
     std::packaged_task<void()> task;
@@ -107,11 +62,6 @@ void Device::worker_loop() {
       queue_.pop_front();
       idle_ = false;
     }
-    // Transient stall injection: the card pauses (PCIe hiccup, thermal
-    // throttle) but the task still runs to completion afterwards.
-    if (injector_ && injector_->fire(fault::FaultKind::DeviceStall))
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          injector_->config().stall_ms));
     task();  // exceptions propagate through the packaged_task's future
   }
 }

@@ -7,23 +7,18 @@
 // MultiDeviceContext genuinely overlaps device work like concurrent
 // GPUs; the *modeled* per-device clocks are combined with max() at
 // synchronization points, which is what makes strong-scaling curves
-// meaningful even on a single-core host.
+// meaningful even on a single-core host. Only the multi-GPU algorithm
+// (paper §4, Fig. 15) needs per-device threads; the serving runtime runs
+// each job inline on its scheduler worker instead.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
-#include <memory>
 #include <mutex>
-#include <stdexcept>
-#include <string>
 #include <thread>
 
-#include "fault/injector.hpp"
 #include "model/perfmodel.hpp"
 
 namespace randla::sim {
@@ -56,27 +51,8 @@ class Device {
   /// points: a device that finished early waits for the slowest one).
   void advance_to(double t);
 
-  /// Utilization counters for the serving runtime's telemetry.
-  std::uint64_t tasks_run() const;
-  /// Real wall-clock seconds this device's thread spent inside tasks.
-  double busy_seconds() const;
-
-  // --- fault plane (DESIGN.md §10) ------------------------------------
-  /// Simulated device death: a failed device accepts no new work —
-  /// submit() returns a future that throws DeviceFailedError. Tasks
-  /// already queued still run (they model work in flight on the card
-  /// when it was declared dead by the host). Irreversible by design.
-  void mark_failed();
-  bool failed() const { return failed_.load(std::memory_order_acquire); }
-
-  /// Install the fault injector consulted before each task (transient
-  /// DeviceStall injections). Call before submitting work.
-  void set_fault_injector(fault::InjectorPtr inj) { injector_ = std::move(inj); }
-
  private:
   void worker_loop();
-  /// Bump tasks_run_/busy_seconds_ for a task started at `t0`.
-  void account(std::chrono::steady_clock::time_point t0);
 
   const int id_;
   const model::DeviceSpec spec_;
@@ -90,20 +66,8 @@ class Device {
 
   mutable std::mutex clock_mu_;
   double modeled_time_ = 0;
-  std::uint64_t tasks_run_ = 0;
-  double busy_seconds_ = 0;
-
-  std::atomic<bool> failed_{false};
-  fault::InjectorPtr injector_;
 
   std::thread thread_;
-};
-
-/// Thrown (through the submit() future) when work is offered to a
-/// device that has been marked failed.
-struct DeviceFailedError : std::runtime_error {
-  explicit DeviceFailedError(int id)
-      : std::runtime_error("device " + std::to_string(id) + " has failed") {}
 };
 
 }  // namespace randla::sim

@@ -17,26 +17,16 @@ namespace randla::sim {
 
 using rsvd::PhaseTimer;
 
-MultiDeviceContext::MultiDeviceContext(int num_devices, model::DeviceSpec spec,
-                                       fault::InjectorPtr injector)
+MultiDeviceContext::MultiDeviceContext(int num_devices, model::DeviceSpec spec)
     : spec_(std::move(spec)) {
   if (num_devices <= 0)
     throw std::invalid_argument("MultiDeviceContext: need at least 1 device");
   devices_.reserve(static_cast<std::size_t>(num_devices));
-  for (int i = 0; i < num_devices; ++i) {
+  for (int i = 0; i < num_devices; ++i)
     devices_.push_back(std::make_unique<Device>(i, spec_));
-    if (injector) devices_.back()->set_fault_injector(injector);
-  }
 }
 
 MultiDeviceContext::~MultiDeviceContext() = default;
-
-int MultiDeviceContext::healthy_devices() const {
-  int n = 0;
-  for (const auto& d : devices_)
-    if (!d->failed()) ++n;
-  return n;
-}
 
 MultiDeviceContext::RowBlocks MultiDeviceContext::distribute_rows(
     ConstMatrixView<double> a) {

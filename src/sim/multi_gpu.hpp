@@ -18,7 +18,9 @@
 // charges modeled K40c time; host↔device traffic charges modeled PCIe
 // time into the Comms phase. Modeled clocks combine with max() at each
 // bulk-synchronous point, so the modeled total behaves like concurrent
-// hardware even though the host has one core.
+// hardware even though the host has one core. This driver (Fig. 15,
+// bench_fig15_multigpu, multigpu_scaling) is the only user of threaded
+// Devices.
 #pragma once
 
 #include <memory>
@@ -42,11 +44,7 @@ struct MultiFixedRankResult {
 
 class MultiDeviceContext {
  public:
-  /// `injector`, when set, is installed on every device (transient
-  /// DeviceStall faults); device *death* is driven by the layer above
-  /// (the scheduler's failover path) via Device::mark_failed.
-  MultiDeviceContext(int num_devices, model::DeviceSpec spec = {},
-                     fault::InjectorPtr injector = nullptr);
+  MultiDeviceContext(int num_devices, model::DeviceSpec spec = {});
   ~MultiDeviceContext();
 
   int num_devices() const { return static_cast<int>(devices_.size()); }
@@ -55,9 +53,6 @@ class MultiDeviceContext {
     return *devices_[static_cast<std::size_t>(i)];
   }
   const model::DeviceSpec& spec() const { return spec_; }
-
-  /// Devices not marked failed (the serving runtime's usable capacity).
-  int healthy_devices() const;
 
   /// A distributed in 1D block-row format (device i owns rows
   /// [offset[i], offset[i+1])).

@@ -1,10 +1,12 @@
 // test_fault.cpp — fault-injection plane (DESIGN.md §10): schedule DSL
 // parsing, per-kind decision determinism, circuit-breaker transitions,
 // full-jitter backoff bounds, and the scheduler's recovery machinery
-// (device failover requeue, watchdog cancellation of injected hangs).
+// (device failover requeue, device death mid-job, injected stalls,
+// watchdog cancellation of injected hangs).
 #include "test_util.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -12,6 +14,7 @@
 
 #include "fault/breaker.hpp"
 #include "fault/injector.hpp"
+#include "obs/recorder.hpp"
 #include "runtime/scheduler.hpp"
 #include "rsvd/rsvd.hpp"
 
@@ -295,6 +298,105 @@ TEST(SchedulerFault, WatchdogCancelsInjectedHang) {
   const auto fs = sched.fault_stats();
   EXPECT_GE(fs.watchdog_fired, 1u);
   EXPECT_EQ(fs.healthy_workers, 1);  // a hang is not a device death
+}
+
+// device_stall@1 stalls every dispatch just before it runs: each job
+// pays the stall and still completes, and a stall is not a death.
+TEST(SchedulerFault, DeviceStallDelaysEveryDispatch) {
+  auto cfg = *parse_schedule("device_stall@1");
+  cfg.stall_ms = 2;
+  runtime::SchedulerOptions so;
+  so.num_workers = 2;
+  so.injector = std::make_shared<FaultInjector>(cfg, 12);
+  runtime::Scheduler sched(so);
+
+  const auto input = runtime::make_input(
+      randla::testing::random_matrix<double>(64, 48, 12));
+  constexpr int kJobs = 6;
+  std::vector<std::shared_ptr<runtime::JobHandle>> handles;
+  for (int i = 0; i < kJobs; ++i) {
+    auto sub = sched.submit(small_job(input, 200 + std::uint64_t(i)));
+    ASSERT_EQ(sub.status, runtime::PushStatus::Ok);
+    handles.push_back(std::move(sub.handle));
+  }
+  for (const auto& h : handles)
+    EXPECT_EQ(h->wait().status, runtime::JobStatus::Done) << h->wait().error;
+  sched.drain();
+
+  std::uint64_t jobs_run = 0;
+  for (const auto& ws : sched.worker_stats()) jobs_run += ws.jobs;
+  EXPECT_EQ(jobs_run, std::uint64_t(kJobs));
+  EXPECT_EQ(so.injector->injected(FaultKind::DeviceStall), jobs_run);
+  const auto fs = sched.fault_stats();
+  EXPECT_EQ(fs.healthy_workers, 2);
+  EXPECT_EQ(fs.device_failures, 0u);
+}
+
+// fail_device() while a job executes: that job finishes and is delivered
+// exactly once, never requeued; its worker retires at the next pickup,
+// so every later job runs on the survivor.
+TEST(SchedulerFault, FailDeviceMidJobDeliversOnceThenRetires) {
+  auto cfg = *parse_schedule("job_latency:1");
+  cfg.latency_ms = 300;  // holds the first job inside execute()
+  runtime::SchedulerOptions so;
+  so.num_workers = 2;
+  so.injector = std::make_shared<FaultInjector>(cfg, 13);
+  runtime::Scheduler sched(so);
+
+  const auto input = runtime::make_input(
+      randla::testing::random_matrix<double>(64, 48, 13));
+  const std::string held_tag = "midjob/held";
+  auto held = small_job(input, 300);
+  held.tag = held_tag;
+  auto sub = sched.submit(std::move(held));
+  ASSERT_EQ(sub.status, runtime::PushStatus::Ok);
+
+  // The JobDispatched event names the worker executing the held job.
+  const auto tagged = [](obs::EventKind kind, const std::string& tag) {
+    std::vector<obs::Event> out;
+    for (const auto& e : obs::Recorder::global().snapshot())
+      if (e.kind == kind && tag == e.tag) out.push_back(e);
+    return out;
+  };
+  int victim = -1;
+  for (int i = 0; i < 2000 && victim < 0; ++i) {
+    const auto ev = tagged(obs::EventKind::JobDispatched, held_tag);
+    if (!ev.empty()) {
+      victim = static_cast<int>(ev.front().a);
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_GE(victim, 0);
+  ASSERT_FALSE(sub.handle->done());  // still inside the injected latency
+  sched.fail_device(victim);
+
+  const auto& out = sub.handle->wait();
+  EXPECT_EQ(out.status, runtime::JobStatus::Done) << out.error;
+  EXPECT_EQ(out.trace.worker, victim);
+
+  const int survivor = 1 - victim;
+  std::vector<std::shared_ptr<runtime::JobHandle>> later;
+  for (int i = 0; i < 4; ++i) {
+    auto next = sched.submit(small_job(input, 310 + std::uint64_t(i)));
+    ASSERT_EQ(next.status, runtime::PushStatus::Ok);
+    later.push_back(std::move(next.handle));
+  }
+  for (const auto& h : later) {
+    EXPECT_EQ(h->wait().status, runtime::JobStatus::Done) << h->wait().error;
+    EXPECT_EQ(h->wait().trace.worker, survivor);
+  }
+  sched.drain();
+
+  int held_traces = 0;
+  for (const auto& t : sched.telemetry().traces())
+    if (t.tag == held_tag) ++held_traces;
+  EXPECT_EQ(held_traces, 1);
+  EXPECT_TRUE(tagged(obs::EventKind::JobRequeued, held_tag).empty());
+
+  const auto fs = sched.fault_stats();
+  EXPECT_EQ(fs.device_failures, 1u);
+  EXPECT_EQ(fs.healthy_workers, 1);
 }
 
 }  // namespace

@@ -440,6 +440,20 @@ TEST(ObsRecorder, EventsRoundTripThroughSnapshot) {
   EXPECT_NE(mine->stamp, 0u);
 }
 
+// The default tag is an empty string_view with a null data(); recording
+// it must not copy from null (UBSan) and must read back as empty.
+TEST(ObsRecorder, DefaultTagRecordsAsEmpty) {
+  auto& rec = obs::Recorder::global();
+  rec.record(obs::EventKind::WatchdogFired, 0x5eed7a9, 0, 1);
+  const obs::Event* mine = nullptr;
+  const auto events = rec.snapshot();
+  for (const auto& e : events)
+    if (e.job_id == 0x5eed7a9) mine = &e;
+  ASSERT_NE(mine, nullptr);
+  EXPECT_EQ(mine->kind, obs::EventKind::WatchdogFired);
+  EXPECT_EQ(std::string(mine->tag), "");
+}
+
 TEST(ObsRecorder, WraparoundKeepsTheMostRecentEventsInOrder) {
   auto& rec = obs::Recorder::global();
   // All events from one thread land in one ring, so overrunning the

@@ -4,6 +4,8 @@
 #include "test_util.hpp"
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -421,6 +423,27 @@ TEST(Scheduler, DeadlineExpiresStaleJobsButNegativeDisables) {
   EXPECT_EQ(s.handle->wait().status, JobStatus::Expired);
   EXPECT_FALSE(s.handle->wait().fixed_rank);
   EXPECT_EQ(l.handle->wait().status, JobStatus::Done);
+}
+
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// Jobs run inline on the worker that pops them, so N workers are exactly
+// N threads; no per-device executor thread sits behind each one.
+TEST(Scheduler, StartsOneThreadPerWorker) {
+  // Let threads joined by earlier tests finish exiting before counting.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::size_t before = live_threads();
+  SchedulerOptions so;
+  so.num_workers = 3;  // watchdog_multiple = 0: no watchdog thread
+  Scheduler sched(so);
+  EXPECT_EQ(live_threads() - before, 3u);
 }
 
 TEST(Model, DegradationPicksLargestFeasiblePowerIterations) {
