@@ -10,6 +10,7 @@
 #include "fft/fft.hpp"
 #include "la/blas3.hpp"
 #include "la/flops.hpp"
+#include "la/householder.hpp"
 #include "la/parallel.hpp"
 #include "net/protocol.hpp"
 #include "ortho/ortho.hpp"
@@ -86,6 +87,23 @@ void BM_HhqrTall(benchmark::State& state) {
 }
 BENCHMARK(BM_HhqrTall)->Arg(2000)->Arg(8000);
 
+// Explicit Q from geqrf factors (m×k): the orgqr half of qr_explicit,
+// which builds the exponent/power test matrices' singular vectors.
+void BM_OrgqrTall(benchmark::State& state) {
+  const index_t m = 8000, k = state.range(0);
+  Matrix<double> f = rng::gaussian_matrix<double>(m, k, 8);
+  std::vector<double> tau;
+  lapack::geqrf<double>(f.view(), tau);
+  for (auto _ : state) {
+    state.PauseTiming();
+    Matrix<double> a = Matrix<double>::copy_of(f.view());
+    state.ResumeTiming();
+    lapack::orgqr<double>(a.view(), tau, k);
+    benchmark::DoNotOptimize(a.data());
+  }
+}
+BENCHMARK(BM_OrgqrTall)->Arg(64)->Arg(512)->Unit(benchmark::kMillisecond);
+
 void BM_Qp3Truncated(benchmark::State& state) {
   const index_t m = 1500, n = 300, k = state.range(0);
   const Matrix<double> a0 = rng::gaussian_matrix<double>(m, n, 5);
@@ -121,7 +139,7 @@ void BM_GaussianFill(benchmark::State& state) {
       double(omega.rows() * omega.cols()) * double(state.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_GaussianFill)->Arg(2000)->Arg(8000);
+BENCHMARK(BM_GaussianFill)->Arg(2000)->Arg(8000)->Arg(10000);
 
 // Batched vs looped GEMM at sampling shapes (ℓ×m · m×n): arg0 = batch
 // count, arg1 = ℓ. Each problem alone sits below the parallel fan-out

@@ -59,8 +59,8 @@
 #      and a loadgen --drain-mid run pricing the drain-window p99 into
 #      BENCH_cluster_avail.json;
 #   7. memory safety: the wire-protocol, server, fault-plane, batched
-#      BLAS, zero-copy decode, QRCP-engine, and observability suites
-#      rebuilt with
+#      BLAS, zero-copy decode, QRCP-engine, observability, Householder
+#      (blocked orgqr index/zeroing loops) and RNG suites rebuilt with
 #      -fsanitize=address,undefined (the `asan` preset), so
 #      adversarial frames and the arena lease/recycle paths run under
 #      ASan/UBSan — plus one chaos replay
@@ -291,7 +291,7 @@ cmake --preset asan
 cmake --build --preset asan -j "$JOBS" \
   --target test_net_protocol test_net_server test_fault \
   test_batched_blas test_zero_copy_decode test_qrcp test_qrcp_rqrcp \
-  test_obs randla_loadgen
+  test_obs test_householder test_rng randla_loadgen
 ctest --preset asan -j "$JOBS"
 
 echo "== chaos under ASan: fault paths memory-clean =="

@@ -160,12 +160,14 @@ void geqrf(MatrixView<Real> a, std::vector<Real>& tau) {
   }
 }
 
-template <class Real>
-void orgqr(MatrixView<Real> a, const std::vector<Real>& tau, index_t k) {
-  const index_t m = a.rows();
-  assert(k <= static_cast<index_t>(tau.size()) && k <= a.cols() && k <= m);
+namespace {
 
-  // org2r: initialize the k columns and accumulate reflectors backwards.
+// Unblocked Q generation (LAPACK org2r): overwrite the k columns of `a`
+// holding reflectors with the leading k columns of Q = H₀···H_{k−1},
+// accumulating the reflectors backwards, one BLAS-2 larf per column.
+template <class Real>
+void org2r(MatrixView<Real> a, const Real* tau, index_t k) {
+  const index_t m = a.rows();
   for (index_t j = k - 1; j >= 0; --j) {
     // Columns to the right (already formed) get H_j applied.
     if (j + 1 < k && tau[j] != Real(0)) {
@@ -183,6 +185,48 @@ void orgqr(MatrixView<Real> a, const std::vector<Real>& tau, index_t k) {
     cj[j] = Real(1) - tj;
     for (index_t i = j + 1; i < m; ++i) cj[i] = -tj * cj[i];
     if (j == 0) break;
+  }
+}
+
+// Zero rows [0, rows) of columns [col, col + ncols) of `a`.
+template <class Real>
+void zero_rows_above(MatrixView<Real> a, index_t rows, index_t col,
+                     index_t ncols) {
+  for (index_t j = col; j < col + ncols; ++j) {
+    Real* cj = a.col_ptr(j);
+    for (index_t i = 0; i < rows; ++i) cj[i] = Real(0);
+  }
+}
+
+}  // namespace
+
+template <class Real>
+void orgqr(MatrixView<Real> a, const std::vector<Real>& tau, index_t k) {
+  const index_t m = a.rows();
+  assert(k <= static_cast<index_t>(tau.size()) && k <= a.cols() && k <= m);
+  constexpr index_t nb = 32;
+
+  // Blocked backward accumulation (LAPACK dorgqr). The last, possibly
+  // partial, block of reflectors forms its columns unblocked; each
+  // earlier block is applied to the columns already formed on its right
+  // as one compact-WY update (larft + larfb: gemm/trmm on the pool),
+  // then forms its own columns unblocked. Q's column j is zero above
+  // the first row its reflectors touch, so rows above each block are
+  // cleared explicitly.
+  const index_t kk = ((k - 1) / nb) * nb;
+  org2r(a.block(kk, kk, m - kk, k - kk), tau.data() + kk, k - kk);
+  zero_rows_above(a, kk, kk, k - kk);
+  if (kk == 0) return;
+
+  Matrix<Real> t(nb, nb);
+  for (index_t i = kk - nb; i >= 0; i -= nb) {
+    auto v = a.block(i, i, m - i, nb);
+    larft(ConstMatrixView<Real>(v), tau.data() + i, t.view());
+    larfb_left(Op::NoTrans, ConstMatrixView<Real>(v),
+               ConstMatrixView<Real>(t.view()),
+               a.block(i, i + nb, m - i, k - i - nb));
+    org2r(v, tau.data() + i, nb);
+    zero_rows_above(a, i, i, nb);
   }
 }
 

@@ -1,10 +1,13 @@
 // householder.hpp — Householder reflector kernels and QR factorization
 // (LAPACK larfg/larf/larft/larfb/geqrf/orgqr/ormqr analogues).
 //
-// These are the BLAS-1/BLAS-2-heavy kernels whose limited throughput the
-// paper measures (HHQR in Figures 7 and 9); they also back the
-// unconditionally stable fallback path when CholQR breaks down, and the
-// panel factorization inside QP3.
+// HHQR's limited throughput is what the paper measures in Figures 7
+// and 9: only the nb = 32 column panels (geqr2, and org2r inside orgqr)
+// run BLAS-1/BLAS-2 reflector by reflector. geqrf and orgqr apply each
+// panel to the rest of the matrix as one compact-WY block reflector
+// (larft + larfb: BLAS-3 gemm/trmm on the worker pool). These kernels
+// also back the unconditionally stable fallback path when CholQR breaks
+// down, and the panel factorization inside QP3.
 #pragma once
 
 #include <vector>
@@ -45,6 +48,8 @@ void geqrf(MatrixView<Real> a, std::vector<Real>& tau);
 
 /// Generate the leading `k` columns of Q from geqrf output (in place on
 /// the m×k leading block of `a`; requires a.cols() ≥ k factors present).
+/// Blocked backward accumulation like LAPACK dorgqr (nb = 32); columns
+/// past k are not touched. Bitwise identical at any worker count.
 template <class Real>
 void orgqr(MatrixView<Real> a, const std::vector<Real>& tau, index_t k);
 

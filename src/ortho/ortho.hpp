@@ -24,7 +24,8 @@ enum class Scheme : std::uint8_t {
   CholQR2,  ///< CholQR with one full reorthogonalization (paper §6)
   CGS,      ///< classical Gram–Schmidt (BLAS-2)
   MGS,      ///< modified Gram–Schmidt (BLAS-1)
-  HHQR,     ///< Householder QR (BLAS-1/2, unconditionally stable)
+  HHQR,     ///< Householder QR (BLAS-2 panels + BLAS-3 block
+            ///< updates in geqrf and orgqr; unconditionally stable)
   TSQR,     ///< communication-avoiding QR (binary reduction tree, §11)
 };
 

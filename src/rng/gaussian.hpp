@@ -5,11 +5,13 @@
 // sampling-without-replacement helpers for the SRFT sampling operator.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "la/matrix.hpp"
+#include "la/parallel.hpp"
 #include "rng/philox.hpp"
 
 namespace randla::rng {
@@ -43,15 +45,22 @@ class GaussianStream {
 /// Fill `a` with i.i.d. N(0, 1) entries. Each column is generated from
 /// its own Philox substream keyed by (seed, col_offset + j), so a
 /// column-partitioned matrix generated on several simulated devices is
-/// bitwise identical to one generated on a single device.
+/// bitwise identical to one generated on a single device. The columns
+/// are split across the BLAS worker pool (a chunk carries at least 8192
+/// normals, so Ω below ~16k entries stays serial); since every column
+/// owns its stream, the output is the same at any thread count.
 template <class Real>
 void fill_gaussian(MatrixView<Real> a, std::uint64_t seed,
                    std::uint64_t col_offset = 0) {
-  for (index_t j = 0; j < a.cols(); ++j) {
-    GaussianStream g(seed, col_offset + static_cast<std::uint64_t>(j));
-    Real* c = a.col_ptr(j);
-    for (index_t i = 0; i < a.rows(); ++i) c[i] = static_cast<Real>(g.next());
-  }
+  const index_t grain =
+      std::max<index_t>(1, 8192 / std::max<index_t>(1, a.rows()));
+  parallel_ranges(a.cols(), grain, [&](index_t begin, index_t end) {
+    for (index_t j = begin; j < end; ++j) {
+      GaussianStream g(seed, col_offset + static_cast<std::uint64_t>(j));
+      Real* c = a.col_ptr(j);
+      for (index_t i = 0; i < a.rows(); ++i) c[i] = static_cast<Real>(g.next());
+    }
+  });
 }
 
 /// Convenience: newly allocated ℓ×m Gaussian matrix — PRNG(ℓ, m).

@@ -6,6 +6,7 @@
 
 #include "la/blas3.hpp"
 #include "la/householder.hpp"
+#include "la/parallel.hpp"
 #include "test_util.hpp"
 
 namespace randla::lapack {
@@ -98,7 +99,9 @@ TEST_P(GeqrfShapes, QROrthonormalAndReconstructs) {
   EXPECT_LT(rel_diff<double>(rec.view(), a0.view()), 1e-13);
 }
 
-// Includes: single column, blocked path (n > 32), wide (m < n), square.
+// Includes: single column, blocked path (n > 32), wide (m < n), square,
+// and the orgqr block edges: exactly one block (k = 32), one column past
+// it (k = 33) and an exact multiple of the block size (k = 96).
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GeqrfShapes,
     ::testing::Values(std::make_pair<index_t, index_t>(10, 1),
@@ -107,7 +110,10 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair<index_t, index_t>(50, 33),
                       std::make_pair<index_t, index_t>(100, 40),
                       std::make_pair<index_t, index_t>(200, 65),
-                      std::make_pair<index_t, index_t>(12, 30)));
+                      std::make_pair<index_t, index_t>(12, 30),
+                      std::make_pair<index_t, index_t>(100, 32),
+                      std::make_pair<index_t, index_t>(120, 33),
+                      std::make_pair<index_t, index_t>(300, 96)));
 
 TEST(Geqrf, RDiagonalNonNegativeSignConvention) {
   // LAPACK convention: R diagonal entries can be negative; verify
@@ -125,6 +131,21 @@ TEST(Orgqr, PartialColumns) {
   geqrf<double>(a.view(), tau);
   orgqr<double>(a.view(), tau, k);
   EXPECT_LT(ortho_defect<double>(ConstMatrixView<double>(a.block(0, 0, m, k))),
+            1e-13);
+}
+
+// Q's leading columns do not depend on how many trailing reflectors are
+// accumulated: Q from k = 50 must equal the first 50 columns of Q from
+// k = 120. A block whose rows above it were not cleared would differ.
+TEST(Orgqr, PartialMatchesLeadingColumnsOfFullQ) {
+  const index_t m = 400, n = 120, kp = 50;
+  auto a = random_matrix<double>(m, n, 41);
+  std::vector<double> tau;
+  geqrf<double>(a.view(), tau);
+  auto full = Matrix<double>::copy_of(a.view());
+  orgqr<double>(full.view(), tau, n);
+  orgqr<double>(a.view(), tau, kp);
+  EXPECT_LT(rel_diff<double>(a.block(0, 0, m, kp), full.block(0, 0, m, kp)),
             1e-13);
 }
 
@@ -190,6 +211,29 @@ TEST(Larfb, MatchesSequentialLarfApplication) {
   ormqr_left<double>(Op::Trans, panel.view(), tau, c_seq.view());
 
   EXPECT_LT(rel_diff<double>(c_blocked.view(), c_seq.view()), 1e-12);
+}
+
+// Served Q must be deterministic: the blocked orgqr's larfb gemm splits
+// across the pool at 2000×96, and the result must not depend on how.
+TEST(ThreadInvariance, OrgqrBitwiseIdenticalAcrossWorkerCounts) {
+  const index_t m = 2000, n = 96;
+  auto a = random_matrix<double>(m, n, 42);
+  set_blas_num_threads(1);
+  std::vector<double> tau;
+  geqrf<double>(a.view(), tau);
+  auto q1 = Matrix<double>::copy_of(a.view());
+  orgqr<double>(q1.view(), tau, n);
+  for (index_t threads : {2, 4}) {
+    set_blas_num_threads(threads);
+    auto qt = Matrix<double>::copy_of(a.view());
+    const auto splits = pool_stats().split_batches;
+    orgqr<double>(qt.view(), tau, n);
+    EXPECT_GT(pool_stats().split_batches, splits) << "threads=" << threads;
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < m; ++i)
+        ASSERT_EQ(q1(i, j), qt(i, j)) << "threads=" << threads;
+  }
+  set_blas_num_threads(1);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
+#include "la/parallel.hpp"
 #include "rng/gaussian.hpp"
 #include "rng/philox.hpp"
 
@@ -157,6 +159,53 @@ TEST(Sampling, RoughlyUniform) {
     EXPECT_GT(h, trials / 10 / 3);
     EXPECT_LT(h, trials / 10 * 3);
   }
+}
+
+// FNV-1a over the bit patterns of the entries, column-major.
+std::uint64_t digest(const Matrix<double>& a) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (index_t j = 0; j < a.cols(); ++j)
+    for (index_t i = 0; i < a.rows(); ++i) {
+      const double v = a(i, j);
+      std::uint64_t bits;
+      std::memcpy(&bits, &v, sizeof bits);
+      for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ull;
+      }
+    }
+  return h;
+}
+
+// Ω is split across the pool by columns, each on its own substream, so
+// the bits must not depend on the worker count.
+TEST(Gaussian, FillIsThreadCountInvariant) {
+  set_blas_num_threads(1);
+  Matrix<double> ref(60, 20000);
+  fill_gaussian(ref.view(), 77);
+  for (index_t threads : {2, 4}) {
+    set_blas_num_threads(threads);
+    Matrix<double> got(60, 20000);
+    const auto splits = pool_stats().split_batches;
+    fill_gaussian(got.view(), 77);
+    EXPECT_GT(pool_stats().split_batches, splits) << "threads=" << threads;
+    ASSERT_EQ(std::memcmp(ref.data(), got.data(),
+                          sizeof(double) * static_cast<std::size_t>(
+                                               ref.rows() * ref.cols())),
+              0)
+        << "threads=" << threads;
+  }
+  set_blas_num_threads(1);
+}
+
+// Pinned from the serial column loop: a given seed must keep producing
+// the same Ω (and so the same served factors) whatever fill_gaussian's
+// parallel split.
+TEST(Gaussian, GoldenDigestAtFixedSeed) {
+  const auto a = gaussian_matrix<double>(60, 10000, 20151115);
+  EXPECT_EQ(digest(a), 0x90ecb7f7b5f7b0e6ull);
+  EXPECT_EQ(a(0, 0), 1.2265607379574335);
+  EXPECT_EQ(a(59, 9999), 0.71625433019863682);
 }
 
 }  // namespace
