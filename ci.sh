@@ -264,10 +264,15 @@ echo "== cluster chaos: hot-key replication + hedging under shard kill =="
 # duplicate detector still demands zero unexplained double executions
 # (replica legs are tagged "/hedge" and cancelled first-result-wins),
 # and the victim's death rides the usual breaker/eviction assertions.
+# randla_postmortem then replays the merged flight recorder under the
+# same "/hedge" exemption: every accepted job reached a terminal event.
 RANDLA_NUM_THREADS=1 ./build/examples/randla_cluster --chaos --shards 3 \
   --jobs 160 --threads 6 --spread 6 --m 256 --n 128 --check-frac 0.1 \
   --replicate-threshold 0.5 --hedge --tmp build \
-  --json build/BENCH_cluster_hedge.json
+  --json build/BENCH_cluster_hedge.json \
+  --postmortem build/postmortem_hedge.json
+./build/examples/randla_postmortem build/postmortem_hedge.json \
+  --require-complete
 
 echo "== cluster availability: loadgen prices hedging + mid-run drain =="
 # The loadgen's availability row lands hedge wins/cancels/budget and the

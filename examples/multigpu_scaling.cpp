@@ -1,8 +1,8 @@
 // multigpu_scaling — strong scaling of random sampling over simulated
 // devices (paper §4 and Fig. 15). The runtime executes the real kernels
-// on per-device worker threads and charges each device a modeled K40c
-// clock, so the printed scaling behaves like real concurrent GPUs even
-// on a single-core host.
+// for each device in turn and charges each device a modeled K40c clock,
+// so the printed scaling behaves like real concurrent GPUs even though
+// the devices run one after another.
 //
 // Build & run:  ./examples/multigpu_scaling [m n max_devices]
 #include <cstdio>

@@ -54,20 +54,19 @@
 // router (keys above the decayed-rate threshold run on owner AND
 // successor, first result wins, loser cancelled); --hedge arms latency
 // hedging off the router's per-kind p99 gauges. Replica/hedge legs are
-// tagged "/hedge" and excluded from the duplicate detector the same way
-// peer fills are — they are intentional duplicates, cancelled or
-// discarded before the client ever sees a second result.
+// tagged "/hedge" and excluded from the duplicate detector — they are
+// intentional duplicates, cancelled or discarded before the client ever
+// sees a second result.
 //
 // Every shard child reports its ephemeral port over a pipe, serves
 // until the parent sends a Shutdown frame, then dumps one
 // "tag<TAB>status<TAB>cache" line per job trace for the parent's
-// duplicate detector. Peer-filled executions are tagged "/peerfill" and
-// excluded from that count — they are intentional duplicates.
+// duplicate detector.
 //
 //   randla_cluster [--scales 1,2,4] [--jobs N] [--threads T]
 //                  [--workers W] [--queue Q] [--cache C] [--spread K]
 //                  [--m M] [--n N] [--check-frac F] [--seed S]
-//                  [--min-speedup X] [--peer-fill N] [--tmp DIR]
+//                  [--min-speedup X] [--tmp DIR]
 //                  [--replicate-threshold X] [--hedge] [--json PATH]
 //   randla_cluster --chaos [--shards S] [--routers N] [flags as above]
 //   randla_cluster --drain [--shards S] [--hit-floor F] [flags as above]
@@ -119,7 +118,6 @@ struct Options {
   index_t m = 192, n = 96;
   double check_frac = 0.1;
   double min_speedup = 0;    ///< 0 = record only
-  int peer_fill = 0;         ///< router peer_fill_threshold
   double replicate_threshold = 0;  ///< router hot-key replication (0 = off)
   bool hedge = false;              ///< router latency hedging
   int routers = 1;   ///< chaos: router processes over one shared ring
@@ -298,21 +296,16 @@ struct RunResult {
                                   ///< the post-drain window (-1 = no scrape)
 };
 
-/// True when `tag` carries one of the intentional-duplicate suffixes the
-/// router appends to replica legs (peer fills, hedges/replicas).
+/// True when `tag` carries the intentional-duplicate suffix the router
+/// appends to replica and hedge legs.
 bool intentional_duplicate(const std::string& tag) {
-  for (const char* suf : {"/peerfill", "/hedge"}) {
-    const std::size_t n = std::strlen(suf);
-    if (tag.size() >= n && tag.compare(tag.size() - n, n, suf) == 0)
-      return true;
-  }
-  return false;
+  return tag.ends_with("/hedge");
 }
 
 /// Cluster-wide duplicate detection from the shards' telemetry dumps: a
 /// tag that *executed* (Done with cache Miss/None) more than once
 /// anywhere ran twice for real. Replays served from a result cache show
-/// up as Result dispositions and never count; peer-fill and hedge legs
+/// up as Result dispositions and never count; replica and hedge legs
 /// are intentional duplicates and are tagged out of the population.
 int scan_duplicates(const std::vector<ShardProc>& shards) {
   std::map<std::string, int> executed;
@@ -376,7 +369,6 @@ RunResult run_scale(const Options& opt, int nshards, RunMode mode) {
   for (const ShardProc& sp : shards)
     ro.shards.push_back(cluster::ShardEndpoint{"127.0.0.1", sp.port});
   ro.probe_interval_s = 0.1;
-  ro.peer_fill_threshold = opt.peer_fill;
   ro.replicate_threshold = opt.replicate_threshold;
   ro.hedge = opt.hedge;
   cluster::Router router(ro);
@@ -670,7 +662,6 @@ int run_chaos(const Options& opt, int argc, char** argv) {
         .set("rerouted", double(rr.router.rerouted))
         .set("forward_errors", double(rr.router.forward_errors))
         .set("membership_changes", double(rr.router.membership_changes))
-        .set("peer_fills", double(rr.router.peer_fills))
         .set("hedges_fired", double(rr.router.hedges_fired))
         .set("hedge_wins", double(rr.router.hedge_wins))
         .set("hedge_cancels", double(rr.router.hedge_cancels))
@@ -836,7 +827,6 @@ int run_drain(const Options& opt, int argc, char** argv) {
   for (std::uint16_t p : shard_ports)
     ro.shards.push_back(cluster::ShardEndpoint{"127.0.0.1", p});
   ro.probe_interval_s = 0.1;
-  ro.peer_fill_threshold = opt.peer_fill;
   ro.replicate_threshold = opt.replicate_threshold;
   ro.hedge = opt.hedge;
   cluster::Router router(ro);
@@ -1254,7 +1244,6 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--n")) opt.n = std::atoi(need("--n"));
     else if (!std::strcmp(argv[i], "--check-frac")) opt.check_frac = std::atof(need("--check-frac"));
     else if (!std::strcmp(argv[i], "--min-speedup")) opt.min_speedup = std::atof(need("--min-speedup"));
-    else if (!std::strcmp(argv[i], "--peer-fill")) opt.peer_fill = std::atoi(need("--peer-fill"));
     else if (!std::strcmp(argv[i], "--replicate-threshold")) opt.replicate_threshold = std::atof(need("--replicate-threshold"));
     else if (!std::strcmp(argv[i], "--hedge")) opt.hedge = true;
     else if (!std::strcmp(argv[i], "--routers")) opt.routers = std::atoi(need("--routers"));

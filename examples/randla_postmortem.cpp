@@ -23,8 +23,8 @@
 //
 // Accounting rules match randla_cluster's duplicate detector: a job's
 // identity is its tag (job ids are per-process); a tag *executed* when
-// it completed with cache disposition None or Miss; "/peerfill" tags are
-// deliberate duplicates and exempt. A tag with an accept but no terminal
+// it completed with cache disposition None or Miss; "/hedge" tags
+// (router replica and hedge legs) are deliberate duplicates and exempt. A tag with an accept but no terminal
 // event is unaccounted — after a shard SIGKILL, retried jobs re-execute
 // on survivors, so a healthy cluster postmortem shows 0 unaccounted.
 #include <algorithm>
@@ -269,9 +269,7 @@ int main(int argc, char** argv) {
       ++unaccounted;
       unaccounted_keys.push_back(key);
     }
-    const bool peerfill =
-        key.size() >= 9 && key.compare(key.size() - 9, 9, "/peerfill") == 0;
-    if (j.executions > 1 && !peerfill) {
+    if (j.executions > 1 && !key.ends_with("/hedge")) {
       ++duplicated;
       duplicated_keys.push_back(key);
     }

@@ -14,12 +14,11 @@ std::uint64_t ring_point(std::uint32_t shard, std::uint32_t replica) {
   return (static_cast<std::uint64_t>(block[0]) << 32) | block[1];
 }
 
-void HashRing::add(std::uint32_t shard, double weight) {
+void HashRing::add(std::uint32_t shard) {
   if (contains(shard)) return;
   members_.insert(std::lower_bound(members_.begin(), members_.end(), shard),
                   shard);
-  const double w = std::clamp(weight, 0.25, 8.0);
-  const int n = std::max(1, static_cast<int>(opts_.vnodes * w + 0.5));
+  const int n = std::max(1, opts_.vnodes);
   for (int r = 0; r < n; ++r)
     points_.emplace_back(ring_point(shard, static_cast<std::uint32_t>(r)),
                          shard);

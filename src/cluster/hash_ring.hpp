@@ -40,13 +40,10 @@ class HashRing {
  public:
   explicit HashRing(RingOptions opts = {}) : opts_(opts) {}
 
-  /// Idempotent; inserts `weight × vnodes` points for the shard (so a
-  /// weight-2 shard owns ~2× the keyspace of a weight-1 one — weighted
-  /// placement for heterogeneous shards). Weights are clamped to
-  /// [0.25, 8] and every shard keeps at least one point. The point set
-  /// is still a pure function of (shard, replica), so two routers
-  /// configured with the same weights agree without coordination.
-  void add(std::uint32_t shard, double weight = 1.0);
+  /// Idempotent; inserts `vnodes` points for the shard (at least one).
+  /// The point set is a pure function of (shard, replica), so two
+  /// routers over the same members agree without coordination.
+  void add(std::uint32_t shard);
   /// Idempotent; removes exactly this shard's points (bounded remapping).
   void remove(std::uint32_t shard);
   bool contains(std::uint32_t shard) const;
@@ -58,8 +55,9 @@ class HashRing {
   /// Owning shard for `key`: first ring point clockwise (wrapping).
   /// nullopt on an empty ring.
   std::optional<std::uint32_t> owner(std::uint64_t key) const;
-  /// First *distinct* shard clockwise after the owner — the failover and
-  /// peer-fill target. nullopt with fewer than two members.
+  /// First *distinct* shard clockwise after the owner — the failover,
+  /// replica and drain-handoff target. nullopt with fewer than two
+  /// members.
   std::optional<std::uint32_t> successor(std::uint64_t key) const;
 
  private:

@@ -42,8 +42,9 @@ constexpr std::size_t kMaxPendingSubmits = 64;
 /// provably either lands on a live shard or empties the ring.
 constexpr int kMaxPlacementTries = 4;
 
-/// Forget per-key hotness counts past this many distinct keys (peer
-/// fill is a heuristic; unbounded exact counts are not worth the RAM).
+/// Forget per-key hotness rates past this many distinct keys
+/// (replication is a heuristic; unbounded exact rates are not worth the
+/// RAM).
 constexpr std::size_t kMaxHotKeys = 65536;
 
 /// Time constant of the hot-key rate decay: a key must sustain its
@@ -54,6 +55,16 @@ constexpr double kHotDecayTauS = 10.0;
 /// Hedge token-bucket burst cap: at most this many hedges can fire
 /// back-to-back after a quiet stretch, regardless of accumulated credit.
 constexpr double kHedgeBurstCap = 5.0;
+
+/// Hedge token-bucket refill per routed submit; a hedge costs one token,
+/// so hedge traffic is bounded at ~this fraction of submits.
+constexpr double kHedgeBudgetRatio = 0.05;
+
+/// Never hedge before this much elapsed time (guards cold-start p99=0).
+constexpr double kHedgeFloorS = 0.05;
+
+/// Idle upstream sockets kept pooled per shard.
+constexpr std::size_t kMaxPoolIdle = 4;
 
 /// Cadence of slo_publish() refreshes feeding the hedge p99 trigger.
 constexpr double kSloRefreshS = 0.2;
@@ -79,7 +90,7 @@ struct Router::Impl {
   /// Fleet counters in the global obs registry (the per-instance
   /// RouterStats mirror stays exact; these aggregate for /metrics).
   struct ObsCounters {
-    obs::Counter routed, rerouted, forward_errors, peer_fills, probes_failed,
+    obs::Counter routed, rerouted, forward_errors, probes_failed,
         membership_changes, busy_relayed, hedges_fired, hedge_wins,
         hedge_cancels, hedge_budget_exhausted;
     obs::Gauge shards_live;
@@ -141,14 +152,15 @@ struct Router::Impl {
   std::uint64_t next_fanout_id = 1;
 
   struct Exchange {
-    std::uint64_t down = 0;  ///< 0 = detached (peer fill / client gone)
+    /// Client conn the result streams to; 0 = detached (losing hedge
+    /// leg or client gone): its frames are swallowed.
+    std::uint64_t down = 0;
     std::uint64_t up = 0;
     std::uint32_t shard = 0;
     std::uint64_t key = 0;
     std::uint64_t request_id = 0;
     std::uint64_t trace_id = 0;
     bool forwarded = false;  ///< any frame already relayed downstream
-    bool discard = false;    ///< swallow result frames (peer fill)
     int reroutes = 0;
     std::vector<std::uint8_t> frame;  ///< submit frame for (re)send
     // Hedged-pair state (DESIGN.md §15): two legs linked by `partner`
@@ -178,12 +190,10 @@ struct Router::Impl {
   std::vector<ShardState> shards;
   HashRing ring;
 
-  /// Decayed per-key submit rate (replication trigger) plus a monotone
-  /// count (peer-fill modulo).
+  /// Decayed per-key submit rate (replication trigger).
   struct HotKey {
     double rate = 0;
     double last = 0;
-    std::uint32_t count = 0;
   };
   std::unordered_map<std::uint64_t, HotKey> hot;
   std::deque<std::uint64_t> failed_ups;  ///< worklist (no recursion)
@@ -207,7 +217,7 @@ struct Router::Impl {
       s.breaker = fault::CircuitBreaker(opts.breaker);
       s.in_ring = true;
       shards.push_back(std::move(s));
-      ring.add(static_cast<std::uint32_t>(i), weight_of(i));
+      ring.add(static_cast<std::uint32_t>(i));
     }
     auto& g = obs::Registry::global();
     obs_.routed =
@@ -216,8 +226,6 @@ struct Router::Impl {
         g.counter("cluster_rerouted_total", "exchanges moved to a new owner");
     obs_.forward_errors = g.counter("cluster_forward_errors_total",
                                     "upstream conns died mid-exchange");
-    obs_.peer_fills =
-        g.counter("cluster_peer_fills_total", "hot keys copied to successor");
     obs_.probes_failed =
         g.counter("cluster_probes_failed_total", "failed HealthCheck probes");
     obs_.membership_changes = g.counter("cluster_membership_changes_total",
@@ -277,7 +285,6 @@ struct Router::Impl {
 
   // Upstream + exchanges.
   void start_exchange(std::uint64_t cid, PendingSubmit ps);
-  void start_peer_fill(const net::JobRequest& req, std::uint64_t key);
   bool place(std::uint64_t xid);
   bool bind_to_shard(std::uint64_t xid, std::uint32_t shard);
   std::uint64_t take_upstream(std::uint32_t shard);
@@ -304,7 +311,6 @@ struct Router::Impl {
   void retire_shard(std::uint32_t shard);
 
   // Membership.
-  double weight_of(std::size_t i) const;
   void shard_failure(std::uint32_t shard);
   void probe_ok(std::uint32_t shard);
   void maybe_probe(double t);
@@ -399,7 +405,7 @@ bool Router::drain(std::uint32_t shard, net::DrainSummary* summary) {
 /// blocking client exchange against the victim shard, and only its
 /// *outcome* crosses into the event loop (via drained_pending + wake
 /// byte). The successor is computed from the loop's last membership
-/// snapshot — placement is a pure function of (members, weights), so a
+/// snapshot — placement is a pure function of the members, so a
 /// locally rebuilt ring coincides with the loop's without touching it.
 bool Router::Impl::drain_shard(std::uint32_t shard, net::DrainSummary* out) {
   if (!loop_alive.load() || shard >= shards.size()) return false;
@@ -407,7 +413,7 @@ bool Router::Impl::drain_shard(std::uint32_t shard, net::DrainSummary* out) {
   {
     std::lock_guard<std::mutex> lk(stats_mu);
     for (const ShardView& v : views_snapshot)
-      if (v.in_ring) local.add(v.shard, weight_of(v.shard));
+      if (v.in_ring) local.add(v.shard);
   }
   if (!local.contains(shard)) return false;
   net::DrainRequest d;
@@ -466,7 +472,7 @@ void Router::Impl::loop() {
         close(listen_fd);
         listen_fd = -1;
       }
-      // Detached duplicate work (peer fills, losing hedge legs) would
+      // Detached duplicate work (losing hedge legs) would
       // otherwise hold the drain open and then be torn down as forward
       // errors at the timeout; cancel it cleanly instead.
       cancel_discard_exchanges();
@@ -766,28 +772,21 @@ void Router::Impl::handle_submit(std::uint64_t cid, const std::uint8_t* frame,
   ps.kind = static_cast<std::uint8_t>(req->kind);
 
   // Routed traffic earns hedge credit: the token bucket bounds latency
-  // hedges at ~hedge_budget_ratio of submits, burst-capped.
+  // hedges at ~kHedgeBudgetRatio of submits, burst-capped.
   if (opts.hedge)
-    hedge_tokens = std::min(hedge_tokens + opts.hedge_budget_ratio,
-                            kHedgeBurstCap);
+    hedge_tokens = std::min(hedge_tokens + kHedgeBudgetRatio, kHedgeBurstCap);
 
-  // Hot-key bookkeeping: a monotone count drives peer fill (every
-  // `threshold`-th submit re-warms the successor's caches) and a decayed
-  // rate drives replicated execution (a sustained-hot key runs on both
-  // owner and successor, first result wins).
-  if (opts.peer_fill_threshold > 0 || opts.replicate_threshold > 0) {
+  // Hot-key bookkeeping: a decayed rate drives replicated execution (a
+  // sustained-hot key runs on both owner and successor, first result
+  // wins), which also keeps the successor's caches warm for failover.
+  if (opts.replicate_threshold > 0) {
     if (hot.size() > kMaxHotKeys) hot.clear();
     HotKey& h = hot[ps.key];
     const double t = now();
     if (h.last > 0) h.rate *= std::exp(-(t - h.last) / kHotDecayTauS);
     h.rate += 1.0;
     h.last = t;
-    h.count += 1;
-    if (opts.peer_fill_threshold > 0 &&
-        h.count % static_cast<std::uint32_t>(opts.peer_fill_threshold) == 0)
-      start_peer_fill(*req, ps.key);
-    if (opts.replicate_threshold > 0 && h.rate >= opts.replicate_threshold &&
-        ring.size() >= 2) {
+    if (h.rate >= opts.replicate_threshold && ring.size() >= 2) {
       net::JobRequest copy = *req;
       copy.tag += "/hedge";  // telemetry marks the duplicate as intentional
       ps.replica_frame = net::encode_submit(copy);
@@ -828,7 +827,6 @@ net::StatsReply Router::Impl::local_stats() {
   m.emplace_back("router_forward_errors", double(st.forward_errors));
   m.emplace_back("router_rerouted", double(st.rerouted));
   m.emplace_back("router_clients_dropped", double(st.clients_dropped));
-  m.emplace_back("router_peer_fills", double(st.peer_fills));
   m.emplace_back("router_probes_ok", double(st.probes_ok));
   m.emplace_back("router_probes_failed", double(st.probes_failed));
   m.emplace_back("router_hedges_fired", double(st.hedges_fired));
@@ -1020,7 +1018,6 @@ void Router::Impl::drop_down(std::uint64_t cid) {
     auto xit = exchanges.find(it->second.active_x);
     if (xit != exchanges.end()) {
       xit->second.down = 0;
-      xit->second.discard = true;
     }
   }
   close(it->second.fd);
@@ -1068,8 +1065,7 @@ void Router::Impl::start_replica(std::uint64_t primary_xid,
   if (!succ || *succ == pit->second.shard) return;
   const std::uint64_t xid = next_x_id++;
   Exchange x;
-  x.down = 0;
-  x.discard = true;  // until it wins the race, its frames are noise
+  x.down = 0;  // until it wins the race, its frames are noise
   x.hedged_copy = true;
   x.partner = primary_xid;
   x.key = pit->second.key;
@@ -1105,7 +1101,6 @@ void Router::Impl::cancel_leg(std::uint64_t xid) {
   Exchange& x = it->second;
   x.partner = 0;
   x.down = 0;
-  x.discard = true;
   if (x.up != 0) {
     auto uit = ups.find(x.up);
     if (uit != ups.end()) {
@@ -1133,12 +1128,12 @@ void Router::Impl::maybe_hedge(double t) {
   if (ring.size() < 2) return;
   std::vector<std::uint64_t> due;
   for (auto& [xid, x] : exchanges) {
-    if (x.down == 0 || x.discard || x.hedged_copy || x.partner != 0 ||
+    if (x.down == 0 || x.hedged_copy || x.partner != 0 ||
         x.hedge_checked || x.forwarded)
       continue;
     const int kind = std::min<int>(x.kind, obs::kNumSloKinds - 1);
     const double trigger =
-        std::max(obs_.slo_p99[kind].value(), opts.hedge_floor_s);
+        std::max(obs_.slo_p99[kind].value(), kHedgeFloorS);
     if (t - x.started < trigger) continue;
     x.hedge_checked = true;
     if (hedge_tokens < 1.0) {
@@ -1160,14 +1155,14 @@ void Router::Impl::maybe_hedge(double t) {
   }
 }
 
-/// Drain hygiene: detached duplicate legs (peer fills, cancelled hedge
-/// copies) only exist to warm caches — at router drain they are torn
+/// Drain hygiene: detached duplicate legs (cancelled hedge copies) only
+/// exist to warm caches — at router drain they are torn
 /// down outright so they neither hold the drain window open nor get
 /// miscounted as forward errors when their conns close under them.
 void Router::Impl::cancel_discard_exchanges() {
   std::vector<std::uint64_t> doomed;
   for (const auto& [xid, x] : exchanges)
-    if (x.discard && x.down == 0) doomed.push_back(xid);
+    if (x.down == 0) doomed.push_back(xid);
   for (const std::uint64_t xid : doomed) {
     auto it = exchanges.find(xid);
     if (it == exchanges.end()) continue;
@@ -1183,29 +1178,6 @@ void Router::Impl::cancel_discard_exchanges() {
       close_up(uid);  // mid-exchange conn: not pool-reusable
     }
   }
-}
-
-void Router::Impl::start_peer_fill(const net::JobRequest& req,
-                                   std::uint64_t key) {
-  const auto succ = ring.successor(key);
-  if (!succ) return;
-  net::JobRequest copy = req;
-  copy.tag += "/peerfill";  // telemetry marks the duplicate as intentional
-  const std::uint64_t xid = next_x_id++;
-  Exchange x;
-  x.down = 0;
-  x.discard = true;
-  x.key = key;
-  x.request_id = req.request_id;
-  x.trace_id = req.trace_id;
-  x.frame = net::encode_submit(copy);
-  exchanges.emplace(xid, std::move(x));
-  if (!bind_to_shard(xid, *succ)) {
-    exchanges.erase(xid);  // best-effort: a fill that can't bind is skipped
-    return;
-  }
-  bump(&RouterStats::peer_fills);
-  obs_.peer_fills.inc();
 }
 
 bool Router::Impl::place(std::uint64_t xid) {
@@ -1271,8 +1243,7 @@ void Router::Impl::release_upstream(std::uint64_t uid) {
   u.probe = false;
   u.fanout = 0;
   ShardState& s = shards[u.shard];
-  if (static_cast<int>(s.idle.size()) >= opts.max_pool_idle ||
-      !s.in_ring) {
+  if (s.idle.size() >= kMaxPoolIdle || !s.in_ring) {
     close_up(uid);
     return;
   }
@@ -1409,10 +1380,8 @@ bool Router::Impl::handle_up_frame(std::uint64_t uid,
         // The duplicate won: it inherits the client; the primary
         // becomes the discard leg about to be cancelled.
         x.down = p.down;
-        x.discard = p.discard;
         if (x.down != 0 && downs.count(x.down)) downs[x.down].active_x = u.x;
         p.down = 0;
-        p.discard = true;
       }
       x.partner = 0;
       cancel_leg(pid);
@@ -1420,12 +1389,10 @@ bool Router::Impl::handle_up_frame(std::uint64_t uid,
                hdr.type == net::FrameType::Error) {
       Exchange& p = pit->second;
       if (hdr.type == net::FrameType::Busy) shards[u.shard].busy += 1;
-      if (!x.discard && x.down != 0) {
+      if (x.down != 0) {
         p.down = x.down;
-        p.discard = false;
         if (downs.count(p.down)) downs[p.down].active_x = pid;
         x.down = 0;
-        x.discard = true;
       }
       p.partner = 0;
       x.partner = 0;
@@ -1437,15 +1404,15 @@ bool Router::Impl::handle_up_frame(std::uint64_t uid,
   switch (hdr.type) {
     case net::FrameType::ResultHeader:
     case net::FrameType::ResultChunk:
-      if (!x.discard && x.down != 0) relay_down(x.down, frame, frame_len);
+      if (x.down != 0) relay_down(x.down, frame, frame_len);
       x.forwarded = true;
       return true;
     case net::FrameType::ResultEnd:
-      // Peer-fill exchanges complete here too, but their frames are
-      // discarded — only client-visible results count as relayed. Count
-      // before the relay write so a client that has seen its ResultEnd
-      // never observes a stats scrape missing it.
-      if (!x.discard && x.down != 0) {
+      // Detached legs complete here too, but their frames are discarded
+      // — only client-visible results count as relayed. Count before the
+      // relay write so a client that has seen its ResultEnd never
+      // observes a stats scrape missing it.
+      if (x.down != 0) {
         bump(&RouterStats::results_relayed);
         if (x.hedged_copy) {
           bump(&RouterStats::hedge_wins);
@@ -1464,7 +1431,7 @@ bool Router::Impl::handle_up_frame(std::uint64_t uid,
       // exactly what the client should wait out before resubmitting
       // (the resubmission hashes back to the same shard).
       shards[u.shard].busy += 1;
-      if (!x.discard && x.down != 0) {
+      if (x.down != 0) {
         bump(&RouterStats::busy_relayed);
         obs_.busy_relayed.inc();
         relay_down(x.down, frame, frame_len);
@@ -1473,7 +1440,7 @@ bool Router::Impl::handle_up_frame(std::uint64_t uid,
       finish_exchange(u.x);
       return true;
     case net::FrameType::Error:
-      if (!x.discard && x.down != 0) {
+      if (x.down != 0) {
         bump(&RouterStats::errors_relayed);
         obs::slo_observe(std::min<int>(x.kind, obs::kNumSloKinds - 1),
                          now() - x.started, /*ok=*/false);
@@ -1590,7 +1557,7 @@ void Router::Impl::handle_one_up_failure(std::uint64_t uid) {
     if (pit != exchanges.end()) {
       Exchange& p = pit->second;
       p.partner = 0;
-      if (x.down == 0 || x.discard) {
+      if (x.down == 0) {
         // The losing/detached leg died: the pair degrades to a sole leg.
         finish_exchange(xid);
         return;
@@ -1599,7 +1566,6 @@ void Router::Impl::handle_one_up_failure(std::uint64_t uid) {
         // Client-facing leg died before relaying anything: the twin
         // inherits the client seamlessly.
         p.down = x.down;
-        p.discard = false;
         if (downs.count(p.down)) downs[p.down].active_x = pid;
         x.down = 0;
         finish_exchange(xid);
@@ -1610,7 +1576,7 @@ void Router::Impl::handle_one_up_failure(std::uint64_t uid) {
     }
   }
 
-  if (x.discard) {  // peer fill / losing hedge leg: nothing depends on it
+  if (x.down == 0) {  // losing hedge leg / client gone: nothing depends on it
     finish_exchange(xid);
     return;
   }
@@ -1637,11 +1603,6 @@ void Router::Impl::handle_one_up_failure(std::uint64_t uid) {
 
 // ---------------------------------------------------------------------
 // Membership.
-
-double Router::Impl::weight_of(std::size_t i) const {
-  if (i < opts.weights.size() && opts.weights[i] > 0) return opts.weights[i];
-  return 1.0;
-}
 
 /// Keyshare re-point after a completed planned drain: the shard leaves
 /// the ring for good (drained shards are never probed back in — the
@@ -1691,7 +1652,7 @@ void Router::Impl::probe_ok(std::uint32_t shard) {
   ShardState& s = shards[shard];
   s.breaker.record_success();
   if (!s.in_ring && !s.drained) {
-    ring.add(shard, weight_of(shard));
+    ring.add(shard);
     s.in_ring = true;
     bump(&RouterStats::membership_changes);
     obs_.membership_changes.inc();

@@ -33,12 +33,6 @@
 // replies concatenate each shard's flight-recorder postmortem with the
 // router's own into one JSON document for randla_postmortem.
 //
-// Peer cache fill (optional): after `peer_fill_threshold` routed submits
-// of one routing key, the next submit is duplicated to the key's
-// successor shard with a "/peerfill" tag suffix and its result frames
-// discarded — failover for hot fingerprints then lands on a warm result
-// cache instead of a cold recompute.
-//
 // Availability layer (DESIGN.md §15):
 //  - Hot-key replicated execution: a key whose decayed submit rate
 //    crosses `replicate_threshold` is forwarded to BOTH the ring owner
@@ -50,8 +44,8 @@
 //  - Latency hedging: a non-replicated exchange whose owner has been
 //    silent past the kind's observed p99 (the router's own slo_*
 //    gauges) fires one hedge to the successor, bounded by a token
-//    bucket refilled at `hedge_budget_ratio` per routed submit so
-//    hedges never exceed that fraction of traffic.
+//    bucket refilled at 0.05 per routed submit so hedges never exceed
+//    that fraction of traffic.
 //  - Planned drain: Router::drain() orders a shard to stream its cache
 //    warmth to its ring successor (CacheHandoff frames), waits for the
 //    DrainReply, and only then re-points the keyshare — zero jobs and
@@ -87,7 +81,6 @@ struct RouterOptions {
   /// readmit it.
   fault::BreakerOptions breaker{/*failure_threshold=*/2,
                                 /*open_cooldown_s=*/1.0};
-  int max_pool_idle = 4;      ///< idle upstream sockets kept per shard
   /// Cluster Stats/Dump fan-out: a shard that has not answered within
   /// this window is reported as stale (`cluster_stale_shards`) and the
   /// merge completes without it instead of failing or blocking.
@@ -95,26 +88,13 @@ struct RouterOptions {
   double idle_timeout_s = 60;   ///< close quiet client conns; ≤0 disables
   bool allow_remote_shutdown = false;  ///< Shutdown drains cluster + router
   double drain_timeout_s = 10;
-  /// Routed submits of one key before the next one is duplicated to the
-  /// successor shard (0 disables peer fill).
-  int peer_fill_threshold = 0;
   /// Hot-key replicated execution: a key whose decayed submit rate
   /// (exponential decay, ~10 s time constant) reaches this value is
   /// executed on both owner and successor, first result wins (0 = off).
   double replicate_threshold = 0;
   /// Latency hedging: fire one hedge to the successor when the owner has
-  /// been silent past max(kind p99, hedge_floor_s).
+  /// been silent past max(kind p99, 50 ms), at most ~5% of submits.
   bool hedge = false;
-  /// Token-bucket refill per routed submit; a hedge costs one token, so
-  /// hedge traffic is bounded at ~this fraction of submits.
-  double hedge_budget_ratio = 0.05;
-  /// Never hedge before this much elapsed time (guards cold-start p99=0).
-  double hedge_floor_s = 0.05;
-  /// Per-shard ring weights for heterogeneous shards (index = shard id;
-  /// missing/non-positive entries mean 1.0). A weight-2 shard owns ~2×
-  /// the keyspace. Both routers of a redundant pair must agree on these
-  /// for their pure-function rings to coincide.
-  std::vector<double> weights;
 };
 
 struct RouterStats {
@@ -129,7 +109,6 @@ struct RouterStats {
   std::uint64_t forward_errors = 0;   ///< upstream died mid-exchange
   std::uint64_t rerouted = 0;         ///< exchanges moved to a new owner
   std::uint64_t clients_dropped = 0;  ///< half-forwarded exchanges cut
-  std::uint64_t peer_fills = 0;
   std::uint64_t probes_ok = 0;
   std::uint64_t probes_failed = 0;
   std::uint64_t membership_changes = 0;  ///< ring evictions + readmissions
@@ -146,7 +125,7 @@ struct ShardView {
   std::uint32_t shard = 0;
   bool in_ring = false;
   fault::BreakerState breaker = fault::BreakerState::Closed;
-  std::uint64_t submits = 0;   ///< exchanges routed here (incl. peer fills)
+  std::uint64_t submits = 0;   ///< exchanges routed here (incl. replicas)
   std::uint64_t busy = 0;      ///< Busy frames this shard answered
   std::uint64_t failures = 0;  ///< probe + forward failures charged
 };

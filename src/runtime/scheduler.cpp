@@ -631,7 +631,7 @@ JobOutcome Scheduler::run_rqrcp(const RqrcpJob& rj, JobTrace& trace,
   index_t max_blocks = 0;  // 0 = unbounded
   const index_t block = std::max<index_t>(1, rj.opts.block);
   const index_t blocks_needed = (std::min(kmax, std::min(m, n)) + block - 1) / block;
-  if (remaining_s > 0 && opts_.enable_degradation) {
+  if (remaining_s > 0) {
     const double budget_modeled = remaining_s / calibration();
     const index_t fit = model::max_rqrcp_blocks_within(
         opts_.spec, m, n, kmax, rj.opts.block, rj.opts.oversample,
@@ -686,7 +686,7 @@ void Scheduler::degrade_to_fit(rsvd::FixedRankOptions& opts, index_t m,
   // deadline budget, shed power iterations first — they dominate the
   // cost (each iteration re-pays the sampling GEMM twice) and only
   // refine accuracy, never the output shape.
-  if (remaining_s > 0 && opts_.enable_degradation && opts.q > 0) {
+  if (remaining_s > 0 && opts.q > 0) {
     const double budget_modeled = remaining_s / calibration();
     const index_t q_fit = model::max_power_iters_within(
         opts_.spec, m, n, opts.k + opts.p, opts.q, budget_modeled);
@@ -709,13 +709,15 @@ JobOutcome Scheduler::finish_fixed_rank(const FixedRankJob& fj,
   // the *sampling stage* reports CholQR breakdowns (the kernel already
   // rescued itself with HHQR, but the stabler scheme avoids the
   // breakdown entirely on the re-run). Cache hits are trusted as-is.
+  // The ladder CholQR → CholQR2 → HHQR ends at an unconditionally
+  // stable scheme, so the loop runs at most 2 retries.
   for (;;) {
     auto pass = fixed_rank_pass(fj, opts, tr, std::move(fresh));
     fresh = nullptr;  // a re-run must resample with the stabler scheme
     tr.q_used = opts.q;
     tr.cholqr_fallbacks = pass.res->cholqr_fallbacks;
     if (tr.cache != CacheDisposition::Result && pass.step1_fallbacks > 0 &&
-        escalatable(opts.power_ortho) && tr.retries < opts_.max_retries) {
+        escalatable(opts.power_ortho)) {
       ++tr.retries;
       opts.power_ortho = escalate(opts.power_ortho);
       continue;

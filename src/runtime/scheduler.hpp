@@ -14,7 +14,7 @@
 //     (scaled by an online real/modeled calibration factor);
 //   * retry — if a run reports CholQR breakdown (cholqr_fallbacks > 0),
 //     the job is re-run with the next stabler orthogonalization
-//     (CholQR → CholQR2 → HHQR), bounded by max_retries;
+//     (CholQR → CholQR2 → HHQR), so at most 2 retries;
 //   * failover — a device that dies (injected DeviceFail or an external
 //     fail_device call) is marked unhealthy and its worker retires at its
 //     next pickup; the job it popped there is requeued at the front onto
@@ -55,9 +55,7 @@ struct SchedulerOptions {
   std::size_t sketch_cache_capacity = 32;
   std::size_t result_cache_capacity = 64;
   std::size_t rqrcp_cache_capacity = 64;  ///< RQRCP factorization cache
-  int max_retries = 2;              ///< CholQR-breakdown escalations
   bool enable_cache = true;
-  bool enable_degradation = true;
   model::DeviceSpec spec;           ///< modeled device for every worker
   // --- batching collector (DESIGN.md §12) -----------------------------
   /// A worker that pops a FixedRank job drains up to batch_max-1 more

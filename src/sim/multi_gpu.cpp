@@ -22,11 +22,8 @@ MultiDeviceContext::MultiDeviceContext(int num_devices, model::DeviceSpec spec)
   if (num_devices <= 0)
     throw std::invalid_argument("MultiDeviceContext: need at least 1 device");
   devices_.reserve(static_cast<std::size_t>(num_devices));
-  for (int i = 0; i < num_devices; ++i)
-    devices_.push_back(std::make_unique<Device>(i, spec_));
+  for (int i = 0; i < num_devices; ++i) devices_.emplace_back(i, spec_);
 }
-
-MultiDeviceContext::~MultiDeviceContext() = default;
 
 MultiDeviceContext::RowBlocks MultiDeviceContext::distribute_rows(
     ConstMatrixView<double> a) {
@@ -55,23 +52,18 @@ MultiDeviceContext::RowBlocks MultiDeviceContext::distribute_rows(
 
 namespace {
 
-// Bulk-synchronous helper: run `fn(i)` on every device, wait, and return
-// the largest modeled time any device charged for the step.
+// Bulk-synchronous helper: run `fn(i)` for every device in turn and
+// return the largest modeled time any device charged for the step.
 template <class Fn>
-double parallel_step(std::vector<std::unique_ptr<Device>>& devices, Fn&& fn) {
+double parallel_step(std::vector<Device>& devices, Fn&& fn) {
   std::vector<double> before(devices.size());
   for (std::size_t i = 0; i < devices.size(); ++i)
-    before[i] = devices[i]->modeled_time();
-  std::vector<std::future<void>> futs;
-  futs.reserve(devices.size());
-  for (std::size_t i = 0; i < devices.size(); ++i)
-    futs.push_back(devices[i]->submit([&fn, i] { fn(static_cast<int>(i)); }));
-  for (auto& f : futs) f.get();
+    before[i] = devices[i].modeled_time();
+  for (std::size_t i = 0; i < devices.size(); ++i) fn(static_cast<int>(i));
   double end = 0;
-  for (std::size_t i = 0; i < devices.size(); ++i)
-    end = std::max(end, devices[i]->modeled_time());
+  for (const Device& d : devices) end = std::max(end, d.modeled_time());
   // Barrier semantics: every device's clock advances to the laggard's.
-  for (auto& d : devices) d->advance_to(end);
+  for (Device& d : devices) d.advance_to(end);
   double step = 0;
   for (std::size_t i = 0; i < devices.size(); ++i)
     step = std::max(step, end - before[i]);
@@ -96,7 +88,7 @@ MultiDeviceContext::CholQrTimes MultiDeviceContext::multi_cholqr_columns(
     gi.resize(k, k);
     blas::syrk(Uplo::Upper, Op::Trans, 1.0,
                ConstMatrixView<double>(wi.view()), 0.0, gi.view());
-    devices_[static_cast<std::size_t>(i)]->charge(model::gemm_seconds(
+    devices_[static_cast<std::size_t>(i)].charge(model::gemm_seconds(
         spec_, k, k, wi.rows()));
   });
 
@@ -147,7 +139,7 @@ MultiDeviceContext::CholQrTimes MultiDeviceContext::multi_cholqr_columns(
     auto& wi = w_blocks[static_cast<std::size_t>(i)];
     blas::trsm(Side::Right, Uplo::Upper, Op::NoTrans, Diag::NonUnit, 1.0,
                ConstMatrixView<double>(gram.view()), wi.view());
-    devices_[static_cast<std::size_t>(i)]->charge(
+    devices_[static_cast<std::size_t>(i)].charge(
         flops::trsm(wi.rows(), k) /
         (model::gemm_gflops(spec_, k, wi.rows()) * 1e9));
   });
@@ -188,7 +180,7 @@ MultiFixedRankResult MultiDeviceContext::fixed_rank(
       rng::fill_gaussian(
           om.view(), opts.seed,
           static_cast<std::uint64_t>(ab.offset[static_cast<std::size_t>(i)]));
-      devices_[static_cast<std::size_t>(i)]->charge(
+      devices_[static_cast<std::size_t>(i)].charge(
           model::prng_seconds(spec_, l, c));
     });
   }
@@ -202,7 +194,7 @@ MultiFixedRankResult MultiDeviceContext::fixed_rank(
                  ConstMatrixView<double>(omega[static_cast<std::size_t>(i)].view()),
                  ConstMatrixView<double>(ab.block[static_cast<std::size_t>(i)].view()),
                  0.0, bp.view());
-      devices_[static_cast<std::size_t>(i)]->charge(model::gemm_seconds(
+      devices_[static_cast<std::size_t>(i)].charge(model::gemm_seconds(
           spec_, l, n, ab.block[static_cast<std::size_t>(i)].rows()));
     });
     // Host accumulation B = Σ B(i) (gather over PCIe).
@@ -239,7 +231,7 @@ MultiFixedRankResult MultiDeviceContext::fixed_rank(
         blas::gemm(Op::NoTrans, Op::Trans, 1.0,
                    ConstMatrixView<double>(b.view()),
                    ConstMatrixView<double>(ai.view()), 0.0, cp.view());
-        devices_[static_cast<std::size_t>(i)]->charge(
+        devices_[static_cast<std::size_t>(i)].charge(
             model::gemm_seconds(spec_, l, ai.rows(), n));
       });
     }
@@ -256,7 +248,7 @@ MultiFixedRankResult MultiDeviceContext::fixed_rank(
         gi.resize(l, l);
         blas::syrk(Uplo::Lower, Op::NoTrans, 1.0,
                    ConstMatrixView<double>(cp.view()), 0.0, gi.view());
-        devices_[static_cast<std::size_t>(i)]->charge(
+        devices_[static_cast<std::size_t>(i)].charge(
             model::gemm_seconds(spec_, l, l, cp.cols()));
       });
       Matrix<double> gram(l, l);
@@ -275,7 +267,7 @@ MultiFixedRankResult MultiDeviceContext::fixed_rank(
           auto& cp = c_part[static_cast<std::size_t>(i)];
           blas::trsm(Side::Left, Uplo::Lower, Op::NoTrans, Diag::NonUnit, 1.0,
                      ConstMatrixView<double>(gram.view()), cp.view());
-          devices_[static_cast<std::size_t>(i)]->charge(
+          devices_[static_cast<std::size_t>(i)].charge(
               flops::trsm(cp.cols(), l) /
               (model::gemm_gflops(spec_, l, cp.cols()) * 1e9));
         });
@@ -313,7 +305,7 @@ MultiFixedRankResult MultiDeviceContext::fixed_rank(
         blas::gemm(Op::NoTrans, Op::NoTrans, 1.0,
                    ConstMatrixView<double>(c_part[static_cast<std::size_t>(i)].view()),
                    ConstMatrixView<double>(ai.view()), 0.0, bp.view());
-        devices_[static_cast<std::size_t>(i)]->charge(
+        devices_[static_cast<std::size_t>(i)].charge(
             model::gemm_seconds(spec_, l, n, ai.rows()));
       });
       b.view().set_zero();
@@ -332,14 +324,11 @@ MultiFixedRankResult MultiDeviceContext::fixed_rank(
   {
     PhaseTimer t(res.phases.qrcp, "rsvd.qrcp");
     modeled.comms += model::transfer_seconds(spec_, double(l) * double(n));
-    auto fut = devices_[0]->submit([&] {
-      fac = qrcp::qrcp_truncated(ConstMatrixView<double>(b.view()), opts.k,
-                                 opts.qrcp_block);
-      devices_[0]->charge(model::qp3_seconds(spec_, l, n, opts.k));
-    });
-    fut.get();
-    const double end = devices_[0]->modeled_time();
-    for (auto& d : devices_) d->advance_to(end);
+    fac = qrcp::qrcp_truncated(ConstMatrixView<double>(b.view()), opts.k,
+                               opts.qrcp_block);
+    devices_[0].charge(model::qp3_seconds(spec_, l, n, opts.k));
+    const double end = devices_[0].modeled_time();
+    for (Device& d : devices_) d.advance_to(end);
     modeled.qrcp += model::qp3_seconds(spec_, l, n, opts.k);
     res.qrcp_stats = fac.stats;
   }
@@ -357,7 +346,7 @@ MultiFixedRankResult MultiDeviceContext::fixed_rank(
         wi.view().col(j).copy_from(
             ai.view().col(fac.perm[static_cast<std::size_t>(j)]));
       // Column gather is bandwidth-class work.
-      devices_[static_cast<std::size_t>(i)]->charge(
+      devices_[static_cast<std::size_t>(i)].charge(
           double(ai.rows()) * double(opts.k) * 8.0 /
           (spec_.mem_bw_gbps * 1e9));
     });

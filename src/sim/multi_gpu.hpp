@@ -14,16 +14,14 @@
 //   * Steps 2–3: truncated QP3 of B on one device, tall-skinny QR of
 //     A·P₁:k by the same multi-device CholQR.
 //
-// Every kernel executes for real on the device's worker thread and
-// charges modeled K40c time; host↔device traffic charges modeled PCIe
-// time into the Comms phase. Modeled clocks combine with max() at each
-// bulk-synchronous point, so the modeled total behaves like concurrent
-// hardware even though the host has one core. This driver (Fig. 15,
-// bench_fig15_multigpu, multigpu_scaling) is the only user of threaded
-// Devices.
+// Every kernel executes for real, one device's share after another on
+// the caller's thread, and charges modeled K40c time to that device;
+// host↔device traffic charges modeled PCIe time into the Comms phase.
+// Modeled clocks combine with max() at each bulk-synchronous point, so
+// the modeled total behaves like concurrent hardware even though the
+// devices run in sequence.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "model/perfmodel.hpp"
@@ -45,12 +43,11 @@ struct MultiFixedRankResult {
 class MultiDeviceContext {
  public:
   MultiDeviceContext(int num_devices, model::DeviceSpec spec = {});
-  ~MultiDeviceContext();
 
   int num_devices() const { return static_cast<int>(devices_.size()); }
-  Device& device(int i) { return *devices_[static_cast<std::size_t>(i)]; }
+  Device& device(int i) { return devices_[static_cast<std::size_t>(i)]; }
   const Device& device(int i) const {
-    return *devices_[static_cast<std::size_t>(i)];
+    return devices_[static_cast<std::size_t>(i)];
   }
   const model::DeviceSpec& spec() const { return spec_; }
 
@@ -81,7 +78,7 @@ class MultiDeviceContext {
                                    Matrix<double>* r_out = nullptr);
 
  private:
-  std::vector<std::unique_ptr<Device>> devices_;
+  std::vector<Device> devices_;
   model::DeviceSpec spec_;
 };
 

@@ -160,7 +160,8 @@ TEST(ClusterRing, RemovalRemapsOnlyTheRemovedShardsKeys) {
       ASSERT_EQ(after, before[i]) << "key " << i << " moved off a survivor";
     } else {
       // Orphaned keys land on their pre-failure successor — the shard
-      // peer fill warms — never back on the victim.
+      // hot-key replicas and drain handoff warm — never back on the
+      // victim.
       ASSERT_EQ(after, successor_before[i]);
       ++moved;
     }

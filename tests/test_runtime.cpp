@@ -377,7 +377,8 @@ TEST(Scheduler, RetryEscalatesOrthogonalizationOnBreakdown) {
   const auto& out = sub.handle->wait();
   ASSERT_EQ(out.status, JobStatus::Done) << out.error;
   EXPECT_GE(out.trace.retries, 1);
-  EXPECT_LE(out.trace.retries, so.max_retries);
+  // The escalation ladder CholQR → CholQR2 → HHQR has two rungs.
+  EXPECT_LE(out.trace.retries, 2);
   ASSERT_TRUE(out.fixed_rank);
   // The escalated factorization is still a usable approximation.
   EXPECT_EQ(out.fixed_rank->q.rows(), 240);
