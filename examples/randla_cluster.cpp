@@ -9,7 +9,11 @@
 //     through it from --threads closed-loop clients. One JSON report row
 //     per scale records throughput and latency percentiles;
 //     --min-speedup X demands jobs/s at the largest scale be at least
-//     X × the single-shard figure.
+//     X × the single-shard figure. At every scale the router's merged
+//     Stats scrape is cross-checked against direct scrapes of each
+//     shard: every summable row (counters, histogram buckets) must equal
+//     the per-shard sum, every shard's labeled server_jobs_submitted must
+//     match its own, and cluster_stale_shards must be 0 (DESIGN.md §14).
 //
 //     The workload is cache-affinity-bound by construction: --spread
 //     distinct matrices rotate round-robin against per-shard result
@@ -48,7 +52,9 @@
 //     keyshare only after the DrainReply. The run must lose 0 jobs,
 //     duplicate none, hand off > 0 cache entries, and the successor's
 //     post-drain result-cache hit-rate must clear --hit-floor — cache
-//     warmth provably survived the decommission.
+//     warmth provably survived the decommission. The report prices the
+//     drain: its wall time, and the p99 of jobs that completed inside
+//     the drain window, next to the router's hedge counters.
 //
 // --replicate-threshold X arms hot-key replicated execution in the
 // router (keys above the decayed-rate threshold run on owner AND
@@ -58,10 +64,11 @@
 // intentional duplicates, cancelled or discarded before the client ever
 // sees a second result.
 //
-// Every shard child reports its ephemeral port over a pipe, serves
-// until the parent sends a Shutdown frame, then dumps one
-// "tag<TAB>status<TAB>cache" line per job trace for the parent's
-// duplicate detector.
+// Every child (shard or router) reports its ephemeral port over a
+// socketpair. A shard serves until the parent sends a Shutdown frame,
+// then dumps one "tag<TAB>status<TAB>cache" line per job trace for the
+// parent's duplicate detector; a router child serves until the parent
+// closes its end of the socketpair.
 //
 //   randla_cluster [--scales 1,2,4] [--jobs N] [--threads T]
 //                  [--workers W] [--queue Q] [--cache C] [--spread K]
@@ -71,10 +78,13 @@
 //   randla_cluster --chaos [--shards S] [--routers N] [flags as above]
 //   randla_cluster --drain [--shards S] [--hit-floor F] [flags as above]
 //
-// Exit code: nonzero on any lost job, duplicated execution, failed
-// residual check, missed speedup bound, missed drain handoff or
-// hit-rate floor, or missing router metrics.
+// Exit code: 2 on bad arguments (--jobs or --threads below 1, a --scales
+// entry that is not a positive integer); otherwise nonzero on any lost
+// job, duplicated execution, failed residual check, missed speedup
+// bound, merged-scrape mismatch, missed drain handoff or hit-rate floor,
+// or missing router metrics.
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -82,12 +92,15 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,6 +108,7 @@
 #include "bench_util.hpp"
 #include "cluster/hash_ring.hpp"
 #include "cluster/router.hpp"
+#include "cluster/stats_merge.hpp"
 #include "la/norms.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -106,8 +120,10 @@ using namespace randla;
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 struct Options {
-  std::string scales = "1,2,4";
+  std::vector<int> scales = {1, 2, 4};
   int shards = 3;  ///< chaos mode shard count
   int jobs = 240;
   int threads = 8;
@@ -128,6 +144,22 @@ struct Options {
   std::string tmp = ".";
   std::string postmortem;  ///< chaos: write the cluster Dump merge here
 };
+
+/// "1,2,4" → {1, 2, 4}; false unless every entry is a positive integer.
+bool parse_scales(const std::string& list, std::vector<int>* out) {
+  out->clear();
+  std::size_t pos = 0;
+  for (;;) {
+    const std::size_t comma = list.find(',', pos);
+    const std::string item = list.substr(pos, comma - pos);
+    char* end = nullptr;
+    const long v = std::strtol(item.c_str(), &end, 10);
+    if (item.empty() || *end != '\0' || v < 1 || v > INT_MAX) return false;
+    out->push_back(static_cast<int>(v));
+    if (comma == std::string::npos) return true;
+    pos = comma + 1;
+  }
+}
 
 /// The run is fixed-rank only: results are cacheable (idempotent
 /// resubmission after a shard death must hit the result cache, and the
@@ -185,17 +217,67 @@ bool verify_fixed_rank(const net::JobRequest& req,
   return true;
 }
 
-// ---------------------------------------------------------------------
-// Shard child process.
+net::ClientOptions loopback(std::uint16_t port) {
+  net::ClientOptions copt;
+  copt.host = "127.0.0.1";
+  copt.port = port;
+  copt.recv_timeout_s = 5;
+  return copt;
+}
 
-struct ShardProc {
+// ---------------------------------------------------------------------
+// Child processes: one fork harness for shards and routers.
+
+struct Proc {
   pid_t pid = -1;
   std::uint16_t port = 0;
-  std::string telemetry_path;
+  int fd = -1;  ///< parent's end of the port socketpair; EOF stops a router
   bool killed = false;
+  std::string telemetry_path;  ///< shards: per-job trace dump
 };
 
-/// Child body: serve until a remote Shutdown drains the loop, then dump
+/// Fork a child that runs `body(fd)`: the body starts a server, writes
+/// its u16 port to `fd`, serves and _exits — it never returns. The parent
+/// reads the port back and keeps its end of the socketpair in `out->fd`.
+/// Callers fork before starting any thread, so the child starts from a
+/// clean slate. On failure no fd stays open and no child is left.
+template <class Body>
+bool spawn(Body&& body, Proc* out) {
+  int sv[2];
+  if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return false;
+  const pid_t pid = fork();
+  if (pid == 0) {
+    ::close(sv[0]);
+    body(sv[1]);
+  }
+  ::close(sv[1]);
+  std::uint16_t port = 0;
+  if (pid < 0 || read(sv[0], &port, sizeof port) != sizeof port ||
+      port == 0) {
+    ::close(sv[0]);
+    if (pid > 0) {
+      kill(pid, SIGKILL);
+      waitpid(pid, nullptr, 0);
+    }
+    return false;
+  }
+  out->pid = pid;
+  out->port = port;
+  out->fd = sv[0];
+  return true;
+}
+
+/// Failure path: close, SIGKILL and reap every child that started.
+void kill_all(std::vector<Proc>& procs) {
+  for (Proc& p : procs) {
+    if (p.pid <= 0) continue;
+    if (p.fd >= 0) ::close(p.fd);
+    kill(p.pid, SIGKILL);
+    waitpid(p.pid, nullptr, 0);
+  }
+}
+
+/// Shard body: serve until a remote Shutdown drains the loop, then dump
 /// telemetry for the parent's duplicate detector. Never returns.
 [[noreturn]] void shard_child(const Options& opt, int shard_idx, int port_fd,
                               const std::string& telemetry_path) {
@@ -237,64 +319,56 @@ struct ShardProc {
   _exit(0);
 }
 
-/// Fork one shard and read back its ephemeral port. The fork happens
-/// while the parent is single-threaded (callers join every thread
-/// between scales), so the child starts from a clean slate.
-bool spawn_shard(const Options& opt, int shard_idx,
-                 const std::string& telemetry_path, ShardProc* out) {
-  int pfd[2];
-  if (pipe(pfd) != 0) return false;
-  const pid_t pid = fork();
-  if (pid < 0) {
-    ::close(pfd[0]);
-    ::close(pfd[1]);
-    return false;
-  }
-  if (pid == 0) {
-    ::close(pfd[0]);
-    shard_child(opt, shard_idx, pfd[1], telemetry_path);
-  }
-  ::close(pfd[1]);
-  std::uint16_t port = 0;
-  const bool got = read(pfd[0], &port, sizeof port) == sizeof port;
-  ::close(pfd[0]);
-  if (!got || port == 0) {
-    kill(pid, SIGKILL);
-    waitpid(pid, nullptr, 0);
-    return false;
-  }
-  out->pid = pid;
-  out->port = port;
-  out->telemetry_path = telemetry_path;
-  return true;
+/// Router body: one of N redundant routers over the same shard list.
+/// Identical options ⇒ identical Philox ring ⇒ identical placement, so
+/// the routers need no coordination. Serves until the parent closes its
+/// end of the socketpair, then stops gracefully. Never returns.
+[[noreturn]] void router_child(const Options& opt,
+                               const std::vector<Proc>& shards, int idx,
+                               int port_fd) {
+  obs::Recorder::global().set_source("router-" + std::to_string(idx));
+  cluster::RouterOptions ro;
+  for (const Proc& sp : shards)
+    ro.shards.push_back(cluster::ShardEndpoint{"127.0.0.1", sp.port});
+  ro.probe_interval_s = 0.1;
+  ro.replicate_threshold = opt.replicate_threshold;
+  ro.hedge = opt.hedge;
+  cluster::Router router(ro);
+  if (!router.start()) _exit(3);
+  const std::uint16_t port = router.port();
+  if (write(port_fd, &port, sizeof port) != sizeof port) _exit(3);
+  char b = 0;
+  ssize_t r;
+  do {
+    r = read(port_fd, &b, 1);
+  } while (r < 0 && errno == EINTR);
+  router.stop();
+  _exit(0);
 }
 
-// ---------------------------------------------------------------------
-// One measured run at a given shard count.
-
-enum class RunMode { Sweep, Chaos, Drain };
-
-struct RunResult {
-  bool started = false;
-  int ok = 0, lost = 0, duplicated = 0;
-  int checked = 0, check_failed = 0;
-  long busy_retries = 0, reconnects = 0;
-  double wall_s = 0, throughput = 0, p50_ms = 0, p99_ms = 0;
-  cluster::RouterStats router;
-  std::vector<std::uint32_t> live_end;  ///< ring membership after the run
-  bool stats_scrape_ok = false;
-  bool merged_stats_ok = false;   ///< scrape carries cluster_stale_shards +
-                                  ///< shard-labeled merged rows
-  bool victim_marked_down = false;  ///< chaos: scrape shows shard_up == 0
-  std::uint32_t victim = 0;
-  std::string postmortem;  ///< cluster-wide Dump merge (router view)
-  // Drain mode (DESIGN.md §15):
-  bool drain_ok = false;          ///< Router::drain round-trip succeeded
-  net::DrainSummary drain_sum;
-  std::uint32_t successor = 0;    ///< handoff target of the victim
-  double succ_hit_rate = -1;      ///< successor result-cache hit rate over
-                                  ///< the post-drain window (-1 = no scrape)
-};
+/// Fork `n` shards whose telemetry lands in <tmp>/cluster_<stem>_<i>.telemetry.
+/// Empty on failure, with every shard that started killed and reaped.
+std::vector<Proc> spawn_shards(const Options& opt, int n,
+                               const std::string& stem) {
+  std::vector<Proc> shards(static_cast<std::size_t>(n));
+  for (int s = 0; s < n; ++s) {
+    Proc& sp = shards[static_cast<std::size_t>(s)];
+    sp.telemetry_path =
+        opt.tmp + "/cluster_" + stem + "_" + std::to_string(s) + ".telemetry";
+    std::remove(sp.telemetry_path.c_str());
+    if (!spawn([&](int fd) { shard_child(opt, s, fd, sp.telemetry_path); },
+               &sp)) {
+      std::fprintf(stderr, "cluster: failed to spawn shard %d\n", s);
+      kill_all(shards);
+      return {};
+    }
+    // A shard stops on a Shutdown frame, not on EOF: drop the channel so
+    // later children do not inherit it.
+    ::close(sp.fd);
+    sp.fd = -1;
+  }
+  return shards;
+}
 
 /// True when `tag` carries the intentional-duplicate suffix the router
 /// appends to replica and hedge legs.
@@ -307,9 +381,9 @@ bool intentional_duplicate(const std::string& tag) {
 /// anywhere ran twice for real. Replays served from a result cache show
 /// up as Result dispositions and never count; replica and hedge legs
 /// are intentional duplicates and are tagged out of the population.
-int scan_duplicates(const std::vector<ShardProc>& shards) {
+int scan_duplicates(const std::vector<Proc>& shards) {
   std::map<std::string, int> executed;
-  for (const ShardProc& sp : shards) {
+  for (const Proc& sp : shards) {
     if (sp.killed) continue;
     std::FILE* f = std::fopen(sp.telemetry_path.c_str(), "r");
     if (!f) {
@@ -346,27 +420,270 @@ int scan_duplicates(const std::vector<ShardProc>& shards) {
   return duplicated;
 }
 
-RunResult run_scale(const Options& opt, int nshards, RunMode mode) {
-  RunResult rr;
-  std::vector<ShardProc> shards(static_cast<std::size_t>(nshards));
-  for (int s = 0; s < nshards; ++s) {
-    const std::string path = opt.tmp + "/cluster_shard_" +
-                             std::to_string(nshards) + "_" +
-                             std::to_string(s) + ".telemetry";
-    std::remove(path.c_str());
-    if (!spawn_shard(opt, s, path, &shards[static_cast<std::size_t>(s)])) {
-      std::fprintf(stderr, "cluster: failed to spawn shard %d\n", s);
-      for (auto& sp : shards)
-        if (sp.pid > 0) {
-          kill(sp.pid, SIGKILL);
-          waitpid(sp.pid, nullptr, 0);
-        }
-      return rr;
+/// Shutdown every live shard (it drains, dumps telemetry and exits), reap
+/// them all, and return the duplicate count from their dumps.
+int stop_shards(const std::vector<Proc>& shards) {
+  for (const Proc& sp : shards) {
+    if (sp.killed) continue;
+    net::Client c(loopback(sp.port));
+    if (c.connect()) c.send_shutdown();
+  }
+  for (const Proc& sp : shards) waitpid(sp.pid, nullptr, 0);
+  return scan_duplicates(shards);
+}
+
+// ---------------------------------------------------------------------
+// Closed-loop clients.
+
+/// One job as its client saw it.
+struct Rec {
+  bool ok = false;
+  int busy = 0;
+  int reconnects = 0;
+  int failovers = 0;  ///< endpoint switches after a failed call
+  bool checked = false;
+  bool check_passed = true;
+  double latency_ms = 0;
+  Clock::time_point end;
+};
+
+struct Load {
+  std::vector<Rec> recs;
+  double wall_s = 0;
+};
+
+/// Push opt.jobs requests through `ports` from opt.threads closed-loop
+/// clients; client t starts on ports[t % E]. With more than one endpoint
+/// a failed call moves the client to the next endpoint and resubmits the
+/// same idempotent request — the shard's result cache turns the replay
+/// into a hit, never a second execution. Once ~40% of jobs are done,
+/// `mid_run` (when set) runs on the calling thread while the clients
+/// keep going.
+Load drive(const Options& opt, const std::vector<std::uint16_t>& ports,
+           int max_attempts, const std::function<void(int)>& mid_run) {
+  Load load;
+  load.recs.resize(static_cast<std::size_t>(opt.jobs));
+  const int nports = static_cast<int>(ports.size());
+  std::atomic<int> next_job{0};
+  std::atomic<int> done_jobs{0};
+  std::atomic<int> check_counter{0};
+  const int check_period =
+      opt.check_frac > 0
+          ? std::max(1, static_cast<int>(std::lround(1.0 / opt.check_frac)))
+          : 0;
+
+  const auto t0 = Clock::now();
+  auto worker = [&](int widx) {
+    int ep = widx % nports;
+    auto client_for = [&](int e) {
+      net::ClientOptions copt = loopback(ports[static_cast<std::size_t>(e)]);
+      copt.recv_timeout_s = 10;
+      copt.retry.max_attempts = max_attempts;
+      copt.retry.max_busy_retries = 1000;  // throughput run: wait, don't fail
+      copt.retry.busy_wait_cap_s = 0.25;
+      copt.retry.backoff_seed = opt.seed * 1000 + std::uint64_t(widx);
+      return std::make_unique<net::Client>(copt);
+    };
+    std::unique_ptr<net::Client> client = client_for(ep);
+    for (;;) {
+      const int i = next_job.fetch_add(1);
+      if (i >= opt.jobs) return;
+      const net::JobRequest req = build_request(opt, i);
+      Rec& rec = load.recs[static_cast<std::size_t>(i)];
+      const auto start = Clock::now();
+      net::CallResult res;
+      net::RetryInfo info;
+      for (int hop = 0;; ++hop) {
+        res = client->call_with_retry(req, &info);
+        rec.busy += info.busy_retries;
+        rec.reconnects += info.reconnects;
+        if (res.status == net::CallStatus::Ok || nports == 1 ||
+            hop == 2 * nports)
+          break;
+        ep = (ep + 1) % nports;
+        client = client_for(ep);
+        ++rec.failovers;
+      }
+      rec.end = Clock::now();
+      rec.latency_ms =
+          std::chrono::duration<double, std::milli>(rec.end - start).count();
+      rec.ok = res.status == net::CallStatus::Ok &&
+               res.header.status == runtime::JobStatus::Done;
+      done_jobs.fetch_add(1);
+      if (!rec.ok) {
+        std::fprintf(stderr, "cluster: job %d lost after %d attempts: %s %s\n",
+                     i, info.attempts, net::call_status_name(res.status),
+                     res.detail.c_str());
+        continue;
+      }
+      if (check_period > 0 &&
+          check_counter.fetch_add(1) % check_period == 0) {
+        rec.checked = true;
+        rec.check_passed = verify_fixed_rank(req, res);
+      }
+    }
+  };
+  std::vector<std::thread> pool;
+  for (int t = 0; t < opt.threads; ++t) pool.emplace_back(worker, t);
+  if (mid_run) {
+    const int trigger = std::max(1, (opt.jobs * 2) / 5);
+    while (done_jobs.load() < trigger)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    mid_run(done_jobs.load());
+  }
+  for (auto& t : pool) t.join();
+  load.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
+  return load;
+}
+
+/// What the clients saw, summed over every job.
+struct Tally {
+  int ok = 0, lost = 0, checked = 0, check_failed = 0, failovers = 0;
+  long busy_retries = 0, reconnects = 0;
+  double wall_s = 0, throughput = 0, p50_ms = 0, p99_ms = 0;
+};
+
+void tally(const Load& load, Tally* t) {
+  std::vector<double> lat;
+  for (const Rec& r : load.recs) {
+    r.ok ? ++t->ok : ++t->lost;
+    t->busy_retries += r.busy;
+    t->reconnects += r.reconnects;
+    t->failovers += r.failovers;
+    if (r.ok) lat.push_back(r.latency_ms);
+    if (r.checked) {
+      ++t->checked;
+      if (!r.check_passed) ++t->check_failed;
     }
   }
+  t->wall_s = load.wall_s;
+  t->p50_ms = util::percentile(lat, 50);
+  t->p99_ms = util::percentile(lat, 99);
+  t->throughput = load.wall_s > 0 ? double(t->ok) / load.wall_s : 0;
+}
+
+// ---------------------------------------------------------------------
+// One measured run at a given shard count.
+
+enum class RunMode { Sweep, Chaos, Drain };
+
+struct RunResult : Tally {
+  bool started = false;
+  int duplicated = 0;
+  cluster::RouterStats router;
+  std::vector<std::uint32_t> live_end;  ///< ring membership after the run
+  bool stats_scrape_ok = false;
+  /// Sweep: the merged scrape equals the per-shard direct scrapes.
+  /// Chaos/drain (a shard is gone and cannot be scraped): the scrape
+  /// carries cluster_stale_shards and shard-labeled merged rows.
+  bool merged_stats_ok = false;
+  bool victim_marked_down = false;  ///< chaos: scrape shows shard_up == 0
+  std::uint32_t victim = 0;
+  std::string postmortem;  ///< cluster-wide Dump merge (router view)
+  // Drain mode (DESIGN.md §15):
+  bool drain_ok = false;          ///< Router::drain round-trip succeeded
+  net::DrainSummary drain_sum;
+  std::uint32_t successor = 0;    ///< handoff target of the victim
+  double succ_hit_rate = -1;      ///< successor result-cache hit rate over
+                                  ///< the post-drain window (-1 = no scrape)
+  double drain_wall_ms = 0;       ///< time inside Router::drain
+  int drain_window_jobs = 0;      ///< jobs that completed inside it
+  double drain_window_p99_ms = 0;
+};
+
+/// The sweep's merge contract (DESIGN.md §14): the router's merged scrape
+/// must agree exactly with direct scrapes of every shard. `exact_submits`
+/// additionally demands the shards admitted exactly `jobs` submits, which
+/// holds only when no job was lost or resubmitted and no hedge or replica
+/// leg ran.
+bool cross_check(const std::vector<Proc>& shards,
+                 const net::StatsReply& merged, bool exact_submits,
+                 int jobs) {
+  bool ok = true;
+  if (!merged.has("cluster_stale_shards")) {
+    std::fprintf(stderr, "FAIL: merged scrape lacks cluster_stale_shards\n");
+    ok = false;
+  } else if (merged.value("cluster_stale_shards") != 0) {
+    std::fprintf(stderr, "FAIL: %d stale shard(s) in merged scrape\n",
+                 int(merged.value("cluster_stale_shards")));
+    ok = false;
+  }
+  // Per-shard direct scrapes: accumulate every mergeable row that the
+  // fan-out itself cannot have perturbed (the Stats frames it sends
+  // bump the shards' net_*/server_* frame counters between the two
+  // scrape instants; everything else is quiescent once the clients
+  // joined).
+  std::map<std::string, double> sums;
+  double submitted = 0;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    net::Client sc(loopback(shards[s].port));
+    std::optional<net::StatsReply> st;
+    if (sc.connect()) st = sc.stats();
+    if (!st) {
+      std::fprintf(stderr, "FAIL: direct scrape of shard %zu failed\n", s);
+      ok = false;
+      continue;
+    }
+    for (const auto& [name, v] : st->metrics) {
+      if (!cluster::mergeable_stat(name)) continue;
+      if (name.rfind("net_", 0) == 0 || name.rfind("server_", 0) == 0)
+        continue;
+      sums[name] += v;
+    }
+    const double direct = st->value("server_jobs_submitted");
+    submitted += direct;
+    // The merged scrape must carry this shard's labeled row, equal in
+    // name and value to the direct view.
+    const std::string labeled = cluster::with_shard_label(
+        "server_jobs_submitted", static_cast<std::uint32_t>(s));
+    if (merged.value(labeled) != direct) {
+      std::fprintf(stderr, "FAIL: merged %s = %.0f, shard says %.0f\n",
+                   labeled.c_str(), merged.value(labeled), direct);
+      ok = false;
+    }
+  }
+  // Every mergeable series must appear in the merged scrape with the
+  // per-shard sum. Same-name rows can exist more than once (the router
+  // process's own registry rows precede the merge), so accept any exact
+  // name whose value matches within float-sum tolerance.
+  int rows_matched = 0;
+  for (const auto& [name, want] : sums) {
+    bool found = false;
+    for (const auto& [mname, mv] : merged.metrics)
+      if (mname == name &&
+          std::abs(mv - want) <= 1e-6 * std::max(1.0, std::abs(want))) {
+        found = true;
+        break;
+      }
+    if (found) {
+      ++rows_matched;
+    } else {
+      std::fprintf(stderr,
+                   "FAIL: merged scrape disagrees with per-shard sum %.10g "
+                   "for %s\n",
+                   want, name.c_str());
+      ok = false;
+    }
+  }
+  if (exact_submits && submitted != double(jobs)) {
+    std::fprintf(stderr, "FAIL: shards saw %.0f submits for %d jobs\n",
+                 submitted, jobs);
+    ok = false;
+  }
+  std::printf("merge:     %d/%zu summed series match the direct scrapes of "
+              "%zu shards%s\n",
+              rows_matched, sums.size(), shards.size(), ok ? "" : "  [FAIL]");
+  return ok;
+}
+
+RunResult run_scale(const Options& opt, int nshards, RunMode mode) {
+  RunResult rr;
+  std::vector<Proc> shards =
+      spawn_shards(opt, nshards, "shard_" + std::to_string(nshards));
+  if (shards.empty()) return rr;
 
   cluster::RouterOptions ro;
-  for (const ShardProc& sp : shards)
+  for (const Proc& sp : shards)
     ro.shards.push_back(cluster::ShardEndpoint{"127.0.0.1", sp.port});
   ro.probe_interval_s = 0.1;
   ro.replicate_threshold = opt.replicate_threshold;
@@ -374,10 +691,7 @@ RunResult run_scale(const Options& opt, int nshards, RunMode mode) {
   cluster::Router router(ro);
   if (!router.start()) {
     std::fprintf(stderr, "cluster: router failed to start\n");
-    for (auto& sp : shards) {
-      kill(sp.pid, SIGKILL);
-      waitpid(sp.pid, nullptr, 0);
-    }
+    kill_all(shards);
     return rr;
   }
   rr.started = true;
@@ -399,72 +713,11 @@ RunResult run_scale(const Options& opt, int nshards, RunMode mode) {
     rr.successor = *ring.successor(cluster::ring_point(rr.victim, 0));
   }
 
-  struct Rec {
-    bool ok = false;
-    int busy = 0;
-    int reconnects = 0;
-    bool checked = false;
-    bool check_passed = true;
-    double latency_ms = 0;
-  };
-  std::vector<Rec> recs(static_cast<std::size_t>(opt.jobs));
-  std::atomic<int> next_job{0};
-  std::atomic<int> done_jobs{0};
-  std::atomic<int> check_counter{0};
-  const int check_period =
-      opt.check_frac > 0
-          ? std::max(1, static_cast<int>(std::lround(1.0 / opt.check_frac)))
-          : 0;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  auto worker = [&](int widx) {
-    net::ClientOptions copt;
-    copt.host = "127.0.0.1";
-    copt.port = router.port();
-    copt.recv_timeout_s = 10;
-    copt.retry.max_attempts = mode == RunMode::Sweep ? 6 : 12;
-    copt.retry.max_busy_retries = 1000;  // throughput run: wait, don't fail
-    copt.retry.busy_wait_cap_s = 0.25;
-    copt.retry.backoff_seed = opt.seed * 1000 + std::uint64_t(widx);
-    net::Client client(copt);
-    for (;;) {
-      const int i = next_job.fetch_add(1);
-      if (i >= opt.jobs) return;
-      const net::JobRequest req = build_request(opt, i);
-      Rec& rec = recs[static_cast<std::size_t>(i)];
-      net::RetryInfo info;
-      const auto start = std::chrono::steady_clock::now();
-      const net::CallResult res = client.call_with_retry(req, &info);
-      rec.latency_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-      rec.busy = info.busy_retries;
-      rec.reconnects = info.reconnects;
-      rec.ok = res.status == net::CallStatus::Ok &&
-               res.header.status == runtime::JobStatus::Done;
-      done_jobs.fetch_add(1);
-      if (!rec.ok) {
-        std::fprintf(stderr, "cluster: job %d lost after %d attempts: %s %s\n",
-                     i, info.attempts, net::call_status_name(res.status),
-                     res.detail.c_str());
-        continue;
-      }
-      if (check_period > 0 &&
-          check_counter.fetch_add(1) % check_period == 0) {
-        rec.checked = true;
-        rec.check_passed = verify_fixed_rank(req, res);
-      }
-    }
-  };
   // Successor result-cache scrape for the drain hit-rate window: the
   // per-shard Stats verb, straight to the shard (not through the router).
   auto scrape_result_cache = [&](std::uint32_t shard, double* hits,
                                  double* misses) {
-    net::ClientOptions copt;
-    copt.host = "127.0.0.1";
-    copt.port = shards[shard].port;
-    copt.recv_timeout_s = 5;
-    net::Client sc(copt);
+    net::Client sc(loopback(shards[shard].port));
     if (!sc.connect()) return false;
     const auto st = sc.stats();
     if (!st) return false;
@@ -473,80 +726,93 @@ RunResult run_scale(const Options& opt, int nshards, RunMode mode) {
     return true;
   };
 
-  std::vector<std::thread> pool;
-  for (int t = 0; t < opt.threads; ++t) pool.emplace_back(worker, t);
-
   double succ_hits0 = 0, succ_misses0 = 0;
   bool succ_scrape0 = false;
+  Clock::time_point drain_t0, drain_t1;
+  std::function<void(int)> mid_run;
   if (mode == RunMode::Chaos) {
     // Let the cluster warm up, then kill the victim mid-run.
-    const int trigger = std::max(1, (opt.jobs * 2) / 5);
-    while (done_jobs.load() < trigger)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ShardProc& v = shards[rr.victim];
-    std::printf("cluster: SIGKILL shard %u (pid %d) after %d jobs\n",
-                rr.victim, int(v.pid), done_jobs.load());
-    kill(v.pid, SIGKILL);
-    v.killed = true;
+    mid_run = [&](int done) {
+      Proc& v = shards[rr.victim];
+      std::printf("cluster: SIGKILL shard %u (pid %d) after %d jobs\n",
+                  rr.victim, int(v.pid), done);
+      kill(v.pid, SIGKILL);
+      v.killed = true;
+    };
   } else if (mode == RunMode::Drain) {
     // Let the victim's caches warm up, then decommission it live. The
     // drain blocks here until the handoff's DrainReply — jobs keep
     // flowing the whole time (the victim sheds new submits with Busy
     // hints, which the clients' retry policy rides out).
-    const int trigger = std::max(1, (opt.jobs * 2) / 5);
-    while (done_jobs.load() < trigger)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    succ_scrape0 =
-        scrape_result_cache(rr.successor, &succ_hits0, &succ_misses0);
-    std::printf("cluster: draining shard %u → successor %u after %d jobs\n",
-                rr.victim, rr.successor, done_jobs.load());
-    rr.drain_ok = router.drain(rr.victim, &rr.drain_sum);
-    std::printf("cluster: drain %s — %llu entries / %llu bytes handed off, "
-                "%llu skipped, %llu in flight at reply\n",
-                rr.drain_ok ? "ok" : "FAILED",
-                (unsigned long long)rr.drain_sum.entries,
-                (unsigned long long)rr.drain_sum.bytes,
-                (unsigned long long)rr.drain_sum.skipped,
-                (unsigned long long)rr.drain_sum.inflight);
+    mid_run = [&](int done) {
+      succ_scrape0 =
+          scrape_result_cache(rr.successor, &succ_hits0, &succ_misses0);
+      std::printf("cluster: draining shard %u → successor %u after %d jobs\n",
+                  rr.victim, rr.successor, done);
+      drain_t0 = Clock::now();
+      rr.drain_ok = router.drain(rr.victim, &rr.drain_sum);
+      drain_t1 = Clock::now();
+      std::printf("cluster: drain %s — %llu entries / %llu bytes handed off, "
+                  "%llu skipped, %llu in flight at reply\n",
+                  rr.drain_ok ? "ok" : "FAILED",
+                  (unsigned long long)rr.drain_sum.entries,
+                  (unsigned long long)rr.drain_sum.bytes,
+                  (unsigned long long)rr.drain_sum.skipped,
+                  (unsigned long long)rr.drain_sum.inflight);
+    };
   }
-  for (auto& t : pool) t.join();
-  rr.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            t0)
-                  .count();
+  const Load load = drive(opt, {router.port()},
+                          mode == RunMode::Sweep ? 6 : 12, mid_run);
+  tally(load, &rr);
 
-  // Post-drain window hit rate on the successor: every request in the
-  // victim's former keyshare now lands there, and the handed-off cache
-  // entries should serve them without re-execution.
-  if (mode == RunMode::Drain && succ_scrape0) {
+  if (mode == RunMode::Drain) {
+    // Post-drain window hit rate on the successor: every request in the
+    // victim's former keyshare now lands there, and the handed-off cache
+    // entries should serve them without re-execution.
     double h1 = 0, m1 = 0;
-    if (scrape_result_cache(rr.successor, &h1, &m1)) {
+    if (succ_scrape0 && scrape_result_cache(rr.successor, &h1, &m1)) {
       const double dh = h1 - succ_hits0, dm = m1 - succ_misses0;
       rr.succ_hit_rate = (dh + dm) > 0 ? dh / (dh + dm) : 0.0;
     }
+    // The availability cost of the decommission: the latency tail of the
+    // jobs that completed while Router::drain was in progress.
+    std::vector<double> window;
+    for (const Rec& r : load.recs)
+      if (r.ok && r.end >= drain_t0 && r.end <= drain_t1)
+        window.push_back(r.latency_ms);
+    rr.drain_wall_ms =
+        std::chrono::duration<double, std::milli>(drain_t1 - drain_t0).count();
+    rr.drain_window_jobs = static_cast<int>(window.size());
+    rr.drain_window_p99_ms = util::percentile(window, 99);
   }
 
   // Router-side accounting: scrape over the wire (the same Stats verb a
   // monitoring client would use), then the in-process snapshot.
   {
-    net::ClientOptions copt;
-    copt.host = "127.0.0.1";
-    copt.port = router.port();
-    copt.recv_timeout_s = 5;
-    net::Client sc(copt);
+    net::Client sc(loopback(router.port()));
     if (sc.connect()) {
       if (auto stats = sc.stats()) {
         rr.stats_scrape_ok = stats->has("router_submits_routed") &&
                              stats->has("cluster_membership_changes") &&
                              stats->has("cluster_shards_live");
-        // The fan-out merge: the degraded-mode counter must always be
-        // present, and at least one live shard's labeled rows must have
-        // survived the wire cap (the victim may be any shard id, so scan
-        // rather than name one).
-        bool any_labeled = false;
-        for (const auto& [name, v] : stats->metrics)
-          if (name.rfind("server_jobs_submitted{shard=", 0) == 0)
-            any_labeled = true;
-        rr.merged_stats_ok = stats->has("cluster_stale_shards") && any_labeled;
+        if (mode == RunMode::Sweep) {
+          rr.merged_stats_ok = cross_check(
+              shards, *stats,
+              rr.lost == 0 && rr.reconnects == 0 &&
+                  router.stats().hedges_fired == 0,
+              opt.jobs);
+        } else {
+          // The degraded-mode counter must always be present, and at
+          // least one live shard's labeled rows must have survived the
+          // wire cap (the victim may be any shard id, so scan rather
+          // than name one).
+          bool any_labeled = false;
+          for (const auto& [name, v] : stats->metrics)
+            if (name.rfind("server_jobs_submitted{shard=", 0) == 0)
+              any_labeled = true;
+          rr.merged_stats_ok =
+              stats->has("cluster_stale_shards") && any_labeled;
+        }
         const std::string up_key =
             "cluster_shard_up{shard=\"" + std::to_string(rr.victim) + "\"}";
         rr.victim_marked_down =
@@ -562,37 +828,7 @@ RunResult run_scale(const Options& opt, int nshards, RunMode mode) {
   rr.live_end = router.live_shards();
   router.stop();
 
-  // Drain the shards (Shutdown → telemetry dump → exit) and reap.
-  for (ShardProc& sp : shards) {
-    if (sp.killed) continue;
-    net::ClientOptions copt;
-    copt.host = "127.0.0.1";
-    copt.port = sp.port;
-    copt.recv_timeout_s = 5;
-    net::Client c(copt);
-    if (c.connect()) c.send_shutdown();
-  }
-  for (ShardProc& sp : shards) {
-    int status = 0;
-    waitpid(sp.pid, &status, 0);
-  }
-
-  rr.duplicated = scan_duplicates(shards);
-
-  std::vector<double> lat;
-  for (const Rec& r : recs) {
-    r.ok ? ++rr.ok : ++rr.lost;
-    rr.busy_retries += r.busy;
-    rr.reconnects += r.reconnects;
-    if (r.ok) lat.push_back(r.latency_ms);
-    if (r.checked) {
-      ++rr.checked;
-      if (!r.check_passed) ++rr.check_failed;
-    }
-  }
-  rr.p50_ms = util::percentile(lat, 50);
-  rr.p99_ms = util::percentile(lat, 99);
-  rr.throughput = rr.wall_s > 0 ? double(rr.ok) / rr.wall_s : 0;
+  rr.duplicated = stop_shards(shards);
   return rr;
 }
 
@@ -746,6 +982,9 @@ int run_drain(const Options& opt, int argc, char** argv) {
               (unsigned long long)rr.drain_sum.entries,
               (unsigned long long)rr.drain_sum.bytes,
               (unsigned long long)rr.drain_sum.skipped, rr.succ_hit_rate);
+  std::printf("window:     drain took %.0fms, p99 %.1fms over the %d jobs "
+              "that completed inside it\n",
+              rr.drain_wall_ms, rr.drain_window_p99_ms, rr.drain_window_jobs);
 
   bench::JsonReport report("cluster", argc, argv);
   if (report.enabled()) {
@@ -762,6 +1001,14 @@ int run_drain(const Options& opt, int argc, char** argv) {
         .set("handoff_skipped", double(rr.drain_sum.skipped))
         .set("successor_hit_rate", rr.succ_hit_rate)
         .set("hit_floor", opt.hit_floor)
+        .set("drain_wall_ms", rr.drain_wall_ms)
+        .set("drain_window_jobs", double(rr.drain_window_jobs))
+        .set("drain_window_p99_ms", rr.drain_window_p99_ms)
+        .set("hedges_fired", double(rr.router.hedges_fired))
+        .set("hedge_wins", double(rr.router.hedge_wins))
+        .set("hedge_cancels", double(rr.router.hedge_cancels))
+        .set("hedge_budget_exhausted",
+             double(rr.router.hedge_budget_exhausted))
         .set("busy_retries", double(rr.busy_retries))
         .set("throughput_jps", rr.throughput)
         .set("p99_ms", rr.p99_ms);
@@ -814,213 +1061,49 @@ int run_drain(const Options& opt, int argc, char** argv) {
 // ---------------------------------------------------------------------
 // --chaos --routers N: redundant routers over one deterministic ring.
 
-/// Child body: one of N redundant routers over the same shard list.
-/// Identical options ⇒ identical Philox ring ⇒ identical placement, so
-/// the routers need no coordination. Reports its ephemeral port, serves
-/// until the parent closes the control pipe, stops gracefully. Never
-/// returns.
-[[noreturn]] void router_child(const Options& opt,
-                               const std::vector<std::uint16_t>& shard_ports,
-                               int idx, int port_fd, int ctl_fd) {
-  obs::Recorder::global().set_source("router-" + std::to_string(idx));
-  cluster::RouterOptions ro;
-  for (std::uint16_t p : shard_ports)
-    ro.shards.push_back(cluster::ShardEndpoint{"127.0.0.1", p});
-  ro.probe_interval_s = 0.1;
-  ro.replicate_threshold = opt.replicate_threshold;
-  ro.hedge = opt.hedge;
-  cluster::Router router(ro);
-  if (!router.start()) _exit(3);
-  const std::uint16_t port = router.port();
-  if (write(port_fd, &port, sizeof port) != sizeof port) _exit(3);
-  ::close(port_fd);
-  char b = 0;
-  ssize_t r;
-  do {
-    r = read(ctl_fd, &b, 1);
-  } while (r < 0 && errno == EINTR);
-  router.stop();
-  _exit(0);
-}
-
 int run_router_chaos(const Options& opt, int argc, char** argv) {
   const int nshards = opt.shards, nrouters = opt.routers;
   std::printf("randla_cluster: router chaos — %d shards behind %d routers, "
               "%d jobs, %d threads\n",
               nshards, nrouters, opt.jobs, opt.threads);
 
-  std::vector<ShardProc> shards(static_cast<std::size_t>(nshards));
-  auto cleanup_shards = [&] {
-    for (auto& sp : shards)
-      if (sp.pid > 0) {
-        kill(sp.pid, SIGKILL);
-        waitpid(sp.pid, nullptr, 0);
-      }
-  };
-  for (int s = 0; s < nshards; ++s) {
-    const std::string path =
-        opt.tmp + "/cluster_rchaos_" + std::to_string(s) + ".telemetry";
-    std::remove(path.c_str());
-    if (!spawn_shard(opt, s, path, &shards[static_cast<std::size_t>(s)])) {
-      std::fprintf(stderr, "cluster: failed to spawn shard %d\n", s);
-      cleanup_shards();
-      return 1;
-    }
-  }
-  std::vector<std::uint16_t> shard_ports;
-  for (const ShardProc& sp : shards) shard_ports.push_back(sp.port);
-
-  struct RouterProc {
-    pid_t pid = -1;
-    std::uint16_t port = 0;
-    int ctl_fd = -1;
-    bool killed = false;
-  };
-  std::vector<RouterProc> routers(static_cast<std::size_t>(nrouters));
-  auto cleanup_routers = [&] {
-    for (auto& rp : routers)
-      if (rp.pid > 0) {
-        if (rp.ctl_fd >= 0) ::close(rp.ctl_fd);
-        kill(rp.pid, SIGKILL);
-        waitpid(rp.pid, nullptr, 0);
-      }
-  };
+  std::vector<Proc> shards = spawn_shards(opt, nshards, "rchaos");
+  if (shards.empty()) return 1;
+  std::vector<Proc> routers(static_cast<std::size_t>(nrouters));
+  std::vector<std::uint16_t> ports;
   for (int r = 0; r < nrouters; ++r) {
-    int pfd[2], cfd[2];
-    if (pipe(pfd) != 0 || pipe(cfd) != 0) {
-      cleanup_routers();
-      cleanup_shards();
-      return 1;
-    }
-    const pid_t pid = fork();
-    if (pid < 0) {
-      cleanup_routers();
-      cleanup_shards();
-      return 1;
-    }
-    if (pid == 0) {
-      ::close(pfd[0]);
-      ::close(cfd[1]);
-      router_child(opt, shard_ports, r, pfd[1], cfd[0]);
-    }
-    ::close(pfd[1]);
-    ::close(cfd[0]);
-    RouterProc& rp = routers[static_cast<std::size_t>(r)];
-    rp.pid = pid;
-    rp.ctl_fd = cfd[1];
-    const bool got = read(pfd[0], &rp.port, sizeof rp.port) == sizeof rp.port;
-    ::close(pfd[0]);
-    if (!got || rp.port == 0) {
+    Proc& rp = routers[static_cast<std::size_t>(r)];
+    if (!spawn([&](int fd) { router_child(opt, shards, r, fd); }, &rp)) {
       std::fprintf(stderr, "cluster: router %d failed to start\n", r);
-      cleanup_routers();
-      cleanup_shards();
+      kill_all(routers);
+      kill_all(shards);
       return 1;
     }
+    ports.push_back(rp.port);
   }
   std::printf("cluster: routers ready on ports");
-  for (const RouterProc& rp : routers) std::printf(" :%u", unsigned(rp.port));
+  for (std::uint16_t p : ports) std::printf(" :%u", unsigned(p));
   std::printf("\n");
 
-  struct Rec {
-    bool ok = false;
-    int busy = 0;
-    int reconnects = 0;
-    int failovers = 0;  ///< endpoint switches after a dead router
-    bool checked = false;
-    bool check_passed = true;
-    double latency_ms = 0;
-  };
-  std::vector<Rec> recs(static_cast<std::size_t>(opt.jobs));
-  std::atomic<int> next_job{0};
-  std::atomic<int> done_jobs{0};
-  std::atomic<int> check_counter{0};
-  const int check_period =
-      opt.check_frac > 0
-          ? std::max(1, static_cast<int>(std::lround(1.0 / opt.check_frac)))
-          : 0;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  auto worker = [&](int widx) {
-    // Clients spread across the routers; when one dies mid-call the
-    // worker rotates to the next endpoint and resubmits the same
-    // idempotent request — the shard's result cache turns the replay
-    // into a hit, never a second execution.
-    int ep = widx % nrouters;
-    auto fresh = [&](int e) {
-      net::ClientOptions copt;
-      copt.host = "127.0.0.1";
-      copt.port = routers[static_cast<std::size_t>(e)].port;
-      copt.recv_timeout_s = 10;
-      copt.retry.max_attempts = 3;  // fail fast, then switch routers
-      copt.retry.max_busy_retries = 1000;
-      copt.retry.busy_wait_cap_s = 0.25;
-      copt.retry.backoff_seed = opt.seed * 1000 + std::uint64_t(widx);
-      return std::make_unique<net::Client>(copt);
-    };
-    std::unique_ptr<net::Client> client = fresh(ep);
-    for (;;) {
-      const int i = next_job.fetch_add(1);
-      if (i >= opt.jobs) return;
-      const net::JobRequest req = build_request(opt, i);
-      Rec& rec = recs[static_cast<std::size_t>(i)];
-      const auto start = std::chrono::steady_clock::now();
-      net::CallResult res;
-      for (int hop = 0; hop <= 2 * nrouters; ++hop) {
-        net::RetryInfo info;
-        res = client->call_with_retry(req, &info);
-        rec.busy += info.busy_retries;
-        rec.reconnects += info.reconnects;
-        if (res.status == net::CallStatus::Ok) break;
-        ep = (ep + 1) % nrouters;
-        client = fresh(ep);
-        ++rec.failovers;
-      }
-      rec.latency_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-      rec.ok = res.status == net::CallStatus::Ok &&
-               res.header.status == runtime::JobStatus::Done;
-      done_jobs.fetch_add(1);
-      if (!rec.ok) {
-        std::fprintf(stderr, "cluster: job %d lost: %s %s\n", i,
-                     net::call_status_name(res.status), res.detail.c_str());
-        continue;
-      }
-      if (check_period > 0 &&
-          check_counter.fetch_add(1) % check_period == 0) {
-        rec.checked = true;
-        rec.check_passed = verify_fixed_rank(req, res);
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  for (int t = 0; t < opt.threads; ++t) pool.emplace_back(worker, t);
-
   // Kill router 0 mid-run: every client parked on it must fail over to a
-  // survivor and finish its jobs there.
-  {
-    const int trigger = std::max(1, (opt.jobs * 2) / 5);
-    while (done_jobs.load() < trigger)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    std::printf("cluster: SIGKILL router 0 (pid %d) after %d jobs\n",
-                int(routers[0].pid), done_jobs.load());
-    kill(routers[0].pid, SIGKILL);
-    routers[0].killed = true;
-  }
-  for (auto& t : pool) t.join();
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  // survivor and finish its jobs there. Clients fail fast (3 attempts)
+  // on one router, then switch.
+  Tally t;
+  tally(drive(opt, ports, 3,
+              [&](int done) {
+                std::printf("cluster: SIGKILL router 0 (pid %d) after %d "
+                            "jobs\n",
+                            int(routers[0].pid), done);
+                kill(routers[0].pid, SIGKILL);
+                routers[0].killed = true;
+              }),
+        &t);
 
   // A surviving router must still answer the observability plane.
   bool survivor_scrape_ok = false;
-  for (const RouterProc& rp : routers) {
+  for (const Proc& rp : routers) {
     if (rp.killed) continue;
-    net::ClientOptions copt;
-    copt.host = "127.0.0.1";
-    copt.port = rp.port;
-    copt.recv_timeout_s = 5;
-    net::Client sc(copt);
+    net::Client sc(loopback(rp.port));
     if (!sc.connect()) continue;
     if (const auto stats = sc.stats())
       survivor_scrape_ok = stats->has("router_submits_routed") &&
@@ -1028,47 +1111,25 @@ int run_router_chaos(const Options& opt, int argc, char** argv) {
     break;
   }
 
-  // Graceful stop for the survivors (control-pipe EOF), then reap all.
-  for (RouterProc& rp : routers) {
-    ::close(rp.ctl_fd);
-    rp.ctl_fd = -1;
+  // Graceful stop for the survivors (EOF on their socketpair), then reap
+  // all. Close every channel before the first wait: a router forked
+  // later holds inherited copies of the earlier routers' channels.
+  for (Proc& rp : routers) {
+    ::close(rp.fd);
+    rp.fd = -1;
   }
-  for (RouterProc& rp : routers) waitpid(rp.pid, nullptr, 0);
+  for (const Proc& rp : routers) waitpid(rp.pid, nullptr, 0);
 
   // Drain the shards (all still alive) and reap; their telemetry feeds
   // the duplicate detector.
-  for (const ShardProc& sp : shards) {
-    net::ClientOptions copt;
-    copt.host = "127.0.0.1";
-    copt.port = sp.port;
-    copt.recv_timeout_s = 5;
-    net::Client c(copt);
-    if (c.connect()) c.send_shutdown();
-  }
-  for (const ShardProc& sp : shards) waitpid(sp.pid, nullptr, 0);
-  const int duplicated = scan_duplicates(shards);
+  const int duplicated = stop_shards(shards);
 
-  int ok = 0, lost = 0, checked = 0, check_failed = 0, failovers = 0;
-  long busy_retries = 0, reconnects = 0;
-  std::vector<double> lat;
-  for (const Rec& r : recs) {
-    r.ok ? ++ok : ++lost;
-    busy_retries += r.busy;
-    reconnects += r.reconnects;
-    failovers += r.failovers;
-    if (r.ok) lat.push_back(r.latency_ms);
-    if (r.checked) {
-      ++checked;
-      if (!r.check_passed) ++check_failed;
-    }
-  }
-  const double p99 = util::percentile(lat, 99);
-  const double throughput = wall_s > 0 ? double(ok) / wall_s : 0;
   std::printf("router-chaos %4d ok %3d lost %3d dup  %7.1f jobs/s  "
               "p99 %7.1fms  busy %4ld reconn %3ld failovers %d\n",
-              ok, lost, duplicated, throughput, p99, busy_retries,
-              reconnects, failovers);
-  std::printf("residual:   %d sampled, %d failed\n", checked, check_failed);
+              t.ok, t.lost, duplicated, t.throughput, t.p99_ms,
+              t.busy_retries, t.reconnects, t.failovers);
+  std::printf("residual:   %d sampled, %d failed\n", t.checked,
+              t.check_failed);
 
   bench::JsonReport report("cluster", argc, argv);
   if (report.enabled()) {
@@ -1076,25 +1137,25 @@ int run_router_chaos(const Options& opt, int argc, char** argv) {
         .set("shards", double(nshards))
         .set("routers", double(nrouters))
         .set("jobs", double(opt.jobs))
-        .set("ok", double(ok))
-        .set("lost", double(lost))
+        .set("ok", double(t.ok))
+        .set("lost", double(t.lost))
         .set("duplicated", double(duplicated))
-        .set("failovers", double(failovers))
-        .set("busy_retries", double(busy_retries))
-        .set("reconnects", double(reconnects))
-        .set("throughput_jps", throughput)
-        .set("p99_ms", p99);
+        .set("failovers", double(t.failovers))
+        .set("busy_retries", double(t.busy_retries))
+        .set("reconnects", double(t.reconnects))
+        .set("throughput_jps", t.throughput)
+        .set("p99_ms", t.p99_ms);
     if (!report.write()) return 1;
   }
 
   bool bad = false;
-  if (ok != opt.jobs) {
+  if (t.ok != opt.jobs) {
     std::fprintf(stderr, "FAIL: only %d/%d jobs completed through the "
                          "surviving router(s)\n",
-                 ok, opt.jobs);
+                 t.ok, opt.jobs);
     bad = true;
   }
-  if (duplicated > failovers) {
+  if (duplicated > t.failovers) {
     // A worker whose router died mid-call resubmits through a survivor;
     // if the first execution was still in flight on the shard, the
     // replay re-executes — at most one orphaned job per failover. The
@@ -1103,14 +1164,14 @@ int run_router_chaos(const Options& opt, int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: %d duplicated executions exceed the %d failover "
                  "resubmissions that could explain them\n",
-                 duplicated, failovers);
+                 duplicated, t.failovers);
     bad = true;
   }
-  if (check_failed > 0) {
-    std::fprintf(stderr, "FAIL: %d residual checks failed\n", check_failed);
+  if (t.check_failed > 0) {
+    std::fprintf(stderr, "FAIL: %d residual checks failed\n", t.check_failed);
     bad = true;
   }
-  if (failovers == 0) {
+  if (t.failovers == 0) {
     std::fprintf(stderr, "FAIL: no client ever failed over — the kill "
                          "exercised nothing\n");
     bad = true;
@@ -1124,22 +1185,7 @@ int run_router_chaos(const Options& opt, int argc, char** argv) {
 }
 
 int run_sweep(const Options& opt, int argc, char** argv) {
-  std::vector<int> scales;
-  {
-    std::string tok;
-    for (char c : opt.scales + ",") {
-      if (c == ',') {
-        if (!tok.empty()) scales.push_back(std::atoi(tok.c_str()));
-        tok.clear();
-      } else {
-        tok += c;
-      }
-    }
-  }
-  if (scales.empty()) {
-    std::fprintf(stderr, "cluster: empty --scales\n");
-    return 2;
-  }
+  const std::vector<int>& scales = opt.scales;
   std::printf("randla_cluster: scales");
   for (int s : scales) std::printf(" %d", s);
   std::printf(" — %d jobs, %d threads, spread %d, cache %d/shard\n", opt.jobs,
@@ -1201,7 +1247,7 @@ int run_sweep(const Options& opt, int argc, char** argv) {
                    "failures, scrape %s, merge %s\n",
                    scales[i], rr.lost, rr.duplicated, rr.check_failed,
                    rr.stats_scrape_ok ? "ok" : "missing",
-                   rr.merged_stats_ok ? "ok" : "missing");
+                   rr.merged_stats_ok ? "exact" : "MISMATCH");
       bad = true;
     }
   }
@@ -1232,8 +1278,14 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (!std::strcmp(argv[i], "--scales")) opt.scales = need("--scales");
-    else if (!std::strcmp(argv[i], "--shards")) opt.shards = std::atoi(need("--shards"));
+    if (!std::strcmp(argv[i], "--scales")) {
+      const char* list = need("--scales");
+      if (!parse_scales(list, &opt.scales)) {
+        std::fprintf(stderr, "cluster: --scales '%s' must list positive "
+                             "integers\n", list);
+        return 2;
+      }
+    } else if (!std::strcmp(argv[i], "--shards")) opt.shards = std::atoi(need("--shards"));
     else if (!std::strcmp(argv[i], "--jobs")) opt.jobs = std::atoi(need("--jobs"));
     else if (!std::strcmp(argv[i], "--threads")) opt.threads = std::atoi(need("--threads"));
     else if (!std::strcmp(argv[i], "--workers")) opt.workers = std::atoi(need("--workers"));
@@ -1255,6 +1307,12 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--drain")) opt.drain = true;
     else if (!std::strcmp(argv[i], "--json")) { need("--json"); }  // JsonReport reads argv
     else { std::fprintf(stderr, "unknown flag %s\n", argv[i]); return 2; }
+  }
+  // Every mode waits for 40% of --jobs to finish or spreads work over
+  // --threads clients: zero of either never finishes.
+  if (opt.jobs < 1 || opt.threads < 1) {
+    std::fprintf(stderr, "cluster: --jobs and --threads must be >= 1\n");
+    return 2;
   }
   if ((opt.chaos || opt.drain) && opt.shards < 2) {
     std::fprintf(stderr, "cluster: --chaos/--drain need at least 2 shards\n");

@@ -17,41 +17,16 @@
 // regenerated copy of the input (the request carries a generator spec,
 // so client and server can materialize the identical matrix).
 //
-//   randla_loadgen --port P[,P2,...] [--host H] [--jobs N] [--threads T]
+//   randla_loadgen --port P [--host H] [--jobs N] [--threads T]
 //                  [--rate JOBS_PER_S] [--m M] [--n N] [--check-frac F]
-//                  [--inline-frac F] [--spread N] [--max-p99-ms X]
-//                  [--expect-busy] [--shutdown] [--json PATH]
-//                  [--check-stats]
-//
-// --port accepts a comma-separated endpoint list (e.g. the per-shard
-// ports of a cluster, or a router next to a direct shard): worker
-// thread t drives endpoint t mod E for the whole run, and the summary
-// and JSON report break ok/throughput/Busy-retry counts and latency
-// percentiles out per endpoint alongside the whole-run aggregate.
-// --check-stats requires a single endpoint (the strict counter
-// comparison is per-server).
+//                  [--inline-frac F] [--spread N] [--batch-hint N]
+//                  [--max-p99-ms X] [--expect-busy] [--shutdown]
+//                  [--json PATH] [--check-stats]
 //   randla_loadgen --chaos SCHEDULE [--seed N] [--jobs N] [--threads T]
 //                  [--m M] [--n N] [--check-frac F] [--spread N]
-//   randla_loadgen --cluster N [--check-stats] [--replicate-threshold X]
-//                  [--hedge] [--drain-mid] [flags as above]
 //
-// --cluster N hosts a self-contained cluster: N forked shard servers
-// behind an in-process cluster::Router, with all load driven through
-// the router endpoint. --replicate-threshold / --hedge arm the router's
-// availability layer (DESIGN.md §15) and the summary + JSON report then
-// carry its cost: hedges fired / won / cancelled / budget-suppressed.
-// --drain-mid live-drains the hottest shard at ~40% of the run
-// (Router::drain → CacheHandoff → ring re-point) and reports the
-// latency p99 of jobs that completed inside the drain window — the
-// availability cost of a planned decommission — as its own summary
-// line and JSON row. With --check-stats the run ends by scraping the
-// router (whose Stats fan-out merges every shard, DESIGN.md §14) *and*
-// each shard directly, then cross-checks the merged cluster rows
-// against the per-shard sums: every mergeable row (counters, histogram
-// buckets) must equal the sum of the direct scrapes, every shard must
-// appear with a `shard="i"` label, and `cluster_stale_shards` must be
-// 0. Scrape-perturbed series (net_*/server_* frame counters) are
-// excluded — the fan-out itself bumps them between the two scrapes.
+// --port names exactly one server (a router endpoint counts as one);
+// randla_cluster is the driver that forks, fronts and checks clusters.
 //
 // --chaos ignores --port: it hosts its own loopback scheduler + server
 // with a deterministic fault injector (see src/fault) driven by
@@ -75,10 +50,6 @@
 //
 // Exit code is a self-check: nonzero on any failed job, failed residual
 // check, missing expected backpressure, or busted p99 bound.
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cctype>
@@ -88,21 +59,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "cluster/hash_ring.hpp"
-#include "cluster/router.hpp"
-#include "cluster/stats_merge.hpp"
 #include "fault/injector.hpp"
 #include "la/norms.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
-#include "obs/recorder.hpp"
 #include "runtime/scheduler.hpp"
 #include "util/stats.hpp"
 
@@ -112,7 +77,7 @@ namespace {
 
 struct Options {
   std::string host = "127.0.0.1";
-  std::vector<int> ports;
+  int port = 0;
   int jobs = 200;
   int threads = 4;
   double rate = 0;        // jobs/s; 0 = closed loop
@@ -123,15 +88,11 @@ struct Options {
   int spread = 4;         // distinct matrix seeds; higher = fewer cache hits
   /// Server-side batch_max hint: presets client concurrency so the
   /// scheduler's collector can actually fill its batches (threads >=
-  /// 2*hint per endpoint), and reports scraped batch occupancy.
+  /// 2*hint), and reports scraped batch occupancy.
   int batch_hint = 0;
   bool expect_busy = false;
   bool send_shutdown = false;
   bool check_stats = false;
-  int cluster = 0;  ///< >0: host this many forked shards + a router
-  double replicate_threshold = 0;  ///< cluster router hot-key replication
-  bool hedge = false;              ///< cluster router latency hedging
-  bool drain_mid = false;  ///< cluster: drain the hottest shard mid-run
   std::uint64_t seed = 2026;
   std::string chaos;  ///< fault schedule DSL; non-empty = chaos mode
 };
@@ -153,29 +114,12 @@ constexpr const char* kKindNames[kNumKinds] = {
 
 struct JobRecord {
   std::uint8_t kind = 0;  // runtime::JobKind wire value (index into kKindNames)
-  int endpoint = 0;       // index into Options::ports
   double latency_ms = 0;
-  double end_s = 0;  // completion offset from run start (drain windowing)
   int busy_retries = 0;
   bool ok = false;
   bool checked = false;
   bool check_passed = true;
 };
-
-/// "7000,7001,7002" → {7000, 7001, 7002}; empty/garbage entries reject.
-std::vector<int> parse_ports(const std::string& list) {
-  std::vector<int> ports;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = std::min(list.find(',', pos), list.size());
-    const std::string item = list.substr(pos, comma - pos);
-    const int port = std::atoi(item.c_str());
-    if (port <= 0 || port > 65535) return {};
-    ports.push_back(port);
-    pos = comma + 1;
-  }
-  return ports;
-}
 
 /// Deterministic request for job index i: the mix rotates through a few
 /// generator specs so the server's matrix memo and the scheduler's
@@ -638,179 +582,6 @@ int run_chaos(const Options& opt) {
   return bad ? 1 : 0;
 }
 
-// ---------------------------------------------------------------------
-// --cluster mode: forked shard servers behind an in-process router, so
-// the merged-stats cross-check below has both views of the same truth.
-
-struct ClusterHost {
-  std::vector<pid_t> pids;
-  std::vector<std::uint16_t> shard_ports;
-  std::unique_ptr<cluster::Router> router;
-};
-
-/// Child body: a plain shard (scheduler + server) that serves until the
-/// parent's Shutdown frame drains it. Never returns.
-[[noreturn]] void cluster_shard_child(int idx, int port_fd) {
-  obs::Recorder::global().set_source("shard-" + std::to_string(idx));
-  runtime::SchedulerOptions so;
-  so.num_workers = 2;
-  so.queue_capacity = 32;
-  runtime::Scheduler sched(so);
-  net::ServerOptions svo;
-  svo.port = 0;
-  svo.allow_remote_shutdown = true;
-  net::Server server(sched, svo);
-  if (!server.start()) _exit(3);
-  const std::uint16_t port = server.port();
-  if (write(port_fd, &port, sizeof port) != sizeof port) _exit(3);
-  ::close(port_fd);
-  server.wait();
-  _exit(0);
-}
-
-/// Fork the shards (parent is still single-threaded here) and start the
-/// router over them.
-bool start_cluster(const Options& opt, ClusterHost* host) {
-  for (int s = 0; s < opt.cluster; ++s) {
-    int pfd[2];
-    if (pipe(pfd) != 0) return false;
-    const pid_t pid = fork();
-    if (pid < 0) {
-      ::close(pfd[0]);
-      ::close(pfd[1]);
-      return false;
-    }
-    if (pid == 0) {
-      ::close(pfd[0]);
-      cluster_shard_child(s, pfd[1]);
-    }
-    ::close(pfd[1]);
-    std::uint16_t port = 0;
-    const bool got = read(pfd[0], &port, sizeof port) == sizeof port;
-    ::close(pfd[0]);
-    if (!got || port == 0) {
-      kill(pid, SIGKILL);
-      waitpid(pid, nullptr, 0);
-      return false;
-    }
-    host->pids.push_back(pid);
-    host->shard_ports.push_back(port);
-  }
-  cluster::RouterOptions ro;
-  ro.port = 0;
-  for (std::uint16_t p : host->shard_ports)
-    ro.shards.push_back({"127.0.0.1", p});
-  ro.replicate_threshold = opt.replicate_threshold;
-  ro.hedge = opt.hedge;
-  host->router = std::make_unique<cluster::Router>(ro);
-  return host->router->start();
-}
-
-void stop_cluster(ClusterHost& host) {
-  if (host.router) host.router->stop();
-  for (std::size_t s = 0; s < host.shard_ports.size(); ++s) {
-    net::ClientOptions copt;
-    copt.port = host.shard_ports[s];
-    net::Client client(copt);
-    if (!client.connect() || !client.send_shutdown())
-      kill(host.pids[s], SIGKILL);  // graceful drain failed; reap anyway
-  }
-  for (pid_t pid : host.pids) waitpid(pid, nullptr, 0);
-}
-
-/// The cluster --check-stats contract: the router's merged scrape must
-/// agree exactly with the per-shard direct scrapes. `failures` gates the
-/// strictest check (total submits == jobs) the same way the
-/// single-server path gates it.
-bool cluster_cross_check(const Options& opt, const ClusterHost& host,
-                         const std::optional<net::StatsReply>& merged,
-                         int failures) {
-  if (!merged) {
-    std::fprintf(stderr, "FAIL: cluster merged scrape missing\n");
-    return false;
-  }
-  bool ok = true;
-  if (!merged->has("cluster_stale_shards")) {
-    std::fprintf(stderr, "FAIL: merged scrape lacks cluster_stale_shards\n");
-    ok = false;
-  } else if (merged->value("cluster_stale_shards") != 0) {
-    std::fprintf(stderr, "FAIL: %d stale shard(s) in merged scrape\n",
-                 int(merged->value("cluster_stale_shards")));
-    ok = false;
-  }
-  // Per-shard direct scrapes: accumulate every mergeable row that the
-  // fan-out itself cannot have perturbed (the Stats frames it sends
-  // bump the shards' net_*/server_* frame counters between the two
-  // scrape instants; everything else is quiescent once the workers
-  // joined).
-  std::map<std::string, double> sums;
-  double submitted = 0;
-  int scraped = 0;
-  for (std::size_t s = 0; s < host.shard_ports.size(); ++s) {
-    net::ClientOptions copt;
-    copt.port = host.shard_ports[s];
-    net::Client sc(copt);
-    std::optional<net::StatsReply> st;
-    if (sc.connect()) st = sc.stats();
-    if (!st) {
-      std::fprintf(stderr, "FAIL: direct scrape of shard %zu failed\n", s);
-      ok = false;
-      continue;
-    }
-    ++scraped;
-    for (const auto& [name, v] : st->metrics) {
-      if (!cluster::mergeable_stat(name)) continue;
-      if (name.rfind("net_", 0) == 0 || name.rfind("server_", 0) == 0)
-        continue;
-      sums[name] += v;
-    }
-    submitted += st->value("server_jobs_submitted");
-    // The merged scrape must carry this shard's labeled row, byte-equal
-    // in name and value to the direct view.
-    const std::string labeled = cluster::with_shard_label(
-        "server_jobs_submitted", static_cast<std::uint32_t>(s));
-    if (merged->value(labeled) != st->value("server_jobs_submitted")) {
-      std::fprintf(stderr, "FAIL: merged %s = %.0f, shard says %.0f\n",
-                   labeled.c_str(), merged->value(labeled),
-                   st->value("server_jobs_submitted"));
-      ok = false;
-    }
-  }
-  // Every mergeable series must appear in the merged scrape with the
-  // per-shard sum. Same-name rows can exist more than once (the router
-  // process's own registry rows precede the merge), so accept any exact
-  // name whose value matches within float-sum tolerance.
-  int rows_checked = 0;
-  for (const auto& [name, want] : sums) {
-    bool found = false;
-    for (const auto& [mname, mv] : merged->metrics)
-      if (mname == name &&
-          std::abs(mv - want) <= 1e-6 * std::max(1.0, std::abs(want))) {
-        found = true;
-        break;
-      }
-    if (!found) {
-      std::fprintf(stderr,
-                   "FAIL: merged scrape disagrees with per-shard sum %.10g "
-                   "for %s\n",
-                   want, name.c_str());
-      ok = false;
-    } else {
-      ++rows_checked;
-    }
-  }
-  if (failures == 0 && scraped == int(host.shard_ports.size()) &&
-      submitted != double(opt.jobs)) {
-    std::fprintf(stderr, "FAIL: shards saw %.0f submits for %d jobs\n",
-                 submitted, opt.jobs);
-    ok = false;
-  }
-  std::printf("cluster:     merged scrape matches %d/%zu summed series "
-              "across %d shards%s\n",
-              rows_checked, sums.size(), scraped, ok ? "" : "  [FAIL]");
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -825,8 +596,17 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (!std::strcmp(argv[i], "--host")) opt.host = need("--host");
-    else if (!std::strcmp(argv[i], "--port")) opt.ports = parse_ports(need("--port"));
-    else if (!std::strcmp(argv[i], "--jobs")) opt.jobs = std::atoi(need("--jobs"));
+    else if (!std::strcmp(argv[i], "--port")) {
+      const char* arg = need("--port");
+      char* end = nullptr;
+      const long port = std::strtol(arg, &end, 10);
+      if (end == arg || *end != '\0' || port < 1 || port > 65535) {
+        std::fprintf(stderr, "loadgen: --port takes one port number, got "
+                             "'%s'\n", arg);
+        return 2;
+      }
+      opt.port = static_cast<int>(port);
+    } else if (!std::strcmp(argv[i], "--jobs")) opt.jobs = std::atoi(need("--jobs"));
     else if (!std::strcmp(argv[i], "--threads")) opt.threads = std::atoi(need("--threads"));
     else if (!std::strcmp(argv[i], "--rate")) opt.rate = std::atof(need("--rate"));
     else if (!std::strcmp(argv[i], "--m")) opt.m = std::atoi(need("--m"));
@@ -837,10 +617,6 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--spread")) opt.spread = std::atoi(need("--spread"));
     else if (!std::strcmp(argv[i], "--batch-hint")) opt.batch_hint = std::atoi(need("--batch-hint"));
     else if (!std::strcmp(argv[i], "--seed")) opt.seed = std::strtoull(need("--seed"), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--cluster")) opt.cluster = std::atoi(need("--cluster"));
-    else if (!std::strcmp(argv[i], "--replicate-threshold")) opt.replicate_threshold = std::atof(need("--replicate-threshold"));
-    else if (!std::strcmp(argv[i], "--hedge")) opt.hedge = true;
-    else if (!std::strcmp(argv[i], "--drain-mid")) opt.drain_mid = true;
     else if (!std::strcmp(argv[i], "--chaos")) opt.chaos = need("--chaos");
     else if (!std::strcmp(argv[i], "--json")) json_path = need("--json");
     else if (!std::strcmp(argv[i], "--expect-busy")) opt.expect_busy = true;
@@ -849,70 +625,34 @@ int main(int argc, char** argv) {
     else { std::fprintf(stderr, "unknown flag %s\n", argv[i]); return 2; }
   }
   if (!opt.chaos.empty()) return run_chaos(opt);  // hosts its own loopback
-  if (opt.drain_mid && opt.cluster < 2) {
-    std::fprintf(stderr, "loadgen: --drain-mid needs --cluster >= 2\n");
-    return 2;
-  }
-  if (opt.drain_mid && opt.check_stats) {
-    std::fprintf(stderr, "loadgen: --drain-mid retires a shard, which the "
-                         "strict per-shard cross-check cannot scrape\n");
-    return 2;
-  }
-  ClusterHost cluster_host;
-  if (opt.cluster > 0) {
-    if (!opt.ports.empty()) {
-      std::fprintf(stderr, "loadgen: --cluster hosts its own endpoints; "
-                           "drop --port\n");
-      return 2;
-    }
-    signal(SIGPIPE, SIG_IGN);  // a dying shard must not kill the run
-    obs::Recorder::global().set_source("router");
-    if (!start_cluster(opt, &cluster_host)) {
-      std::fprintf(stderr, "loadgen: failed to start %d-shard cluster\n",
-                   opt.cluster);
-      return 1;
-    }
-    opt.ports.push_back(int(cluster_host.router->port()));
-    std::printf("randla_loadgen: hosting %d shards behind router :%u\n",
-                opt.cluster, unsigned(cluster_host.router->port()));
-  }
-  if (opt.ports.empty()) {
+  if (opt.port == 0) {
     std::fprintf(stderr,
-                 "usage: randla_loadgen --port P[,P2,...] [flags]\n"
-                 "       randla_loadgen --cluster N [--check-stats] [flags]\n"
+                 "usage: randla_loadgen --port P [flags]\n"
                  "       randla_loadgen --chaos SCHEDULE [--seed N] [flags]\n");
     return 2;
   }
-  const int num_endpoints = static_cast<int>(opt.ports.size());
   if (opt.batch_hint > 0) {
     // Concurrency preset: a collector with batch_max=N only fills its
     // window when ~N jobs are queued per worker, so keep at least two
-    // windows of requests in flight per endpoint.
-    const int preset = 2 * opt.batch_hint * num_endpoints;
+    // windows of requests in flight.
+    const int preset = 2 * opt.batch_hint;
     if (opt.threads < preset) {
       std::printf("batch-hint %d: raising --threads %d -> %d\n",
                   opt.batch_hint, opt.threads, preset);
       opt.threads = preset;
     }
   }
-  if (opt.check_stats && num_endpoints > 1) {
-    std::fprintf(stderr,
-                 "loadgen: --check-stats needs a single endpoint (jobs split "
-                 "across %d)\n",
-                 num_endpoints);
-    return 2;
-  }
 
-  std::string endpoints;
-  for (int e = 0; e < num_endpoints; ++e)
-    endpoints += (e ? "," : "") + std::to_string(opt.ports[size_t(e)]);
-  std::printf("randla_loadgen: %d jobs → %s:%s, %d threads, %s\n", opt.jobs,
-              opt.host.c_str(), endpoints.c_str(), opt.threads,
+  std::printf("randla_loadgen: %d jobs → %s:%d, %d threads, %s\n", opt.jobs,
+              opt.host.c_str(), opt.port, opt.threads,
               opt.rate > 0 ? "open loop" : "closed loop");
+
+  net::ClientOptions server_opt;
+  server_opt.host = opt.host;
+  server_opt.port = static_cast<std::uint16_t>(opt.port);
 
   std::vector<JobRecord> records(static_cast<std::size_t>(opt.jobs));
   std::atomic<int> next_job{0};
-  std::atomic<int> done_jobs{0};
   std::atomic<int> transport_failures{0};
   std::atomic<int> check_counter{0};
   const int check_period =
@@ -922,16 +662,9 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
 
   auto worker = [&](int widx) {
-    // Thread → endpoint assignment is static round-robin: every endpoint
-    // gets the same thread count when threads % endpoints == 0, and the
-    // per-endpoint accounting below stays a clean partition of the run.
-    const int endpoint = widx % num_endpoints;
-    net::ClientOptions copt;
-    copt.host = opt.host;
-    copt.port = static_cast<std::uint16_t>(opt.ports[size_t(endpoint)]);
-    net::Client client(copt);
+    net::Client client(server_opt);
     if (!client.connect()) {
-      std::fprintf(stderr, "loadgen[%d→:%d]: %s\n", widx, copt.port,
+      std::fprintf(stderr, "loadgen[%d]: %s\n", widx,
                    client.last_error().c_str());
       transport_failures.fetch_add(1);
       return;
@@ -942,7 +675,6 @@ int main(int argc, char** argv) {
       net::JobRequest req = build_request(opt, i);
       maybe_inline(req, opt, i);
       JobRecord& rec = records[static_cast<std::size_t>(i)];
-      rec.endpoint = endpoint;
       rec.kind = static_cast<std::uint8_t>(req.kind);
       if (opt.rate > 0) {
         // Open loop: launch at the scheduled arrival time even if the
@@ -965,10 +697,6 @@ int main(int argc, char** argv) {
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - start)
               .count();
-      rec.end_s = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-      done_jobs.fetch_add(1);
       if (res.status != net::CallStatus::Ok ||
           res.header.status != runtime::JobStatus::Done) {
         std::fprintf(stderr, "loadgen: job %d failed: %s %s %s\n", i,
@@ -993,46 +721,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::thread> threads;
   for (int t = 0; t < opt.threads; ++t) threads.emplace_back(worker, t);
-
-  // --drain-mid: once the caches are warm, live-drain the shard owning
-  // the most routing keys and time the window, so the report can price
-  // the decommission (DESIGN.md §15).
-  struct DrainOutcome {
-    bool attempted = false, ok = false;
-    std::uint32_t victim = 0;
-    double t0_s = 0, t1_s = 0;
-    net::DrainSummary sum;
-  } drain_out;
-  std::thread drainer;
-  if (opt.cluster > 1 && opt.drain_mid) {
-    drain_out.attempted = true;
-    drainer = std::thread([&] {
-      const int trigger = std::max(1, (opt.jobs * 2) / 5);
-      while (done_jobs.load() < trigger)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      // Victim = the shard owning the most routing keys, from the same
-      // deterministic ring the router evaluates.
-      cluster::HashRing ring;
-      for (int s = 0; s < opt.cluster; ++s)
-        ring.add(static_cast<std::uint32_t>(s));
-      std::map<std::uint32_t, int> owned;
-      for (int i = 0; i < opt.jobs; ++i)
-        owned[*ring.owner(cluster::routing_key(build_request(opt, i)))] += 1;
-      drain_out.victim = owned.begin()->first;
-      for (const auto& [s, cnt] : owned)
-        if (cnt > owned[drain_out.victim]) drain_out.victim = s;
-      drain_out.t0_s = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-      drain_out.ok =
-          cluster_host.router->drain(drain_out.victim, &drain_out.sum);
-      drain_out.t1_s = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-    });
-  }
   for (auto& t : threads) t.join();
-  if (drainer.joinable()) drainer.join();
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -1042,25 +731,15 @@ int main(int argc, char** argv) {
   int ok = 0, failed = 0, busy_events = 0, checked = 0, check_failed = 0;
   std::vector<double> lat_all;
   std::vector<double> lat_by_kind[kNumKinds];  // indexed by JobKind value
-  struct EndpointAgg {
-    int ok = 0, failed = 0, busy_retries = 0;
-    std::vector<double> lat;
-  };
-  std::vector<EndpointAgg> by_endpoint(static_cast<std::size_t>(num_endpoints));
   for (const JobRecord& r : records) {
     busy_events += r.busy_retries;
-    EndpointAgg& ep = by_endpoint[static_cast<std::size_t>(r.endpoint)];
-    ep.busy_retries += r.busy_retries;
     if (r.ok) {
       ++ok;
-      ++ep.ok;
       lat_all.push_back(r.latency_ms);
-      ep.lat.push_back(r.latency_ms);
       lat_by_kind[std::min<int>(r.kind, kNumKinds - 1)].push_back(
           r.latency_ms);
     } else {
       ++failed;
-      ++ep.failed;
     }
     if (r.checked) {
       ++checked;
@@ -1079,81 +758,32 @@ int main(int argc, char** argv) {
   std::printf("backpressure: %d busy replies honored\n", busy_events);
   std::printf("residual:    %d sampled, %d failed\n", checked, check_failed);
 
-  // Availability-layer accounting (cluster mode): what the router spent
-  // on hedges/replication, and what a mid-run drain cost the tail.
-  cluster::RouterStats rstats{};
-  std::vector<double> drain_lat;
-  if (opt.cluster > 0 && cluster_host.router) {
-    rstats = cluster_host.router->stats();
-    if (opt.hedge || opt.replicate_threshold > 0 || rstats.hedges_fired)
-      std::printf("availability: %llu hedges fired (%llu wins, %llu cancels, "
-                  "%llu budget-suppressed)\n",
-                  (unsigned long long)rstats.hedges_fired,
-                  (unsigned long long)rstats.hedge_wins,
-                  (unsigned long long)rstats.hedge_cancels,
-                  (unsigned long long)rstats.hedge_budget_exhausted);
-    if (drain_out.attempted) {
-      for (const JobRecord& r : records)
-        if (r.ok && r.end_s >= drain_out.t0_s && r.end_s <= drain_out.t1_s)
-          drain_lat.push_back(r.latency_ms);
-      std::printf("drain:       shard %u %s in %.0fms — %llu entries / %llu "
-                  "bytes handed off, window p99 %.1fms over %zu jobs\n",
-                  drain_out.victim, drain_out.ok ? "drained" : "FAILED",
-                  (drain_out.t1_s - drain_out.t0_s) * 1e3,
-                  (unsigned long long)drain_out.sum.entries,
-                  (unsigned long long)drain_out.sum.bytes,
-                  util::percentile(drain_lat, 99), drain_lat.size());
-    }
-  }
-  if (num_endpoints > 1) {
-    // The partition of the whole-run aggregate: each endpoint's ok
-    // count, throughput share of the same wall clock, Busy-retry burden,
-    // and latency tail.
-    for (int e = 0; e < num_endpoints; ++e) {
-      const EndpointAgg& ep = by_endpoint[static_cast<std::size_t>(e)];
-      std::printf("endpoint :%-5d %4d ok %3d failed  %.1f jobs/s  busy %d  "
-                  "p50 %.1fms p99 %.1fms\n",
-                  opt.ports[static_cast<std::size_t>(e)], ep.ok, ep.failed,
-                  wall_s > 0 ? double(ep.ok) / wall_s : 0, ep.busy_retries,
-                  util::percentile(ep.lat, 50), util::percentile(ep.lat, 99));
-    }
-  }
-
-  // Scrape each endpoint's live metrics over the wire (before any
-  // shutdown) and hold them for the report + cross-check below.
-  std::vector<std::optional<net::StatsReply>> endpoint_stats(
-      static_cast<std::size_t>(num_endpoints));
-  for (int e = 0; e < num_endpoints; ++e) {
-    net::ClientOptions copt;
-    copt.host = opt.host;
-    copt.port = static_cast<std::uint16_t>(opt.ports[static_cast<std::size_t>(e)]);
-    net::Client sc(copt);
-    if (sc.connect()) endpoint_stats[static_cast<std::size_t>(e)] = sc.stats();
-    if (!endpoint_stats[static_cast<std::size_t>(e)])
+  // Scrape the server's live metrics over the wire (before any shutdown)
+  // and hold them for the report + cross-check below.
+  std::optional<net::StatsReply> server_stats;
+  {
+    net::Client sc(server_opt);
+    if (sc.connect()) server_stats = sc.stats();
+    if (!server_stats)
       std::fprintf(stderr, "loadgen: stats scrape of :%d failed: %s\n",
-                   int(copt.port), sc.last_error().c_str());
+                   opt.port, sc.last_error().c_str());
   }
-  const std::optional<net::StatsReply>& server_stats = endpoint_stats[0];
-  for (int e = 0; e < num_endpoints; ++e) {
-    const auto& st = endpoint_stats[static_cast<std::size_t>(e)];
-    if (!st) continue;
-    std::printf("server :%-5d %.0f submitted, %.0f busy, %.0f completed, "
+  double batches = 0, bjobs = 0, bmax = 0;
+  if (server_stats) {
+    std::printf("server:      %.0f submitted, %.0f busy, %.0f completed, "
                 "%.0f protocol errors, %.0f dropped\n",
-                opt.ports[static_cast<std::size_t>(e)],
-                st->value("server_jobs_submitted"),
-                st->value("server_jobs_busy"),
-                st->value("server_jobs_completed"),
-                st->value("server_protocol_errors"),
-                st->value("server_results_dropped"));
-    if (st->has("sched_batches")) {
-      const double batches = st->value("sched_batches");
-      const double bjobs = st->value("sched_batched_jobs");
-      const double bmax = st->value("sched_batch_max");
-      std::printf("batching :%-5d batch_max %.0f, %.0f dispatches, %.0f jobs "
+                server_stats->value("server_jobs_submitted"),
+                server_stats->value("server_jobs_busy"),
+                server_stats->value("server_jobs_completed"),
+                server_stats->value("server_protocol_errors"),
+                server_stats->value("server_results_dropped"));
+    batches = server_stats->value("sched_batches");
+    bjobs = server_stats->value("sched_batched_jobs");
+    bmax = server_stats->value("sched_batch_max");
+    if (server_stats->has("sched_batches"))
+      std::printf("batching:    batch_max %.0f, %.0f dispatches, %.0f jobs "
                   "coalesced, mean occupancy %.2f\n",
-                  opt.ports[static_cast<std::size_t>(e)], bmax, batches, bjobs,
-                  batches > 0 ? bjobs / batches : 0.0);
-    }
+                  bmax, batches, bjobs, batches > 0 ? bjobs / batches : 0.0);
   }
 
   bench::JsonReport report("serving", argc, argv);
@@ -1173,40 +803,12 @@ int main(int argc, char** argv) {
         .set("threads", double(opt.threads))
         .set("mode", std::string(opt.rate > 0 ? "open" : "closed"))
         .set("rate_jps", opt.rate);
-    {
-      // Batch-occupancy aggregate over every scraped endpoint.
-      double batches = 0, bjobs = 0, bmax = 0;
-      for (const auto& st : endpoint_stats) {
-        if (!st) continue;
-        batches += st->value("sched_batches");
-        bjobs += st->value("sched_batched_jobs");
-        bmax = std::max(bmax, st->value("sched_batch_max"));
-      }
-      report.row("batching")
-          .set("batch_max", bmax)
-          .set("dispatches", batches)
-          .set("batched_jobs", bjobs)
-          .set("mean_occupancy", batches > 0 ? bjobs / batches : 0.0)
-          .set("batch_hint", double(opt.batch_hint));
-    }
-    if (opt.cluster > 0) {
-      // The availability cost of the run, next to the throughput it
-      // bought: hedge traffic and the drain-window latency tail.
-      auto& row = report.row("availability");
-      row.set("hedges_fired", double(rstats.hedges_fired))
-          .set("hedge_wins", double(rstats.hedge_wins))
-          .set("hedge_cancels", double(rstats.hedge_cancels))
-          .set("hedge_budget_exhausted",
-               double(rstats.hedge_budget_exhausted))
-          .set("drains_completed", double(rstats.drains_completed))
-          .set("handoff_entries", double(rstats.handoff_entries));
-      if (drain_out.attempted)
-        row.set("drain_ok", double(drain_out.ok))
-            .set("drain_victim", double(drain_out.victim))
-            .set("drain_wall_ms", (drain_out.t1_s - drain_out.t0_s) * 1e3)
-            .set("drain_window_jobs", double(drain_lat.size()))
-            .set("drain_window_p99_ms", util::percentile(drain_lat, 99));
-    }
+    report.row("batching")
+        .set("batch_max", bmax)
+        .set("dispatches", batches)
+        .set("batched_jobs", bjobs)
+        .set("mean_occupancy", batches > 0 ? bjobs / batches : 0.0)
+        .set("batch_hint", double(opt.batch_hint));
     // One row per job kind in the mix, labeled explicitly so report
     // consumers can filter on the "kind" field instead of row names
     // (which previously covered only the original three kinds).
@@ -1218,25 +820,12 @@ int main(int argc, char** argv) {
           .set("p90_ms", util::percentile(lat_by_kind[ki], 90))
           .set("p99_ms", util::percentile(lat_by_kind[ki], 99));
     }
-    for (int e = 0; e < num_endpoints; ++e) {
-      const EndpointAgg& ep = by_endpoint[static_cast<std::size_t>(e)];
-      report.row("endpoint")
-          .set("port", double(opt.ports[static_cast<std::size_t>(e)]))
-          .set("ok", double(ep.ok))
-          .set("failed", double(ep.failed))
-          .set("busy_retries", double(ep.busy_retries))
-          .set("throughput_jps", wall_s > 0 ? double(ep.ok) / wall_s : 0)
-          .set("p50_ms", util::percentile(ep.lat, 50))
-          .set("p99_ms", util::percentile(ep.lat, 99));
-    }
-    for (int e = 0; e < num_endpoints; ++e) {
-      const auto& st = endpoint_stats[static_cast<std::size_t>(e)];
-      if (!st) continue;
+    if (server_stats) {
       // Embed the scrape (label-free series only: labeled names would
       // collapse to ambiguous keys after sanitizing).
       auto& row = report.row("server_stats");
-      row.set("port", double(opt.ports[static_cast<std::size_t>(e)]));
-      for (const auto& [name, v] : st->metrics)
+      row.set("port", double(opt.port));
+      for (const auto& [name, v] : server_stats->metrics)
         if (name.find('{') == std::string::npos)
           row.set(sanitize_key(name).c_str(), v);
     }
@@ -1244,14 +833,9 @@ int main(int argc, char** argv) {
   }
 
   if (opt.send_shutdown) {
-    for (int port : opt.ports) {
-      net::ClientOptions copt;
-      copt.host = opt.host;
-      copt.port = static_cast<std::uint16_t>(port);
-      net::Client client(copt);
-      if (client.connect() && client.send_shutdown())
-        std::printf("sent shutdown to :%d\n", port);
-    }
+    net::Client client(server_opt);
+    if (client.connect() && client.send_shutdown())
+      std::printf("sent shutdown to :%d\n", opt.port);
   }
 
   // Self-check exit code (CI smoke contract).
@@ -1274,22 +858,7 @@ int main(int argc, char** argv) {
                  opt.max_p99_ms);
     bad = true;
   }
-  if (drain_out.attempted && (!drain_out.ok || drain_out.sum.entries == 0)) {
-    std::fprintf(stderr, "FAIL: mid-run drain %s (%llu entries handed off)\n",
-                 drain_out.ok ? "handed off nothing" : "failed",
-                 (unsigned long long)drain_out.sum.entries);
-    bad = true;
-  }
-  if (opt.cluster > 0) {
-    // Cluster mode: the strict single-server comparison below does not
-    // apply (the router's merged reply has no unlabeled server_* rows);
-    // the merged-vs-summed cross-check is the contract instead.
-    if (opt.check_stats &&
-        !cluster_cross_check(opt, cluster_host, server_stats,
-                             failed + transport_failures.load()))
-      bad = true;
-    stop_cluster(cluster_host);
-  } else if (opt.check_stats) {
+  if (opt.check_stats) {
     // Against a dedicated server, every counter is accounted for: each
     // Busy reply we honored is one server-side shed, every admitted job
     // came back, and nothing was malformed or dropped.

@@ -1,6 +1,7 @@
 // test_cluster_router.cpp — loopback integration tests for the
 // consistent-hash routing front-end: transparent forwarding with
-// residual checks, per-key shard affinity, HealthCheck-driven failover
+// residual checks (every job kind, generator and inline payloads),
+// per-key shard affinity, HealthCheck-driven failover
 // and readmission, hot-key replicas warming the successor shard,
 // Stats/Health service through the router, the cluster observability
 // plane (merged Stats fan-out, stale-shard degradation, Dump
@@ -92,6 +93,27 @@ double fixed_rank_residual(const net::JobRequest& req,
                      ConstMatrixView<double>(res.tensors[0].view()),
                      ConstMatrixView<double>(res.tensors[1].view()), 1.0,
                      resid.view());
+  return norm_fro<double>(ConstMatrixView<double>(resid.view())) /
+         norm_fro<double>(ConstMatrixView<double>(a.view()));
+}
+
+/// ‖A·P − Q·[R1 R2]‖_F/‖A‖_F for an RQRCP reply carrying Q (want_q);
+/// tensor order on the wire: rdiag, r1, r2, q.
+double rqrcp_residual(const net::JobRequest& req, const net::CallResult& res) {
+  const Matrix<double> a = net::materialize(req.matrix);
+  const Matrix<double>& r1 = res.tensors[1];
+  const Matrix<double>& r2 = res.tensors[2];
+  const index_t k = r1.rows();
+  Matrix<double> r(k, a.cols());
+  for (index_t j = 0; j < r1.cols(); ++j)
+    for (index_t i = 0; i < k; ++i) r(i, j) = r1(i, j);
+  for (index_t j = 0; j < r2.cols(); ++j)
+    for (index_t i = 0; i < k; ++i) r(i, k + j) = r2(i, j);
+  Matrix<double> resid(a.rows(), a.cols());
+  apply_column_permutation<double>(a.view(), res.header.perm, resid.view());
+  blas::gemm<double>(Op::NoTrans, Op::NoTrans, -1.0,
+                     ConstMatrixView<double>(res.tensors[3].view()),
+                     ConstMatrixView<double>(r.view()), 1.0, resid.view());
   return norm_fro<double>(ConstMatrixView<double>(resid.view())) /
          norm_fro<double>(ConstMatrixView<double>(a.view()));
 }
@@ -189,6 +211,122 @@ TEST(ClusterRouter, AffinityPinsAKeyToOneShard) {
     EXPECT_TRUE(v.in_ring);
     EXPECT_EQ(v.submits, v.shard == expect_owner ? 5u : 0u);
   }
+
+  router.stop();
+  shard_a.stop();
+  shard_b.stop();
+}
+
+TEST(ClusterRouter, RoutesEveryJobKindAndInlinePayload) {
+  runtime::Scheduler sched_a(small_sched()), sched_b(small_sched());
+  net::Server shard_a(sched_a, shard_opts()), shard_b(sched_b, shard_opts());
+  ASSERT_TRUE(shard_a.start());
+  ASSERT_TRUE(shard_b.start());
+  const RouterOptions ro = router_over({&shard_a, &shard_b});
+  Router router(ro);
+  ASSERT_TRUE(router.start());
+  net::Client client(client_for(router));
+  ASSERT_TRUE(client.connect());
+
+  // One request per JobKind on a numerically rank-4 input, each reply
+  // held to randla_loadgen's per-kind contract.
+  const index_t m = 48, n = 24;
+  const runtime::JobKind kinds[] = {
+      runtime::JobKind::FixedRank, runtime::JobKind::Adaptive,
+      runtime::JobKind::Qrcp, runtime::JobKind::Rqrcp,
+      runtime::JobKind::RqrcpAdaptive};
+  std::uint64_t id = 0;
+  for (const runtime::JobKind kind : kinds) {
+    ++id;
+    net::JobRequest req = lowrank_fixed_request(id, 40 + id);
+    req.kind = kind;
+    if (kind == runtime::JobKind::Adaptive) {
+      req.epsilon = 0.5;
+      req.relative = true;
+      req.l_init = 8;
+      req.l_inc = 8;
+      req.l_max = 12;
+    } else if (kind == runtime::JobKind::Qrcp) {
+      req.block = 8;
+    } else if (kind == runtime::JobKind::Rqrcp) {
+      req.block = 4;
+      req.oversample = 4;
+      req.want_q = true;
+    } else if (kind == runtime::JobKind::RqrcpAdaptive) {
+      req.epsilon = 1e-6;
+      req.relative = true;
+      req.block = 4;
+      req.oversample = 4;
+      req.max_rank = 16;
+      req.want_q = true;
+    }
+    const net::CallResult res = client.call(req);
+    SCOPED_TRACE(runtime::job_kind_name(kind));
+    ASSERT_EQ(res.status, net::CallStatus::Ok) << res.detail;
+    ASSERT_EQ(res.header.status, runtime::JobStatus::Done) << res.header.error;
+    switch (kind) {
+      case runtime::JobKind::FixedRank:
+        ASSERT_EQ(res.tensors.size(), 2u);
+        EXPECT_LT(fixed_rank_residual(req, res), 1e-8);
+        break;
+      case runtime::JobKind::Adaptive:
+        ASSERT_EQ(res.tensors.size(), 1u);
+        EXPECT_EQ(res.header.tensors[0].cols, n);
+        EXPECT_GE(res.header.tensors[0].rows, 1);
+        break;
+      case runtime::JobKind::Qrcp: {
+        // The leading k columns of a pivoted QR are exact.
+        ASSERT_EQ(res.tensors.size(), 3u);
+        const Matrix<double> a = net::materialize(req.matrix);
+        Matrix<double> lead = permuted_leading_columns<double>(
+            a.view(), res.header.perm, res.tensors[1].cols());
+        blas::gemm<double>(Op::NoTrans, Op::NoTrans, -1.0,
+                           ConstMatrixView<double>(res.tensors[0].view()),
+                           ConstMatrixView<double>(res.tensors[1].view()),
+                           1.0, lead.view());
+        EXPECT_LT(norm_fro<double>(ConstMatrixView<double>(lead.view())) /
+                      norm_fro<double>(ConstMatrixView<double>(a.view())),
+                  1e-10);
+        break;
+      }
+      case runtime::JobKind::Rqrcp:
+      case runtime::JobKind::RqrcpAdaptive: {
+        ASSERT_EQ(res.tensors.size(), 4u);
+        const index_t k = res.header.tensors[0].rows;  // rdiag is k×1
+        EXPECT_EQ(res.header.tensors[1].rows, k);
+        EXPECT_EQ(res.header.tensors[1].cols, k);
+        EXPECT_EQ(res.header.tensors[2].rows, k);
+        EXPECT_EQ(res.header.tensors[3].rows, m);
+        EXPECT_EQ(res.header.tensors[3].cols, k);
+        EXPECT_EQ(res.header.perm.size(), std::size_t(n));
+        if (kind == runtime::JobKind::Rqrcp) {
+          EXPECT_EQ(k, req.k);
+          EXPECT_LT(rqrcp_residual(req, res), 1e-10);
+        } else {
+          EXPECT_GE(k, 1);
+          EXPECT_LE(k, req.max_rank);
+          EXPECT_LT(rqrcp_residual(req, res), req.epsilon * 10);
+        }
+        break;
+      }
+    }
+  }
+
+  // An inline payload is routed by its content fingerprint: it must be
+  // admitted on the shard the placement oracle names, and nowhere else.
+  net::JobRequest inl = lowrank_fixed_request(id + 1, 77);
+  inl.matrix.inline_data = net::materialize(inl.matrix);
+  inl.matrix.source = net::MatrixSource::Inline;
+  const std::uint32_t owner = owner_of(inl, 2, ro.vnodes);
+  const std::uint64_t before[2] = {shard_a.stats().jobs_submitted,
+                                   shard_b.stats().jobs_submitted};
+  const net::CallResult res = client.call(inl);
+  ASSERT_EQ(res.status, net::CallStatus::Ok) << res.detail;
+  ASSERT_EQ(res.header.status, runtime::JobStatus::Done) << res.header.error;
+  ASSERT_EQ(res.tensors.size(), 2u);
+  EXPECT_LT(fixed_rank_residual(inl, res), 1e-8);
+  EXPECT_EQ(shard_a.stats().jobs_submitted - before[0], owner == 0 ? 1u : 0u);
+  EXPECT_EQ(shard_b.stats().jobs_submitted - before[1], owner == 1 ? 1u : 0u);
 
   router.stop();
   shard_a.stop();
