@@ -113,6 +113,16 @@ void Writer::raw(const void* p, std::size_t n) {
   buf_.insert(buf_.end(), b, b + n);
 }
 
+void Writer::f64_array(const double* v, std::size_t count) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  // Mirror of Reader::f64_array: little-endian doubles are already in
+  // wire order, so the whole tensor is one append.
+  raw(v, count * 8);
+#else
+  for (std::size_t i = 0; i < count; ++i) f64(v[i]);
+#endif
+}
+
 // ---------------------------------------------------------------------
 // Reader
 
@@ -292,9 +302,8 @@ std::vector<std::uint8_t> encode_submit(const JobRequest& req,
     w.u32(static_cast<std::uint32_t>(ms.inline_data.rows()));
     w.u32(static_cast<std::uint32_t>(ms.inline_data.cols()));
     // Owning Matrix storage is contiguous column-major (ld == rows).
-    for (index_t j = 0; j < ms.inline_data.cols(); ++j)
-      for (index_t i = 0; i < ms.inline_data.rows(); ++i)
-        w.f64(ms.inline_data(i, j));
+    w.f64_array(ms.inline_data.data(), std::size_t(ms.inline_data.rows()) *
+                                           std::size_t(ms.inline_data.cols()));
   }
   return encode_frame(FrameType::Submit, w.bytes());
 }
@@ -480,7 +489,7 @@ std::vector<std::uint8_t> encode_result_chunk(const ResultChunk& c) {
   w.u8(c.tensor);
   w.u64(c.offset);
   w.u32(static_cast<std::uint32_t>(c.data.size()));
-  for (double v : c.data) w.f64(v);
+  w.f64_array(c.data.data(), c.data.size());
   return encode_frame(FrameType::ResultChunk, w.bytes());
 }
 
@@ -784,8 +793,7 @@ std::vector<std::uint8_t> encode_cache_handoff(const CacheHandoffEntry& e) {
     w.str(name.substr(0, 16));
     w.u32(static_cast<std::uint32_t>(m.rows()));
     w.u32(static_cast<std::uint32_t>(m.cols()));
-    for (index_t j = 0; j < m.cols(); ++j)
-      for (index_t i = 0; i < m.rows(); ++i) w.f64(m(i, j));
+    w.f64_array(m.data(), std::size_t(m.rows()) * std::size_t(m.cols()));
   }
   w.u32(static_cast<std::uint32_t>(e.perm.size()));
   for (index_t v : e.perm) w.u32(static_cast<std::uint32_t>(v));

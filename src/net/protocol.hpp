@@ -309,6 +309,8 @@ class Writer {
   /// u16 length-prefixed byte string (caller caps the length).
   void str(const std::string& s);
   void raw(const void* p, std::size_t n);
+  /// Append `count` f64 values in wire order (one copy on LE hosts).
+  void f64_array(const double* v, std::size_t count);
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }

@@ -266,6 +266,29 @@ bool install_handoff(runtime::Scheduler& sched, CacheHandoffEntry& e) {
   return false;
 }
 
+/// The loop's self-pipe write end, shared with every in-flight job's
+/// completion callback (DESIGN.md §8). A job may finish after the server
+/// stopped, so the fd lives here rather than in Impl, and Server::wait()
+/// retires it (fd = -1) under `mu` before closing the pipe: nobody ever
+/// writes to a wake fd that may be closed, or reused by a later pipe.
+struct Wake {
+  std::mutex mu;
+  int fd = -1;
+  /// A wake byte is on its way; the loop clears this only *after*
+  /// draining the pipe, so a signal that finds it set is never lost.
+  std::atomic<bool> pending{false};
+
+  void signal() {
+    if (pending.exchange(true)) return;
+    std::lock_guard<std::mutex> lk(mu);
+    if (fd >= 0) {
+      const char b = 1;
+      ssize_t ignored = write(fd, &b, 1);
+      (void)ignored;
+    }
+  }
+};
+
 }  // namespace
 
 struct Server::Impl {
@@ -273,7 +296,8 @@ struct Server::Impl {
   ServerOptions opts;
 
   int listen_fd = -1;
-  int wake_r = -1, wake_w = -1;
+  int wake_r = -1;
+  std::shared_ptr<Wake> wake = std::make_shared<Wake>();
   std::uint16_t bound_port = 0;
   std::thread thread;
   std::atomic<bool> started{false};
@@ -432,7 +456,7 @@ bool Server::start() {
     return false;
   }
   impl_->wake_r = pipefd[0];
-  impl_->wake_w = pipefd[1];
+  impl_->wake->fd = pipefd[1];
   set_nonblocking(impl_->wake_r);
   impl_->started.store(true);
   impl_->loop_alive.store(true);
@@ -443,31 +467,23 @@ bool Server::start() {
 void Server::stop() {
   if (!impl_->started.load()) return;
   impl_->stop_requested.store(true);
-  {
-    // Serialized with the post-join close in wait(): never write to a
-    // wake fd another control thread may be closing.
-    std::lock_guard<std::mutex> lk(impl_->join_mu);
-    if (impl_->wake_w >= 0) {
-      const char b = 1;
-      ssize_t ignored = write(impl_->wake_w, &b, 1);
-      (void)ignored;
-    }
-  }
+  impl_->wake->signal();
   wait();
 }
 
 void Server::wait() {
   std::lock_guard<std::mutex> lk(impl_->join_mu);
   if (impl_->thread.joinable()) impl_->thread.join();
-  // The loop is gone; retire the wake pipe under the same lock stop()
-  // uses for its wake write.
+  // The loop is gone; retire the write end under the lock every wake
+  // write takes, so late job callbacks see fd = -1 and skip.
+  {
+    std::lock_guard<std::mutex> wk(impl_->wake->mu);
+    if (impl_->wake->fd >= 0) close(impl_->wake->fd);
+    impl_->wake->fd = -1;
+  }
   if (impl_->wake_r >= 0) {
     close(impl_->wake_r);
     impl_->wake_r = -1;
-  }
-  if (impl_->wake_w >= 0) {
-    close(impl_->wake_w);
-    impl_->wake_w = -1;
   }
 }
 
@@ -520,8 +536,9 @@ void Server::Impl::loop() {
       fd_conn.push_back(id);
     }
 
-    const int timeout_ms = !inflight.empty() ? 5 : 100;
-    const int rc = poll(fds.data(), fds.size(), timeout_ms);
+    // Finished jobs and stop() wake the loop through the self-pipe; the
+    // tick only serves the idle and drain timeouts.
+    const int rc = poll(fds.data(), fds.size(), 100);
     if (rc < 0 && errno != EINTR) break;
 
     for (std::size_t i = 0; i < fds.size(); ++i) {
@@ -530,6 +547,10 @@ void Server::Impl::loop() {
         char buf[64];
         while (read(wake_r, buf, sizeof buf) > 0) {
         }
+        // Clear after the drain, never before: a signal between a clear
+        // and the drain would have its byte eaten with the flag left set,
+        // and every later completion would wait for the tick.
+        wake->pending.store(false);
       } else if (fds[i].fd == listen_fd) {
         accept_ready();
       } else {
@@ -577,8 +598,9 @@ void Server::Impl::loop() {
     close(listen_fd);
     listen_fd = -1;
   }
-  // The wake pipe stays open: stop() may be writing a wake byte from
-  // another thread right now. It is closed after join (Server::wait).
+  // The wake pipe stays open: stop() or a job callback may be writing a
+  // wake byte from another thread right now. It is closed after join
+  // (Server::wait).
   loop_alive.store(false);
 }
 
@@ -897,6 +919,7 @@ void Server::Impl::handle_submit(std::uint64_t cid, const std::uint8_t* payload,
     return;
   }
   c.inflight += 1;
+  sub.handle->on_done([w = wake] { w->signal(); });
   inflight.push_back(
       Impl::InFlight{cid, req->request_id, req->trace_id, sub.handle});
   bump(&ServerStats::jobs_submitted);

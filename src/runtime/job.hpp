@@ -9,9 +9,11 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <variant>
 
 #include "qrcp/qrcp.hpp"
@@ -127,15 +129,33 @@ class JobHandle {
     return outcome_;
   }
 
-  /// Scheduler-side: publish the outcome and wake waiters.
+  /// Completion callback (one slot). Runs at once if the handle is
+  /// already fulfilled, otherwise exactly once from fulfill() — on the
+  /// fulfilling thread, after the handle lock is released, so it may
+  /// call done() or wait().
+  void on_done(std::function<void()> fn) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (!fulfilled_) {
+        on_done_ = std::move(fn);
+        return;
+      }
+    }
+    fn();
+  }
+
+  /// Scheduler-side: publish the outcome, wake waiters, run on_done.
   void fulfill(JobOutcome outcome) {
+    std::function<void()> cb;
     {
       std::lock_guard<std::mutex> lk(mu_);
       outcome.trace.job_id = id_;
       outcome_ = std::move(outcome);
       fulfilled_ = true;
+      cb = std::exchange(on_done_, nullptr);
     }
     cv_.notify_all();
+    if (cb) cb();
   }
 
  private:
@@ -144,6 +164,7 @@ class JobHandle {
   mutable std::condition_variable cv_;
   bool fulfilled_ = false;
   JobOutcome outcome_;
+  std::function<void()> on_done_;
 };
 
 }  // namespace randla::runtime

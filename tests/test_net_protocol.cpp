@@ -894,3 +894,60 @@ TEST(NetProtocol, V6FuzzedPayloadsNeverCrash) {
     (void)decode_cache_handoff(buf.data(), buf.size());
   }
 }
+
+// ---------------------------------------------------------------------
+// Golden wire bytes: the encoders' output is pinned by FNV-1a digests
+// taken from the byte-at-a-time encoders, so a faster tensor path (bulk
+// f64 copies) must reproduce the exact frames.
+
+namespace {
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Philox-filled m×n matrix, values in [-0.5, 0.5).
+Matrix<double> golden_matrix(index_t m, index_t n, std::uint64_t seed) {
+  rng::Philox4x32 dice(seed, 0x601d);
+  Matrix<double> a(m, n);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i)
+      a(i, j) = double(dice.next_u32()) * 0x1p-32 - 0.5;
+  return a;
+}
+
+}  // namespace
+
+TEST(NetProtocol, GoldenSubmitInlineBytes) {
+  JobRequest req = sample_fixed_rank();
+  req.matrix.source = MatrixSource::Inline;
+  req.matrix.m = 256;
+  req.matrix.n = 128;
+  req.matrix.inline_data = golden_matrix(256, 128, 2024);
+  const auto frame = encode_submit(req, /*trace_id_override=*/0xABCDEFull);
+  EXPECT_EQ(frame.size(), kHeaderBytes + 262211u);
+  EXPECT_EQ(fnv1a(frame), 0x284c86bc33a4f3dbull);
+}
+
+TEST(NetProtocol, GoldenResultChunkBytes) {
+  const Matrix<double> a = golden_matrix(kChunkElems + 100, 1, 7);
+  ResultChunk c;
+  c.request_id = 0x1234;
+  c.tensor = 2;
+  c.offset = 65536;
+  c.data.assign(a.data(), a.data() + kChunkElems);
+  const auto frame = encode_result_chunk(c);
+  EXPECT_EQ(fnv1a(frame), 0x5b592114f3f838bfull);
+}
+
+TEST(NetProtocol, GoldenCacheHandoffBytes) {
+  CacheHandoffEntry e = sample_handoff();
+  e.tensors.emplace_back("b", golden_matrix(64, 24, 11));
+  const auto frame = encode_cache_handoff(e);
+  EXPECT_EQ(fnv1a(frame), 0xd75f0765b93c4f64ull);
+}

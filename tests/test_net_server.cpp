@@ -3,19 +3,28 @@
 // residual checks against locally materialized inputs), Busy
 // backpressure under deliberate overload, malformed-frame handling,
 // mid-stream disconnects, connection caps, idle timeouts, graceful
-// drain, and remote shutdown.
+// drain, remote shutdown, and the completion wake (no lost wakes, no
+// idle spin, no write to a retired wake fd).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <thread>
 #include <vector>
+
+#include "fault/injector.hpp"
 
 #include "la/blas3.hpp"
 #include "la/norms.hpp"
 #include "la/permutation.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "net/socket_util.hpp"
 #include "obs/trace.hpp"
 
 using namespace randla;
@@ -576,4 +585,137 @@ TEST(NetServer, StatsFrameWithPayloadIsProtocolError) {
   EXPECT_FALSE(client.read_frame(&hdr, &payload));
   server.stop();
   EXPECT_GE(server.stats().protocol_errors, 1u);
+}
+
+namespace {
+
+/// User + system CPU seconds of the whole process so far.
+double process_cpu_s() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return double(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         1e-6 * double(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+}
+
+}  // namespace
+
+// A finished job wakes the event loop through the self-pipe; only idle
+// and drain timeouts wait for the 100 ms tick. Batched completions land
+// in bursts, which is where a coalescing flag cleared at the wrong time
+// swallows a wake and leaves every later reply waiting for the tick.
+TEST(NetServer, CompletionWakeNeverWaitsForTheTick) {
+  runtime::SchedulerOptions so = small_sched();
+  so.batch_max = 4;
+  runtime::Scheduler sched(so);
+  Server server(sched);
+  ASSERT_TRUE(server.start());
+
+  constexpr int kClients = 4, kJobs = 100;
+  std::vector<std::vector<double>> latency_ms(kClients);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      Client client(client_for(server));
+      if (!client.connect()) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (int j = 0; j < kJobs; ++j) {
+        JobRequest req;
+        req.request_id = std::uint64_t(t * kJobs + j + 1);
+        req.kind = runtime::JobKind::FixedRank;
+        req.matrix.generator = "lowrank";
+        req.matrix.seed = req.request_id;  // distinct: every job misses
+        req.matrix.m = 32;
+        req.matrix.n = 16;
+        req.matrix.rank = 4;
+        req.k = 4;
+        req.p = 2;
+        req.q = 0;
+        const auto t0 = std::chrono::steady_clock::now();
+        const CallResult res = client.call(req);
+        latency_ms[t].push_back(std::chrono::duration<double, std::milli>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count());
+        if (res.status != CallStatus::Ok ||
+            res.header.status != runtime::JobStatus::Done)
+          failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  std::vector<double> all;
+  for (const auto& v : latency_ms) all.insert(all.end(), v.begin(), v.end());
+  ASSERT_EQ(all.size(), std::size_t(kClients * kJobs));
+  std::sort(all.begin(), all.end());
+  const double p95 = all[all.size() * 95 / 100];
+  EXPECT_LT(p95, 50.0) << "p95 call latency " << p95
+                       << " ms: completions are waiting for the tick";
+
+  // Idle: no traffic, no jobs. A wake byte left undrained would make
+  // poll() return at once forever and spin the loop on a core.
+  const double cpu0 = process_cpu_s();
+  const auto w0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - w0)
+                          .count();
+  const double share = (process_cpu_s() - cpu0) / wall;
+  EXPECT_LT(share, 0.05) << "idle process used " << share
+                         << " of a core";
+  server.stop();
+  EXPECT_EQ(server.stats().jobs_completed,
+            std::uint64_t(kClients * kJobs));
+}
+
+// A job can finish after the server stopped. Its completion callback
+// must then find the wake fd retired rather than write into whatever
+// descriptor now carries that number.
+TEST(NetServer, LateCompletionNeverWritesARetiredWakeFd) {
+  fault::FaultConfig cfg;
+  cfg.probability[static_cast<int>(fault::FaultKind::JobLatency)] = 1.0;
+  cfg.latency_ms = 400;  // the job outlives the 0.05 s drain budget
+  runtime::SchedulerOptions so = small_sched();
+  so.injector = std::make_shared<fault::FaultInjector>(cfg, 1);
+  runtime::Scheduler sched(so);
+  {
+    ServerOptions sopt;
+    sopt.drain_timeout_s = 0.05;
+    Server server(sched, sopt);
+    ASSERT_TRUE(server.start());
+    Client client(client_for(server));
+    ASSERT_TRUE(client.connect());
+    const auto frame = encode_submit(lowrank_fixed_request(5, 3));
+    ASSERT_TRUE(client.send_raw(frame.data(), frame.size()));
+    while (server.stats().jobs_submitted == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    // One stop, from the destructor: a second stop() would leave the
+    // wake's coalescing flag set, and the late callback would then skip
+    // its write whether or not the fd was retired.
+  }
+  ASSERT_EQ(sched.inflight(), 1) << "the job finished before the stop";
+  // Fresh descriptors take the lowest free numbers, which include the
+  // ones the server's wake pipe just released. Socketpairs, not pipes:
+  // a stray write to either end is readable at the other, while a pipe's
+  // read end would swallow it with EBADF.
+  int pairs[4][2];
+  for (auto& sp : pairs) {
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sp), 0);
+    set_nonblocking(sp[0]);
+    set_nonblocking(sp[1]);
+  }
+  sched.drain();  // the job completes and its callback runs now
+  for (auto& sp : pairs) {
+    for (int end = 0; end < 2; ++end) {
+      char b;
+      EXPECT_EQ(read(sp[end], &b, 1), -1)
+          << "a late wake wrote to fd " << sp[1 - end];
+      EXPECT_EQ(errno, EAGAIN);
+    }
+    close(sp[0]);
+    close(sp[1]);
+  }
 }

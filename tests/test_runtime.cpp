@@ -426,6 +426,69 @@ TEST(Scheduler, DeadlineExpiresStaleJobsButNegativeDisables) {
   EXPECT_EQ(l.handle->wait().status, JobStatus::Done);
 }
 
+TEST(JobHandle, OnDoneRunsExactlyOnceBeforeOrAfterFulfill) {
+  // Registered first: fulfill() runs it.
+  JobHandle early(1);
+  int early_calls = 0;
+  early.on_done([&] { ++early_calls; });
+  EXPECT_EQ(early_calls, 0);
+  early.fulfill(JobOutcome{});
+  EXPECT_EQ(early_calls, 1);
+
+  // Registered after fulfill(): runs at once, on the registering thread.
+  JobHandle late(2);
+  late.fulfill(JobOutcome{});
+  int late_calls = 0;
+  late.on_done([&] { ++late_calls; });
+  EXPECT_EQ(late_calls, 1);
+
+  // Registration racing fulfill() on another thread: whichever side wins,
+  // the callback runs once.
+  for (int round = 0; round < 200; ++round) {
+    JobHandle h(3);
+    std::atomic<int> calls{0};
+    std::thread fulfiller([&] { h.fulfill(JobOutcome{}); });
+    h.on_done([&] { calls.fetch_add(1); });
+    fulfiller.join();
+    ASSERT_EQ(calls.load(), 1) << "round " << round;
+  }
+}
+
+TEST(JobHandle, OnDoneRunsOutsideTheHandleLock) {
+  // done() and wait() take the handle mutex: a callback run under it
+  // would deadlock here instead of returning.
+  JobHandle h(4);
+  bool saw_done = false;
+  JobStatus seen = JobStatus::Pending;
+  h.on_done([&] {
+    saw_done = h.done();
+    seen = h.wait().status;
+  });
+  JobOutcome out;
+  out.status = JobStatus::Done;
+  h.fulfill(std::move(out));
+  EXPECT_TRUE(saw_done);
+  EXPECT_EQ(seen, JobStatus::Done);
+}
+
+TEST(JobHandle, RejectedAtSubmitFiresOnDoneImmediately) {
+  SchedulerOptions so;
+  so.num_workers = 1;
+  Scheduler sched(so);
+  sched.fail_device(0);  // no healthy device: submit sheds at the door
+  Job job;
+  job.payload = FixedRankJob{make_input(randla::testing::random_matrix<double>(
+                                 16, 8, 3)),
+                             rsvd::FixedRankOptions{}};
+  auto sub = sched.submit(std::move(job));
+  ASSERT_NE(sub.status, PushStatus::Ok);
+  ASSERT_TRUE(sub.handle->done());
+  int calls = 0;
+  sub.handle->on_done([&] { ++calls; });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(sub.handle->wait().status, JobStatus::Rejected);
+}
+
 std::size_t live_threads() {
   std::size_t n = 0;
   for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
