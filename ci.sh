@@ -63,12 +63,14 @@
 #      and a drain under hot-key replication pricing the drain wall time,
 #      the drain-window p99 and the hedge counters into
 #      BENCH_cluster_avail.json;
-#   7. memory safety: the wire-protocol, server, fault-plane, batched
-#      BLAS, zero-copy decode, QRCP-engine, observability, Householder
-#      (blocked orgqr index/zeroing loops) and RNG suites rebuilt with
+#   7. memory safety: the wire-protocol, server, cluster router and
+#      hash-ring, fault-plane, batched BLAS, zero-copy decode,
+#      QRCP-engine, observability, Householder (blocked orgqr
+#      index/zeroing loops) and RNG suites rebuilt with
 #      -fsanitize=address,undefined (the `asan` preset), so
-#      adversarial frames and the arena lease/recycle paths run under
-#      ASan/UBSan — plus one chaos replay
+#      adversarial frames, the shared connection buffers (net/conn.hpp)
+#      on both the server and the router, and the arena lease/recycle
+#      paths run under ASan/UBSan — plus one chaos replay
 #      under ASan, since injected resets/truncations exercise the
 #      buffer-handling edge paths;
 #   8. concurrency: the full tier-1 suite rebuilt with -fsanitize=thread
@@ -298,10 +300,11 @@ echo "== cluster availability: drain priced under hot-key replication =="
   --m 128 --n 64 --spread 4 --replicate-threshold 1 --tmp build \
   --json build/BENCH_cluster_avail.json
 
-echo "== memory safety: ASan/UBSan on the wire protocol and server =="
+echo "== memory safety: ASan/UBSan on the wire protocol, server and router =="
 cmake --preset asan
 cmake --build --preset asan -j "$JOBS" \
-  --target test_net_protocol test_net_server test_fault \
+  --target test_net_protocol test_net_server test_cluster_router \
+  test_cluster_ring test_fault \
   test_batched_blas test_zero_copy_decode test_qrcp test_qrcp_rqrcp \
   test_obs test_householder test_rng randla_loadgen
 ctest --preset asan -j "$JOBS"

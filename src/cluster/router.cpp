@@ -5,22 +5,18 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "cluster/hash_ring.hpp"
 #include "cluster/stats_merge.hpp"
 #include "net/client.hpp"
+#include "net/conn.hpp"
 #include "net/protocol.hpp"
 #include "net/socket_util.hpp"
 #include "obs/metrics.hpp"
@@ -74,15 +70,6 @@ constexpr double kSloRefreshS = 0.2;
 struct Router::Impl {
   RouterOptions opts;
 
-  int listen_fd = -1;
-  int wake_r = -1, wake_w = -1;
-  std::uint16_t bound_port = 0;
-  std::thread thread;
-  std::atomic<bool> started{false};
-  std::atomic<bool> loop_alive{false};
-  std::atomic<bool> stop_requested{false};
-  std::mutex join_mu;
-
   mutable std::mutex stats_mu;
   RouterStats stats;
   std::vector<ShardView> views_snapshot;  ///< refreshed by the loop
@@ -108,13 +95,7 @@ struct Router::Impl {
     /// crossed replicate_threshold at submit time (empty = no replica).
     std::vector<std::uint8_t> replica_frame;
   };
-  struct Down {
-    int fd = -1;
-    std::vector<std::uint8_t> rbuf;
-    std::vector<std::uint8_t> wbuf;
-    std::size_t woff = 0;
-    double last_active = 0;
-    bool close_after_flush = false;
+  struct Down : net::FramedConn {
     std::uint64_t active_x = 0;  ///< exchange streaming to this client
     std::deque<PendingSubmit> pending;
   };
@@ -122,12 +103,8 @@ struct Router::Impl {
   std::uint64_t next_down_id = 1;
 
   // --- upstream (shard side) ------------------------------------------
-  struct Up {
-    int fd = -1;
+  struct Up : net::FramedConn {
     std::uint32_t shard = 0;
-    std::vector<std::uint8_t> rbuf;
-    std::vector<std::uint8_t> wbuf;
-    std::size_t woff = 0;
     std::uint64_t x = 0;  ///< bound exchange (0 = idle or probe)
     bool probe = false;
     double probe_start = 0;
@@ -209,6 +186,8 @@ struct Router::Impl {
 
   std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
 
+  net::LoopThread thread;  ///< last: destroying it stops the loop first
+
   explicit Impl(RouterOptions o)
       : opts(std::move(o)), ring(RingOptions{opts.vnodes}) {
     for (std::size_t i = 0; i < opts.shards.size(); ++i) {
@@ -248,6 +227,7 @@ struct Router::Impl {
           std::string("slo_p99_seconds{kind=\"") + obs::slo_kind_name(k) +
               "\"}",
           "rolling p99 latency per job kind");
+    snapshot_views();
   }
 
   double now() const {
@@ -277,10 +257,8 @@ struct Router::Impl {
   void finalize_fanout(std::uint64_t fid);
   void check_fanouts(double t);
   void handle_health(std::uint64_t cid);
-  void queue_down(Down& d, std::vector<std::uint8_t> frame);
   void relay_down(std::uint64_t cid, const std::uint8_t* frame,
                   std::size_t len);
-  bool flush_down(Down& d);
   void drop_down(std::uint64_t cid);
 
   // Upstream + exchanges.
@@ -294,7 +272,6 @@ struct Router::Impl {
   bool handle_up_frame(std::uint64_t uid, const net::FrameHeader& hdr,
                        const std::uint8_t* frame, std::size_t frame_len);
   void finish_exchange(std::uint64_t xid);
-  bool flush_up(Up& u);
   void close_up(std::uint64_t uid);
   void fail_up(std::uint64_t uid) { failed_ups.push_back(uid); }
   void process_failed_ups();
@@ -321,11 +298,11 @@ struct Router::Impl {
 
 Router::Router(RouterOptions opts) : impl_(std::make_unique<Impl>(std::move(opts))) {}
 
-Router::~Router() { stop(); }
+Router::~Router() = default;
 
-std::uint16_t Router::port() const { return impl_->bound_port; }
+std::uint16_t Router::port() const { return impl_->thread.port; }
 
-bool Router::running() const { return impl_->loop_alive.load(); }
+bool Router::running() const { return impl_->thread.alive.load(); }
 
 RouterStats Router::stats() const {
   std::lock_guard<std::mutex> lk(impl_->stats_mu);
@@ -346,56 +323,13 @@ std::vector<std::uint32_t> Router::live_shards() const {
 }
 
 bool Router::start() {
-  if (impl_->started.load()) return true;
-  std::string err;
-  impl_->listen_fd = net::listen_tcp(impl_->opts.bind_addr, impl_->opts.port,
-                                     /*backlog=*/64, &impl_->bound_port, &err);
-  if (impl_->listen_fd < 0) {
-    std::fprintf(stderr, "cluster: %s\n", err.c_str());
-    return false;
-  }
-  int pipefd[2];
-  if (pipe(pipefd) != 0) {
-    close(impl_->listen_fd);
-    impl_->listen_fd = -1;
-    return false;
-  }
-  impl_->wake_r = pipefd[0];
-  impl_->wake_w = pipefd[1];
-  net::set_nonblocking(impl_->wake_r);
-  impl_->started.store(true);
-  impl_->loop_alive.store(true);
-  impl_->snapshot_views();
-  impl_->thread = std::thread([this] { impl_->loop(); });
-  return true;
+  return impl_->thread.start(impl_->opts.bind_addr, impl_->opts.port,
+                             "cluster", [this] { impl_->loop(); });
 }
 
-void Router::stop() {
-  if (!impl_->started.load()) return;
-  impl_->stop_requested.store(true);
-  {
-    std::lock_guard<std::mutex> lk(impl_->join_mu);
-    if (impl_->wake_w >= 0) {
-      const char b = 1;
-      ssize_t ignored = write(impl_->wake_w, &b, 1);
-      (void)ignored;
-    }
-  }
-  wait();
-}
+void Router::stop() { impl_->thread.stop(); }
 
-void Router::wait() {
-  std::lock_guard<std::mutex> lk(impl_->join_mu);
-  if (impl_->thread.joinable()) impl_->thread.join();
-  if (impl_->wake_r >= 0) {
-    close(impl_->wake_r);
-    impl_->wake_r = -1;
-  }
-  if (impl_->wake_w >= 0) {
-    close(impl_->wake_w);
-    impl_->wake_w = -1;
-  }
-}
+void Router::wait() { impl_->thread.wait(); }
 
 bool Router::drain(std::uint32_t shard, net::DrainSummary* summary) {
   return impl_->drain_shard(shard, summary);
@@ -404,11 +338,11 @@ bool Router::drain(std::uint32_t shard, net::DrainSummary* summary) {
 /// Planned drain, run on the caller's thread: the Drain round-trip is a
 /// blocking client exchange against the victim shard, and only its
 /// *outcome* crosses into the event loop (via drained_pending + wake
-/// byte). The successor is computed from the loop's last membership
+/// signal). The successor is computed from the loop's last membership
 /// snapshot — placement is a pure function of the members, so a
 /// locally rebuilt ring coincides with the loop's without touching it.
 bool Router::Impl::drain_shard(std::uint32_t shard, net::DrainSummary* out) {
-  if (!loop_alive.load() || shard >= shards.size()) return false;
+  if (!thread.alive.load() || shard >= shards.size()) return false;
   HashRing local{RingOptions{opts.vnodes}};
   {
     std::lock_guard<std::mutex> lk(stats_mu);
@@ -439,12 +373,7 @@ bool Router::Impl::drain_shard(std::uint32_t shard, net::DrainSummary* out) {
     std::lock_guard<std::mutex> lk(ctl_mu);
     drained_pending.push_back(shard);
   }
-  std::lock_guard<std::mutex> lk(join_mu);
-  if (wake_w >= 0) {
-    const char b = 1;
-    ssize_t ignored = write(wake_w, &b, 1);
-    (void)ignored;
-  }
+  thread.wake->signal();
   return true;
 }
 
@@ -465,13 +394,10 @@ void Router::Impl::loop() {
       }
       for (const std::uint32_t shard : done) retire_shard(shard);
     }
-    if (stop_requested.load() && !draining) {
+    if (thread.stop_requested.load() && !draining) {
       draining = true;
       drain_start = now();
-      if (listen_fd >= 0) {
-        close(listen_fd);
-        listen_fd = -1;
-      }
+      thread.close_listener();
       // Detached duplicate work (losing hedge legs) would
       // otherwise hold the drain open and then be torn down as forward
       // errors at the timeout; cancel it cleanly instead.
@@ -480,7 +406,7 @@ void Router::Impl::loop() {
     if (draining) {
       bool pending_writes = false;
       for (const auto& [id, d] : downs)
-        if (d.woff < d.wbuf.size()) pending_writes = true;
+        if (d.has_output()) pending_writes = true;
       bool live_exchanges = !exchanges.empty() || !fanouts.empty();
       if ((!live_exchanges && !pending_writes) ||
           now() - drain_start > opts.drain_timeout_s)
@@ -488,63 +414,40 @@ void Router::Impl::loop() {
     }
 
     std::vector<pollfd> fds;
-    // kind: 0 = listener/wake, 1 = down, 2 = up.
-    std::vector<std::pair<int, std::uint64_t>> fd_ref;
-    if (listen_fd >= 0) {
-      fds.push_back(pollfd{listen_fd, POLLIN, 0});
-      fd_ref.emplace_back(0, 0);
+    std::vector<std::pair<bool, std::uint64_t>> fd_ref;  // (upstream?, id)
+    for (const auto& [id, d] : downs) {
+      fds.push_back(d.poll_entry());
+      fd_ref.emplace_back(false, id);
     }
-    fds.push_back(pollfd{wake_r, POLLIN, 0});
-    fd_ref.emplace_back(0, 0);
-    for (auto& [id, d] : downs) {
-      short ev = POLLIN;
-      if (d.woff < d.wbuf.size()) ev |= POLLOUT;
-      fds.push_back(pollfd{d.fd, ev, 0});
-      fd_ref.emplace_back(1, id);
+    for (const auto& [id, u] : ups) {
+      fds.push_back(u.poll_entry());
+      fd_ref.emplace_back(true, id);
     }
-    for (auto& [id, u] : ups) {
-      short ev = POLLIN;
-      if (u.woff < u.wbuf.size()) ev |= POLLOUT;
-      fds.push_back(pollfd{u.fd, ev, 0});
-      fd_ref.emplace_back(2, id);
-    }
-
-    const int rc = poll(fds.data(), fds.size(), 20);
-    if (rc < 0 && errno != EINTR) break;
+    if (!thread.poll(fds, 20, [this] { accept_ready(); })) break;
 
     for (std::size_t i = 0; i < fds.size(); ++i) {
       if (fds[i].revents == 0) continue;
-      if (fds[i].fd == wake_r) {
-        char buf[64];
-        while (read(wake_r, buf, sizeof buf) > 0) {
-        }
-        continue;
-      }
-      if (fds[i].fd == listen_fd) {
-        accept_ready();
-        continue;
-      }
-      const auto [kind, id] = fd_ref[i];
-      if (kind == 1) {
+      const auto [up, id] = fd_ref[i];
+      if (!up) {
         if (!downs.count(id)) continue;
         if (fds[i].revents & (POLLERR | POLLNVAL)) {
           drop_down(id);
           continue;
         }
         if (fds[i].revents & (POLLIN | POLLHUP)) read_down(id);
-        if (downs.count(id) && (fds[i].revents & POLLOUT)) {
-          if (!flush_down(downs[id])) drop_down(id);
-        }
-      } else if (kind == 2) {
+        if (downs.count(id) && (fds[i].revents & POLLOUT) &&
+            downs[id].flush().peer_gone)
+          drop_down(id);
+      } else {
         if (!ups.count(id)) continue;
         if (fds[i].revents & (POLLERR | POLLNVAL)) {
           fail_up(id);
           continue;
         }
         if (fds[i].revents & (POLLIN | POLLHUP)) read_up(id);
-        if (ups.count(id) && (fds[i].revents & POLLOUT)) {
-          if (!flush_up(ups[id])) fail_up(id);
-        }
+        if (ups.count(id) && (fds[i].revents & POLLOUT) &&
+            ups[id].flush().peer_gone)
+          fail_up(id);
       }
     }
     process_failed_ups();
@@ -552,7 +455,7 @@ void Router::Impl::loop() {
     // Kick pending upstream writes that never saw a POLLOUT (a frame
     // queued this cycle on a fresh conn is flushed here, not next cycle).
     for (auto& [id, u] : ups)
-      if (u.woff < u.wbuf.size() && !flush_up(u)) fail_up(id);
+      if (u.has_output() && u.flush().peer_gone) fail_up(id);
     process_failed_ups();
 
     const double t = now();
@@ -569,7 +472,7 @@ void Router::Impl::loop() {
     // Close flushed-poisoned and idle downstream conns.
     std::vector<std::uint64_t> doomed;
     for (auto& [id, d] : downs) {
-      const bool flushed = d.woff >= d.wbuf.size();
+      const bool flushed = !d.has_output();
       if (d.close_after_flush && flushed) doomed.push_back(id);
       else if (!draining && opts.idle_timeout_s > 0 && d.active_x == 0 &&
                d.pending.empty() && flushed &&
@@ -586,12 +489,7 @@ void Router::Impl::loop() {
   for (auto& [id, u] : ups) close(u.fd);
   ups.clear();
   exchanges.clear();
-  if (listen_fd >= 0) {
-    close(listen_fd);
-    listen_fd = -1;
-  }
   snapshot_views();
-  loop_alive.store(false);
 }
 
 void Router::Impl::snapshot_views() {
@@ -613,25 +511,15 @@ void Router::Impl::snapshot_views() {
 }
 
 void Router::Impl::accept_ready() {
-  for (;;) {
-    const int fd = accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
-    if (fd < 0) return;
-    if (static_cast<int>(downs.size()) >= opts.max_connections) {
-      const auto frame = net::encode_error(net::ErrorReply{
-          0, net::ErrorCode::ServerFull, "router connection cap reached"});
-      ssize_t ignored = send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
-      (void)ignored;
-      close(fd);
-      bump(&RouterStats::conns_refused);
-      continue;
-    }
-    net::set_tcp_nodelay(fd);
-    Down d;
-    d.fd = fd;
-    d.last_active = now();
-    downs.emplace(next_down_id++, std::move(d));
-    bump(&RouterStats::conns_accepted);
-  }
+  const std::uint64_t refused = net::accept_pending(
+      thread.listen_fd, opts.max_connections, downs.size(), [this](int fd) {
+        Down d;
+        d.fd = fd;
+        d.last_active = now();
+        downs.emplace(next_down_id++, std::move(d));
+        bump(&RouterStats::conns_accepted);
+      });
+  if (refused > 0) bump(&RouterStats::conns_refused, refused);
 }
 
 // ---------------------------------------------------------------------
@@ -639,56 +527,27 @@ void Router::Impl::accept_ready() {
 
 void Router::Impl::read_down(std::uint64_t cid) {
   Down& d = downs[cid];
-  std::uint8_t buf[65536];
-  bool peer_gone = false;
-  for (;;) {
-    if (d.rbuf.size() > opts.max_frame_bytes + net::kHeaderBytes) break;
-    const ssize_t n = recv(d.fd, buf, sizeof buf, 0);
-    if (n > 0) {
-      d.rbuf.insert(d.rbuf.end(), buf, buf + n);
-      d.last_active = now();
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    peer_gone = true;
-    break;
-  }
+  const net::IoResult r = d.read(opts.max_frame_bytes);
+  if (r.bytes > 0) d.last_active = now();
   process_down_input(cid);
-  if (peer_gone) drop_down(cid);
+  if (r.peer_gone) drop_down(cid);
 }
 
 void Router::Impl::process_down_input(std::uint64_t cid) {
-  std::size_t off = 0;
-  while (downs.count(cid)) {
-    Down& d = downs[cid];
-    if (d.close_after_flush) break;
-    net::FrameHeader hdr;
-    const net::HeaderStatus hs =
-        net::peek_header(d.rbuf.data() + off, d.rbuf.size() - off, &hdr,
-                         opts.max_frame_bytes);
-    if (hs == net::HeaderStatus::NeedMore) break;
+  for (auto it = downs.find(cid); it != downs.end(); it = downs.find(cid)) {
+    Down& d = it->second;
+    net::Frame f;
+    const net::HeaderStatus hs = d.next_frame(opts.max_frame_bytes, &f);
     if (hs != net::HeaderStatus::Ok) {
-      bump(&RouterStats::protocol_errors);
-      const auto code = hs == net::HeaderStatus::TooLarge
-                            ? net::ErrorCode::TooLarge
-                            : net::ErrorCode::BadFrame;
-      queue_down(d, net::encode_error(
-                        net::ErrorReply{0, code, "malformed frame"}));
-      d.close_after_flush = true;
-      d.rbuf.clear();
-      off = 0;
-      break;
+      if (hs != net::HeaderStatus::NeedMore) {
+        bump(&RouterStats::protocol_errors);
+        d.queue(net::malformed_frame_error(hs));
+      }
+      if (d.flush().peer_gone) drop_down(cid);
+      return;
     }
-    if (d.rbuf.size() - off - net::kHeaderBytes < hdr.payload_len) break;
     bump(&RouterStats::frames_in);
-    dispatch_down(cid, hdr.type, d.rbuf.data() + off,
-                  net::kHeaderBytes + hdr.payload_len);
-    off += net::kHeaderBytes + hdr.payload_len;
-  }
-  if (downs.count(cid)) {
-    Down& d = downs[cid];
-    if (off > 0) d.rbuf.erase(d.rbuf.begin(), d.rbuf.begin() + off);
-    if (!flush_down(d)) drop_down(cid);
+    dispatch_down(cid, f.hdr.type, f.data, f.size);
   }
 }
 
@@ -704,11 +563,11 @@ void Router::Impl::dispatch_down(std::uint64_t cid, net::FrameType type,
       return;
     case net::FrameType::Ping: {
       if (auto nonce = net::decode_ping(payload, len)) {
-        queue_down(d, net::encode_pong(*nonce));
+        d.queue(net::encode_pong(*nonce));
       } else {
         bump(&RouterStats::protocol_errors);
-        queue_down(d, net::encode_error(net::ErrorReply{
-                          0, net::ErrorCode::BadFrame, "bad ping"}));
+        d.queue(net::encode_error(net::ErrorReply{
+            0, net::ErrorCode::BadFrame, "bad ping"}));
       }
       return;
     }
@@ -727,18 +586,16 @@ void Router::Impl::dispatch_down(std::uint64_t cid, net::FrameType type,
         // the router itself. The shards' own in-flight results still
         // stream back through exchanges already open.
         broadcast_shutdown();
-        stop_requested.store(true);
+        thread.stop_requested.store(true);
       } else {
-        queue_down(d, net::encode_error(net::ErrorReply{
-                          0, net::ErrorCode::BadRequest,
-                          "shutdown not allowed"}));
+        d.queue(net::encode_error(net::ErrorReply{
+            0, net::ErrorCode::BadRequest, "shutdown not allowed"}));
       }
       return;
     default:
       bump(&RouterStats::protocol_errors);
-      queue_down(d, net::encode_error(net::ErrorReply{
-                        0, net::ErrorCode::BadFrame,
-                        "unexpected frame type"}));
+      d.queue(net::encode_error(net::ErrorReply{
+          0, net::ErrorCode::BadFrame, "unexpected frame type"}));
       d.close_after_flush = true;
       return;
   }
@@ -751,14 +608,13 @@ void Router::Impl::handle_submit(std::uint64_t cid, const std::uint8_t* frame,
                                 frame_len - net::kHeaderBytes);
   if (!req) {
     bump(&RouterStats::protocol_errors);
-    queue_down(d, net::encode_error(net::ErrorReply{
-                      0, net::ErrorCode::BadRequest, "malformed submit"}));
+    d.queue(net::encode_error(net::ErrorReply{
+        0, net::ErrorCode::BadRequest, "malformed submit"}));
     return;
   }
-  if (stop_requested.load()) {
-    queue_down(d, net::encode_error(net::ErrorReply{
-                      req->request_id, net::ErrorCode::ShuttingDown,
-                      "router draining"}));
+  if (thread.stop_requested.load()) {
+    d.queue(net::encode_error(net::ErrorReply{
+        req->request_id, net::ErrorCode::ShuttingDown, "router draining"}));
     return;
   }
   // The router hop gets its own span under the client's trace id, so a
@@ -796,9 +652,9 @@ void Router::Impl::handle_submit(std::uint64_t cid, const std::uint8_t* frame,
   if (d.active_x != 0) {
     if (d.pending.size() >= kMaxPendingSubmits) {
       bump(&RouterStats::protocol_errors);
-      queue_down(d, net::encode_error(net::ErrorReply{
-                        req->request_id, net::ErrorCode::BadRequest,
-                        "submit pipeline too deep"}));
+      d.queue(net::encode_error(net::ErrorReply{
+          req->request_id, net::ErrorCode::BadRequest,
+          "submit pipeline too deep"}));
       d.close_after_flush = true;
       return;
     }
@@ -886,11 +742,7 @@ void Router::Impl::handle_scrape(std::uint64_t cid, bool dump) {
     }
     Up& u = ups[uid];
     u.fanout = fid;
-    if (u.woff > 0) {
-      u.wbuf.erase(u.wbuf.begin(), u.wbuf.begin() + u.woff);
-      u.woff = 0;
-    }
-    u.wbuf.insert(u.wbuf.end(), frame.begin(), frame.end());
+    u.queue(frame);
     f.pending.emplace(uid, static_cast<std::uint32_t>(i));
   }
   const bool done = f.pending.empty();
@@ -919,8 +771,8 @@ void Router::Impl::finalize_fanout(std::uint64_t fid) {
       out += json;
     }
     out += "]}";
-    queue_down(d, net::encode_dump_reply(out));
-    if (!flush_down(d)) drop_down(f.down);
+    d.queue(net::encode_dump_reply(out));
+    if (d.flush().peer_gone) drop_down(f.down);
     return;
   }
 
@@ -934,8 +786,8 @@ void Router::Impl::finalize_fanout(std::uint64_t fid) {
     if (name.size() > net::kMaxStatsNameBytes) continue;
     m.emplace_back(std::move(name), v);
   }
-  queue_down(d, net::encode_stats_reply(s));
-  if (!flush_down(d)) drop_down(f.down);
+  d.queue(net::encode_stats_reply(s));
+  if (d.flush().peer_gone) drop_down(f.down);
 }
 
 void Router::Impl::check_fanouts(double t) {
@@ -959,7 +811,7 @@ void Router::Impl::check_fanouts(double t) {
 void Router::Impl::handle_health(std::uint64_t cid) {
   Down& d = downs[cid];
   net::HealthReply h;
-  h.serving = !stop_requested.load();
+  h.serving = !thread.stop_requested.load();
   h.total_devices = static_cast<std::uint32_t>(shards.size());
   h.healthy_devices = static_cast<std::uint32_t>(ring.size());
   std::size_t queued = 0;
@@ -970,42 +822,15 @@ void Router::Impl::handle_health(std::uint64_t cid) {
     h.devices.push_back(net::DeviceHealth{static_cast<std::uint32_t>(i),
                                           shards[i].in_ring,
                                           shards[i].submits, 0.0});
-  queue_down(d, net::encode_health_reply(h));
-}
-
-void Router::Impl::queue_down(Down& d, std::vector<std::uint8_t> frame) {
-  if (d.woff > 0) {
-    d.wbuf.erase(d.wbuf.begin(), d.wbuf.begin() + d.woff);
-    d.woff = 0;
-  }
-  d.wbuf.insert(d.wbuf.end(), frame.begin(), frame.end());
+  d.queue(net::encode_health_reply(h));
 }
 
 void Router::Impl::relay_down(std::uint64_t cid, const std::uint8_t* frame,
                               std::size_t len) {
   auto it = downs.find(cid);
   if (it == downs.end()) return;
-  Down& d = it->second;
-  if (d.woff > 0) {
-    d.wbuf.erase(d.wbuf.begin(), d.wbuf.begin() + d.woff);
-    d.woff = 0;
-  }
-  d.wbuf.insert(d.wbuf.end(), frame, frame + len);
-  if (!flush_down(d)) drop_down(cid);
-}
-
-bool Router::Impl::flush_down(Down& d) {
-  while (d.woff < d.wbuf.size()) {
-    const ssize_t n = send(d.fd, d.wbuf.data() + d.woff,
-                           d.wbuf.size() - d.woff, MSG_NOSIGNAL);
-    if (n > 0) {
-      d.woff += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    return false;
-  }
-  return true;
+  it->second.queue(frame, len);
+  if (it->second.flush().peer_gone) drop_down(cid);
 }
 
 void Router::Impl::drop_down(std::uint64_t cid) {
@@ -1103,15 +928,7 @@ void Router::Impl::cancel_leg(std::uint64_t xid) {
   x.down = 0;
   if (x.up != 0) {
     auto uit = ups.find(x.up);
-    if (uit != ups.end()) {
-      Up& u = uit->second;
-      const auto frame = net::encode_cancel(x.request_id);
-      if (u.woff > 0) {
-        u.wbuf.erase(u.wbuf.begin(), u.wbuf.begin() + u.woff);
-        u.woff = 0;
-      }
-      u.wbuf.insert(u.wbuf.end(), frame.begin(), frame.end());
-    }
+    if (uit != ups.end()) uit->second.queue(net::encode_cancel(x.request_id));
   }
   bump(&RouterStats::hedge_cancels);
   obs_.hedge_cancels.inc();
@@ -1203,11 +1020,7 @@ bool Router::Impl::bind_to_shard(std::uint64_t xid, std::uint32_t shard) {
   x.up = uid;
   Up& u = ups[uid];
   u.x = xid;
-  if (u.woff > 0) {
-    u.wbuf.erase(u.wbuf.begin(), u.wbuf.begin() + u.woff);
-    u.woff = 0;
-  }
-  u.wbuf.insert(u.wbuf.end(), x.frame.begin(), x.frame.end());
+  u.queue(x.frame);
   shards[shard].submits += 1;
   bump(&RouterStats::submits_routed);
   obs_.routed.inc();
@@ -1251,50 +1064,25 @@ void Router::Impl::release_upstream(std::uint64_t uid) {
 }
 
 void Router::Impl::read_up(std::uint64_t uid) {
-  Up& u = ups[uid];
-  std::uint8_t buf[65536];
-  bool peer_gone = false;
-  for (;;) {
-    if (u.rbuf.size() > opts.max_frame_bytes + net::kHeaderBytes) break;
-    const ssize_t n = recv(u.fd, buf, sizeof buf, 0);
-    if (n > 0) {
-      u.rbuf.insert(u.rbuf.end(), buf, buf + n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    peer_gone = true;
-    break;
-  }
+  const bool peer_gone = ups[uid].read(opts.max_frame_bytes).peer_gone;
   process_up_input(uid);
   if (peer_gone && ups.count(uid)) fail_up(uid);
 }
 
 void Router::Impl::process_up_input(std::uint64_t uid) {
-  std::size_t off = 0;
-  bool broken = false;
-  while (ups.count(uid)) {
-    Up& u = ups[uid];
-    net::FrameHeader hdr;
+  for (auto it = ups.find(uid); it != ups.end(); it = ups.find(uid)) {
+    net::Frame f;
     const net::HeaderStatus hs =
-        net::peek_header(u.rbuf.data() + off, u.rbuf.size() - off, &hdr,
-                         opts.max_frame_bytes);
-    if (hs == net::HeaderStatus::NeedMore) break;
-    if (hs != net::HeaderStatus::Ok) {
-      broken = true;  // shard speaking garbage: treat as a forward error
-      break;
+        it->second.next_frame(opts.max_frame_bytes, &f);
+    if (hs == net::HeaderStatus::NeedMore) return;
+    // A shard speaking garbage or a reply nobody awaits: the conn is
+    // desynced beyond recovery, so treat it as a forward error.
+    if (hs != net::HeaderStatus::Ok ||
+        !handle_up_frame(uid, f.hdr, f.data, f.size)) {
+      fail_up(uid);
+      return;
     }
-    if (u.rbuf.size() - off - net::kHeaderBytes < hdr.payload_len) break;
-    const std::size_t frame_len = net::kHeaderBytes + hdr.payload_len;
-    if (!handle_up_frame(uid, hdr, u.rbuf.data() + off, frame_len)) {
-      broken = true;
-      break;
-    }
-    off += frame_len;
   }
-  if (!ups.count(uid)) return;
-  Up& u = ups[uid];
-  if (off > 0) u.rbuf.erase(u.rbuf.begin(), u.rbuf.begin() + off);
-  if (broken) fail_up(uid);
 }
 
 /// One complete frame from a shard. Returns false when the conn is
@@ -1474,20 +1262,6 @@ void Router::Impl::finish_exchange(std::uint64_t xid) {
       }
     }
   }
-}
-
-bool Router::Impl::flush_up(Up& u) {
-  while (u.woff < u.wbuf.size()) {
-    const ssize_t n = send(u.fd, u.wbuf.data() + u.woff,
-                           u.wbuf.size() - u.woff, MSG_NOSIGNAL);
-    if (n > 0) {
-      u.woff += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    return false;
-  }
-  return true;
 }
 
 void Router::Impl::close_up(std::uint64_t uid) {
@@ -1688,12 +1462,7 @@ void Router::Impl::maybe_probe(double t) {
     u.probe = true;
     u.probe_start = t;
     s.probing_uid = uid;
-    const auto frame = net::encode_health_check();
-    if (u.woff > 0) {
-      u.wbuf.erase(u.wbuf.begin(), u.wbuf.begin() + u.woff);
-      u.woff = 0;
-    }
-    u.wbuf.insert(u.wbuf.end(), frame.begin(), frame.end());
+    u.queue(net::encode_health_check());
   }
   process_failed_ups();
 }

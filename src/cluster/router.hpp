@@ -1,12 +1,14 @@
 // router.hpp — consistent-hash routing front-end for the sharded
 // cluster (DESIGN.md §11).
 //
-// A second poll(2) event loop, one layer above net::Server: the router
-// terminates client connections, decodes just enough of each Submit to
-// compute its routing key (cluster::routing_key — a pure hash of the
-// request's matrix identity), picks the owning shard on the hash ring,
-// and forwards the original frame bytes to that shard over a pooled
-// upstream connection. Result/Busy/Error frames stream back verbatim, so
+// A second poll(2) event loop, one layer above net::Server and built on
+// the same connection layer (net/conn.hpp: accept, buffers, framing,
+// the loop's wake pipe): the router terminates client connections,
+// decodes just enough of each Submit to compute its routing key
+// (cluster::routing_key — a pure hash of the request's matrix
+// identity), picks the owning shard on the hash ring, and forwards the
+// original frame bytes to that shard over a pooled upstream
+// connection. Result/Busy/Error frames stream back verbatim, so
 // a client cannot tell a router from a single server — retry-after hints
 // in Busy frames pass through untouched, and trace ids ride the
 // forwarded Submit so shard-side spans chain under the client's trace.

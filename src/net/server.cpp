@@ -1,16 +1,10 @@
 #include "net/server.hpp"
 
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <mutex>
@@ -18,8 +12,8 @@
 #include <vector>
 
 #include "net/client.hpp"
+#include "net/conn.hpp"
 #include "net/protocol.hpp"
-#include "net/socket_util.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/slo.hpp"
@@ -28,18 +22,6 @@
 namespace randla::net {
 
 namespace {
-
-// Per-connection buffers grow by doubling to the largest frame ever seen
-// on that conn; a single big upload would otherwise pin ~64 MiB per
-// connection forever. Once a buffer fully drains, release capacity above
-// this threshold back to the allocator.
-constexpr std::size_t kBufShrinkBytes = 64 * 1024;
-
-void shrink_if_drained(std::vector<std::uint8_t>& buf) {
-  if (buf.empty() && buf.capacity() > kBufShrinkBytes) {
-    buf.shrink_to_fit();
-  }
-}
 
 ortho::Scheme scheme_from_wire(std::uint8_t code) {
   switch (code) {
@@ -266,44 +248,11 @@ bool install_handoff(runtime::Scheduler& sched, CacheHandoffEntry& e) {
   return false;
 }
 
-/// The loop's self-pipe write end, shared with every in-flight job's
-/// completion callback (DESIGN.md §8). A job may finish after the server
-/// stopped, so the fd lives here rather than in Impl, and Server::wait()
-/// retires it (fd = -1) under `mu` before closing the pipe: nobody ever
-/// writes to a wake fd that may be closed, or reused by a later pipe.
-struct Wake {
-  std::mutex mu;
-  int fd = -1;
-  /// A wake byte is on its way; the loop clears this only *after*
-  /// draining the pipe, so a signal that finds it set is never lost.
-  std::atomic<bool> pending{false};
-
-  void signal() {
-    if (pending.exchange(true)) return;
-    std::lock_guard<std::mutex> lk(mu);
-    if (fd >= 0) {
-      const char b = 1;
-      ssize_t ignored = write(fd, &b, 1);
-      (void)ignored;
-    }
-  }
-};
-
 }  // namespace
 
 struct Server::Impl {
   runtime::Scheduler& sched;
   ServerOptions opts;
-
-  int listen_fd = -1;
-  int wake_r = -1;
-  std::shared_ptr<Wake> wake = std::make_shared<Wake>();
-  std::uint16_t bound_port = 0;
-  std::thread thread;
-  std::atomic<bool> started{false};
-  std::atomic<bool> loop_alive{false};
-  std::atomic<bool> stop_requested{false};
-  std::mutex join_mu;
 
   mutable std::mutex stats_mu;
   ServerStats stats;
@@ -320,13 +269,7 @@ struct Server::Impl {
         jobs_cancelled, handoff_in, handoff_out;
   } obs_;
 
-  struct Conn {
-    int fd = -1;
-    std::vector<std::uint8_t> rbuf;
-    std::vector<std::uint8_t> wbuf;
-    std::size_t woff = 0;  ///< flushed prefix of wbuf
-    double last_active = 0;
-    bool close_after_flush = false;
+  struct Conn : FramedConn {
     std::uint64_t inflight = 0;
   };
   std::map<std::uint64_t, Conn> conns;  ///< id → connection (id never reused)
@@ -355,6 +298,8 @@ struct Server::Impl {
   std::deque<std::string> matrix_order;
 
   std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
+
+  LoopThread thread;  ///< last: destroying it stops the loop first
 
   Impl(runtime::Scheduler& s, ServerOptions o)
       : sched(s), opts(std::move(o)) {
@@ -401,12 +346,14 @@ struct Server::Impl {
     stats.*field += by;
   }
 
-  bool bind_listen();
   void loop();
   void accept_ready();
   void read_ready(std::uint64_t cid);
   bool flush(Conn& c);
   void queue_frame(Conn& c, std::vector<std::uint8_t> frame);
+  /// Count a malformed frame or request and answer it with a typed
+  /// Error; `poison` closes the connection once the reply flushes.
+  void reject(Conn& c, ErrorCode code, const char* what, bool poison);
   void process_input(std::uint64_t cid);
   void dispatch(std::uint64_t cid, FrameType type, const std::uint8_t* payload,
                 std::size_t len);
@@ -435,11 +382,11 @@ struct Server::Impl {
 Server::Server(runtime::Scheduler& sched, ServerOptions opts)
     : impl_(std::make_unique<Impl>(sched, std::move(opts))) {}
 
-Server::~Server() { stop(); }
+Server::~Server() = default;
 
-std::uint16_t Server::port() const { return impl_->bound_port; }
+std::uint16_t Server::port() const { return impl_->thread.port; }
 
-bool Server::running() const { return impl_->loop_alive.load(); }
+bool Server::running() const { return impl_->thread.alive.load(); }
 
 ServerStats Server::stats() const {
   std::lock_guard<std::mutex> lk(impl_->stats_mu);
@@ -447,125 +394,55 @@ ServerStats Server::stats() const {
 }
 
 bool Server::start() {
-  if (impl_->started.load()) return true;
-  if (!impl_->bind_listen()) return false;
-  int pipefd[2];
-  if (pipe(pipefd) != 0) {
-    close(impl_->listen_fd);
-    impl_->listen_fd = -1;
-    return false;
-  }
-  impl_->wake_r = pipefd[0];
-  impl_->wake->fd = pipefd[1];
-  set_nonblocking(impl_->wake_r);
-  impl_->started.store(true);
-  impl_->loop_alive.store(true);
-  impl_->thread = std::thread([this] { impl_->loop(); });
-  return true;
+  return impl_->thread.start(impl_->opts.bind_addr, impl_->opts.port, "net",
+                             [this] { impl_->loop(); });
 }
 
-void Server::stop() {
-  if (!impl_->started.load()) return;
-  impl_->stop_requested.store(true);
-  impl_->wake->signal();
-  wait();
-}
+void Server::stop() { impl_->thread.stop(); }
 
-void Server::wait() {
-  std::lock_guard<std::mutex> lk(impl_->join_mu);
-  if (impl_->thread.joinable()) impl_->thread.join();
-  // The loop is gone; retire the write end under the lock every wake
-  // write takes, so late job callbacks see fd = -1 and skip.
-  {
-    std::lock_guard<std::mutex> wk(impl_->wake->mu);
-    if (impl_->wake->fd >= 0) close(impl_->wake->fd);
-    impl_->wake->fd = -1;
-  }
-  if (impl_->wake_r >= 0) {
-    close(impl_->wake_r);
-    impl_->wake_r = -1;
-  }
-}
+void Server::wait() { impl_->thread.wait(); }
 
 // ---------------------------------------------------------------------
-
-bool Server::Impl::bind_listen() {
-  std::string err;
-  listen_fd = listen_tcp(opts.bind_addr, opts.port, /*backlog=*/64,
-                         &bound_port, &err);
-  if (listen_fd < 0) {
-    std::fprintf(stderr, "net: %s\n", err.c_str());
-    return false;
-  }
-  return true;
-}
 
 void Server::Impl::loop() {
   bool draining = false;
   double drain_start = 0;
   for (;;) {
-    if (stop_requested.load() && !draining) {
+    if (thread.stop_requested.load() && !draining) {
       draining = true;
       drain_start = now();
-      if (listen_fd >= 0) {
-        close(listen_fd);
-        listen_fd = -1;
-      }
+      thread.close_listener();
     }
     if (draining) {
       bool pending_writes = false;
       for (const auto& [id, c] : conns)
-        if (c.woff < c.wbuf.size()) pending_writes = true;
+        if (c.has_output()) pending_writes = true;
       if ((inflight.empty() && !pending_writes) ||
           now() - drain_start > opts.drain_timeout_s)
         break;
     }
 
     std::vector<pollfd> fds;
-    std::vector<std::uint64_t> fd_conn;  // conn id per pollfd (0 = not a conn)
-    if (listen_fd >= 0) {
-      fds.push_back(pollfd{listen_fd, POLLIN, 0});
-      fd_conn.push_back(0);
+    std::vector<std::uint64_t> ids;  // conn id per pollfd
+    for (const auto& [id, c] : conns) {
+      fds.push_back(c.poll_entry());
+      ids.push_back(id);
     }
-    fds.push_back(pollfd{wake_r, POLLIN, 0});
-    fd_conn.push_back(0);
-    for (auto& [id, c] : conns) {
-      short ev = POLLIN;
-      if (c.woff < c.wbuf.size()) ev |= POLLOUT;
-      fds.push_back(pollfd{c.fd, ev, 0});
-      fd_conn.push_back(id);
-    }
-
     // Finished jobs and stop() wake the loop through the self-pipe; the
     // tick only serves the idle and drain timeouts.
-    const int rc = poll(fds.data(), fds.size(), 100);
-    if (rc < 0 && errno != EINTR) break;
+    if (!thread.poll(fds, 100, [this] { accept_ready(); })) break;
 
     for (std::size_t i = 0; i < fds.size(); ++i) {
-      if (fds[i].revents == 0) continue;
-      if (fds[i].fd == wake_r) {
-        char buf[64];
-        while (read(wake_r, buf, sizeof buf) > 0) {
-        }
-        // Clear after the drain, never before: a signal between a clear
-        // and the drain would have its byte eaten with the flag left set,
-        // and every later completion would wait for the tick.
-        wake->pending.store(false);
-      } else if (fds[i].fd == listen_fd) {
-        accept_ready();
-      } else {
-        const std::uint64_t cid = fd_conn[i];
-        if (!conns.count(cid)) continue;  // dropped earlier this cycle
-        if (fds[i].revents & (POLLERR | POLLNVAL)) {
-          drop_conn(cid);
-          continue;
-        }
-        if (fds[i].revents & (POLLIN | POLLHUP)) read_ready(cid);
-        if (conns.count(cid) && (fds[i].revents & POLLOUT)) {
-          Conn& c = conns[cid];
-          if (!flush(c)) drop_conn(cid);
-        }
+      const std::uint64_t cid = ids[i];
+      // Quiet, or dropped earlier this cycle.
+      if (fds[i].revents == 0 || !conns.count(cid)) continue;
+      if (fds[i].revents & (POLLERR | POLLNVAL)) {
+        drop_conn(cid);
+        continue;
       }
+      if (fds[i].revents & (POLLIN | POLLHUP)) read_ready(cid);
+      if (conns.count(cid) && (fds[i].revents & POLLOUT) && !flush(conns[cid]))
+        drop_conn(cid);
     }
 
     deliver_completions();
@@ -575,7 +452,7 @@ void Server::Impl::loop() {
     std::vector<std::uint64_t> doomed;
     const double t = now();
     for (auto& [id, c] : conns) {
-      const bool flushed = c.woff >= c.wbuf.size();
+      const bool flushed = !c.has_output();
       if (c.close_after_flush && flushed) doomed.push_back(id);
       else if (!draining && opts.idle_timeout_s > 0 && c.inflight == 0 &&
                flushed && t - c.last_active > opts.idle_timeout_s) {
@@ -594,86 +471,47 @@ void Server::Impl::loop() {
   }
   conns.clear();
   inflight.clear();
-  if (listen_fd >= 0) {
-    close(listen_fd);
-    listen_fd = -1;
-  }
-  // The wake pipe stays open: stop() or a job callback may be writing a
-  // wake byte from another thread right now. It is closed after join
-  // (Server::wait).
-  loop_alive.store(false);
 }
 
 void Server::Impl::accept_ready() {
-  for (;;) {
-    const int fd = accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
-    if (fd < 0) return;
-    if (static_cast<int>(conns.size()) >= opts.max_connections) {
-      // Best-effort typed refusal on the fresh (empty-buffer) socket.
-      const auto frame = encode_error(
-          ErrorReply{0, ErrorCode::ServerFull, "connection cap reached"});
-      ssize_t ignored = send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
-      (void)ignored;
-      close(fd);
-      bump(&ServerStats::conns_refused);
-      continue;
-    }
-    set_tcp_nodelay(fd);
-    Conn c;
-    c.fd = fd;
-    c.last_active = now();
-    conns.emplace(next_conn_id++, std::move(c));
-    bump(&ServerStats::conns_accepted);
-    obs_.connections.inc();
-  }
+  const std::uint64_t refused = accept_pending(
+      thread.listen_fd, opts.max_connections, conns.size(), [this](int fd) {
+        Conn c;
+        c.fd = fd;
+        c.last_active = now();
+        conns.emplace(next_conn_id++, std::move(c));
+        bump(&ServerStats::conns_accepted);
+        obs_.connections.inc();
+      });
+  if (refused > 0) bump(&ServerStats::conns_refused, refused);
 }
 
 void Server::Impl::read_ready(std::uint64_t cid) {
   Conn& c = conns[cid];
-  std::uint8_t buf[65536];
-  bool peer_gone = false;
-  for (;;) {
-    // Backpressure: stop reading while more than one max-size frame is
-    // already buffered; the parser below will drain it first.
-    if (c.rbuf.size() > opts.max_frame_bytes + kHeaderBytes) break;
-    const ssize_t n = recv(c.fd, buf, sizeof buf, 0);
-    if (n > 0) {
-      c.rbuf.insert(c.rbuf.end(), buf, buf + n);
-      c.last_active = now();
-      bump(&ServerStats::bytes_in, static_cast<std::uint64_t>(n));
-      obs_.bytes_in.add(double(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    peer_gone = true;  // EOF or hard error, but parse what already arrived:
-    break;             // a frame followed by an immediate close (e.g. a
-  }                    // fire-and-forget Shutdown) must still take effect.
+  const IoResult r = c.read(opts.max_frame_bytes);
+  if (r.bytes > 0) {
+    c.last_active = now();
+    bump(&ServerStats::bytes_in, r.bytes);
+    obs_.bytes_in.add(double(r.bytes));
+  }
   process_input(cid);
-  if (peer_gone) drop_conn(cid);
+  if (r.peer_gone) drop_conn(cid);
 }
 
 void Server::Impl::process_input(std::uint64_t cid) {
-  std::size_t off = 0;
-  while (conns.count(cid)) {
-    Conn& c = conns[cid];
-    if (c.close_after_flush) break;  // poisoned: ignore the rest
-    FrameHeader hdr;
-    const HeaderStatus hs = peek_header(c.rbuf.data() + off,
-                                        c.rbuf.size() - off, &hdr,
-                                        opts.max_frame_bytes);
-    if (hs == HeaderStatus::NeedMore) break;
+  for (auto it = conns.find(cid); it != conns.end(); it = conns.find(cid)) {
+    Conn& c = it->second;
+    Frame f;
+    const HeaderStatus hs = c.next_frame(opts.max_frame_bytes, &f);
     if (hs != HeaderStatus::Ok) {
-      bump(&ServerStats::protocol_errors);
-      obs_.decode_errors.inc();
-      const auto code = hs == HeaderStatus::TooLarge ? ErrorCode::TooLarge
-                                                     : ErrorCode::BadFrame;
-      queue_frame(c, encode_error(ErrorReply{0, code, "malformed frame"}));
-      c.close_after_flush = true;
-      c.rbuf.clear();
-      off = 0;
-      break;
+      if (hs != HeaderStatus::NeedMore) {
+        bump(&ServerStats::protocol_errors);
+        obs_.decode_errors.inc();
+        queue_frame(c, malformed_frame_error(hs));
+      }
+      if (!flush(c)) drop_conn(cid);
+      return;
     }
-    if (c.rbuf.size() - off - kHeaderBytes < hdr.payload_len) break;
     // Injected connection reset: the peer's frame arrived intact but the
     // connection dies before dispatch (mid-request RST). Undelivered
     // results for this conn are dropped at completion time as usual.
@@ -682,15 +520,7 @@ void Server::Impl::process_input(std::uint64_t cid) {
       return;
     }
     bump(&ServerStats::frames_in);
-    dispatch(cid, hdr.type, c.rbuf.data() + off + kHeaderBytes,
-             hdr.payload_len);
-    off += kHeaderBytes + hdr.payload_len;
-  }
-  if (conns.count(cid)) {
-    Conn& c = conns[cid];
-    if (off > 0) c.rbuf.erase(c.rbuf.begin(), c.rbuf.begin() + off);
-    shrink_if_drained(c.rbuf);
-    if (!flush(c)) drop_conn(cid);
+    dispatch(cid, f.hdr.type, f.payload(), f.hdr.payload_len);
   }
 }
 
@@ -707,17 +537,14 @@ void Server::Impl::dispatch(std::uint64_t cid, FrameType type,
       if (auto nonce = decode_ping(payload, len)) {
         queue_frame(c, encode_pong(*nonce));
       } else {
-        bump(&ServerStats::protocol_errors);
-        obs_.decode_errors.inc();
-        queue_frame(c, encode_error(
-                           ErrorReply{0, ErrorCode::BadFrame, "bad ping"}));
+        reject(c, ErrorCode::BadFrame, "bad ping", false);
       }
       return;
     }
     case FrameType::Shutdown:
       obs_.frames_shutdown.inc();
       if (opts.allow_remote_shutdown) {
-        stop_requested.store(true);
+        thread.stop_requested.store(true);
       } else {
         queue_frame(c, encode_error(ErrorReply{0, ErrorCode::BadRequest,
                                                "shutdown not allowed"}));
@@ -750,11 +577,7 @@ void Server::Impl::dispatch(std::uint64_t cid, FrameType type,
     default:
       // A server→client frame type from a client: confused peer.
       obs_.frames_other.inc();
-      bump(&ServerStats::protocol_errors);
-      obs_.decode_errors.inc();
-      queue_frame(c, encode_error(ErrorReply{0, ErrorCode::BadFrame,
-                                             "unexpected frame type"}));
-      c.close_after_flush = true;
+      reject(c, ErrorCode::BadFrame, "unexpected frame type", true);
       return;
   }
 }
@@ -799,10 +622,7 @@ void Server::Impl::handle_submit(std::uint64_t cid, const std::uint8_t* payload,
   // the job then runs on the decoded bytes with zero reassembly copies.
   auto req = decode_submit(payload, len, &sched.arena());
   if (!req) {
-    bump(&ServerStats::protocol_errors);
-    obs_.decode_errors.inc();
-    queue_frame(c, encode_error(ErrorReply{0, ErrorCode::BadRequest,
-                                           "malformed submit"}));
+    reject(c, ErrorCode::BadRequest, "malformed submit", false);
     return;
   }
   // Covers matrix resolution + admission under the client's trace id.
@@ -821,7 +641,7 @@ void Server::Impl::handle_submit(std::uint64_t cid, const std::uint8_t* payload,
     obs_.busy.inc();
     return;
   }
-  if (stop_requested.load()) {
+  if (thread.stop_requested.load()) {
     queue_frame(c, encode_error(ErrorReply{req->request_id,
                                            ErrorCode::ShuttingDown,
                                            "server draining"}));
@@ -919,7 +739,7 @@ void Server::Impl::handle_submit(std::uint64_t cid, const std::uint8_t* payload,
     return;
   }
   c.inflight += 1;
-  sub.handle->on_done([w = wake] { w->signal(); });
+  sub.handle->on_done([w = thread.wake] { w->signal(); });
   inflight.push_back(
       Impl::InFlight{cid, req->request_id, req->trace_id, sub.handle});
   bump(&ServerStats::jobs_submitted);
@@ -929,11 +749,7 @@ void Server::Impl::handle_submit(std::uint64_t cid, const std::uint8_t* payload,
 void Server::Impl::handle_stats(std::uint64_t cid, std::size_t len) {
   Conn& c = conns[cid];
   if (len != 0) {
-    bump(&ServerStats::protocol_errors);
-    obs_.decode_errors.inc();
-    queue_frame(c, encode_error(ErrorReply{0, ErrorCode::BadFrame,
-                                           "stats frame carries a payload"}));
-    c.close_after_flush = true;
+    reject(c, ErrorCode::BadFrame, "stats frame carries a payload", true);
     return;
   }
   StatsReply s;
@@ -999,11 +815,7 @@ void Server::Impl::handle_stats(std::uint64_t cid, std::size_t len) {
 void Server::Impl::handle_dump(std::uint64_t cid, std::size_t len) {
   Conn& c = conns[cid];
   if (len != 0) {
-    bump(&ServerStats::protocol_errors);
-    obs_.decode_errors.inc();
-    queue_frame(c, encode_error(ErrorReply{0, ErrorCode::BadFrame,
-                                           "dump frame carries a payload"}));
-    c.close_after_flush = true;
+    reject(c, ErrorCode::BadFrame, "dump frame carries a payload", true);
     return;
   }
   auto& rec = obs::Recorder::global();
@@ -1015,15 +827,11 @@ void Server::Impl::handle_dump(std::uint64_t cid, std::size_t len) {
 void Server::Impl::handle_health(std::uint64_t cid, std::size_t len) {
   Conn& c = conns[cid];
   if (len != 0) {
-    bump(&ServerStats::protocol_errors);
-    obs_.decode_errors.inc();
-    queue_frame(c, encode_error(ErrorReply{0, ErrorCode::BadFrame,
-                                           "health frame carries a payload"}));
-    c.close_after_flush = true;
+    reject(c, ErrorCode::BadFrame, "health frame carries a payload", true);
     return;
   }
   HealthReply h;
-  h.serving = !stop_requested.load();
+  h.serving = !thread.stop_requested.load();
   const auto fs = sched.fault_stats();
   h.total_devices = static_cast<std::uint32_t>(sched.num_workers());
   h.healthy_devices = static_cast<std::uint32_t>(
@@ -1046,11 +854,7 @@ void Server::Impl::handle_cancel(std::uint64_t cid,
   Conn& c = conns[cid];
   const auto id = decode_cancel(payload, len);
   if (!id) {
-    bump(&ServerStats::protocol_errors);
-    obs_.decode_errors.inc();
-    queue_frame(c, encode_error(
-                       ErrorReply{0, ErrorCode::BadFrame, "bad cancel"}));
-    c.close_after_flush = true;
+    reject(c, ErrorCode::BadFrame, "bad cancel", true);
     return;
   }
   for (auto& f : inflight) {
@@ -1073,11 +877,7 @@ void Server::Impl::handle_drain(std::uint64_t cid,
   Conn& c = conns[cid];
   const auto d = decode_drain(payload, len);
   if (!d) {
-    bump(&ServerStats::protocol_errors);
-    obs_.decode_errors.inc();
-    queue_frame(c, encode_error(
-                       ErrorReply{0, ErrorCode::BadFrame, "bad drain"}));
-    c.close_after_flush = true;
+    reject(c, ErrorCode::BadFrame, "bad drain", true);
     return;
   }
   if (!opts.allow_remote_shutdown) {
@@ -1102,7 +902,7 @@ void Server::Impl::handle_drain(std::uint64_t cid,
   // jobs, flush (the DrainReply above goes out with them), exit. The
   // router re-points the keyshare only after it reads the DrainReply, so
   // handoff-completion strictly precedes ownership transfer.
-  stop_requested.store(true);
+  thread.stop_requested.store(true);
 }
 
 DrainSummary Server::Impl::stream_handoff(const DrainRequest& d) {
@@ -1161,11 +961,7 @@ void Server::Impl::handle_cache_handoff(std::uint64_t cid,
   }
   auto e = decode_cache_handoff(payload, len);
   if (!e || !install_handoff(sched, *e)) {
-    bump(&ServerStats::protocol_errors);
-    obs_.decode_errors.inc();
-    queue_frame(c, encode_error(ErrorReply{0, ErrorCode::BadFrame,
-                                           "bad cache handoff"}));
-    c.close_after_flush = true;
+    reject(c, ErrorCode::BadFrame, "bad cache handoff", true);
     return;
   }
   bump(&ServerStats::handoff_in);
@@ -1276,14 +1072,15 @@ void Server::Impl::send_result(Conn& c, std::uint64_t request_id,
   queue_frame(c, encode_result_end(request_id));
 }
 
+void Server::Impl::reject(Conn& c, ErrorCode code, const char* what,
+                          bool poison) {
+  bump(&ServerStats::protocol_errors);
+  obs_.decode_errors.inc();
+  queue_frame(c, encode_error(ErrorReply{0, code, what}));
+  if (poison) c.close_after_flush = true;
+}
+
 void Server::Impl::queue_frame(Conn& c, std::vector<std::uint8_t> frame) {
-  // Compact the flushed prefix before appending so wbuf stays bounded by
-  // what is actually pending.
-  if (c.woff > 0) {
-    c.wbuf.erase(c.wbuf.begin(), c.wbuf.begin() + c.woff);
-    c.woff = 0;
-    shrink_if_drained(c.wbuf);
-  }
   if (opts.injector) {
     // Corrupted frame: flip a magic byte so the client *deterministically*
     // detects the damage (flipping payload bytes could silently corrupt
@@ -1301,42 +1098,28 @@ void Server::Impl::queue_frame(Conn& c, std::vector<std::uint8_t> frame) {
       c.close_after_flush = true;
     }
   }
-  c.wbuf.insert(c.wbuf.end(), frame.begin(), frame.end());
+  c.queue(frame);
 }
 
 bool Server::Impl::flush(Conn& c) {
   // Injected write delay: the socket stalls before draining (slow or
   // congested peer path). One decision per flush call, not per byte.
-  if (opts.injector && c.woff < c.wbuf.size() &&
+  if (opts.injector && c.has_output() &&
       opts.injector->fire(fault::FaultKind::WriteDelay)) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
         opts.injector->config().write_delay_ms));
   }
-  while (c.woff < c.wbuf.size()) {
-    const ssize_t n = send(c.fd, c.wbuf.data() + c.woff,
-                           c.wbuf.size() - c.woff, MSG_NOSIGNAL);
-    if (n > 0) {
-      c.woff += static_cast<std::size_t>(n);
-      bump(&ServerStats::bytes_out, static_cast<std::uint64_t>(n));
-      obs_.bytes_out.add(double(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    return false;  // peer gone
+  const IoResult r = c.flush();
+  if (r.bytes > 0) {
+    bump(&ServerStats::bytes_out, r.bytes);
+    obs_.bytes_out.add(double(r.bytes));
   }
-  // Fully flushed: drop the pending bytes now so an idle connection does
-  // not pin the capacity of its largest-ever result between requests.
-  c.wbuf.clear();
-  c.woff = 0;
-  shrink_if_drained(c.wbuf);
-  return true;
+  return !r.peer_gone;
 }
 
 void Server::Impl::drop_conn(std::uint64_t cid) {
   auto it = conns.find(cid);
   if (it == conns.end()) return;
-  if (it->second.inflight > 0)
-    bump(&ServerStats::results_dropped, 0);  // counted at completion time
   close(it->second.fd);
   conns.erase(it);
   // In-flight jobs for this connection stay in `inflight`; their results

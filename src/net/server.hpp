@@ -2,7 +2,9 @@
 // runtime (DESIGN.md §8).
 //
 // One event-loop thread owns every socket: a non-blocking listener plus
-// per-connection read/write buffers and a frame-boundary state machine.
+// per-connection read/write buffers and a frame-boundary state machine,
+// all from the connection layer shared with cluster::Router
+// (net/conn.hpp).
 // Complete Submit frames become runtime::Scheduler jobs; the loop polls
 // in-flight handles between socket events and streams finished factors
 // back as ResultHeader/Chunk/End sequences. Admission backpressure is

@@ -7,7 +7,9 @@
 // on an fd. They used to be copy-pasted per call site; this header is
 // the single implementation. All helpers are errno-preserving and report
 // failure detail through an optional out-string instead of stderr so
-// callers decide how loud to be.
+// callers decide how loud to be. The framed-connection layer built on
+// top of these (accept, buffers, framing, the loop's wake pipe) is
+// net/conn.hpp.
 #pragma once
 
 #include <cstdint>

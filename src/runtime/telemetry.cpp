@@ -141,27 +141,29 @@ TelemetrySink::TelemetrySink()
                                   "worker pickup to completion")),
       exec_miss_hist_(local_.histogram("exec_seconds_miss")),
       exec_sketch_hist_(local_.histogram("exec_seconds_sketch")),
-      exec_result_hist_(local_.histogram("exec_seconds_result")) {}
+      exec_result_hist_(local_.histogram("exec_seconds_result")) {
+  auto& g = obs::Registry::global();
+  for (std::size_t s = 0; s < by_status_.size(); ++s)
+    by_status_[s] = g.counter(std::string("runtime_jobs_total{status=\"") +
+                                  job_status_name(JobStatus(s)) + "\"}",
+                              "jobs by terminal status");
+  for (std::size_t d = 0; d < by_cache_.size(); ++d)
+    by_cache_[d] =
+        g.counter(std::string("runtime_cache_total{disposition=\"") +
+                      cache_disposition_name(CacheDisposition(d)) + "\"}",
+                  "jobs by cache disposition");
+  retries_ = g.counter("runtime_retries_total", "CholQR escalation re-runs");
+  degraded_ = g.counter("runtime_degraded_total",
+                        "jobs with q lowered to fit deadline");
+}
 
 void TelemetrySink::record(JobTrace trace) {
   // Fleet-wide counters for the metrics endpoint (labels by terminal
-  // status / cache disposition). Registration is idempotent and cheap
-  // relative to a finished job.
-  auto& g = obs::Registry::global();
-  std::string name = "runtime_jobs_total{status=\"";
-  name += job_status_name(trace.status);
-  name += "\"}";
-  g.counter(name, "jobs by terminal status").inc();
-  name = "runtime_cache_total{disposition=\"";
-  name += cache_disposition_name(trace.cache);
-  name += "\"}";
-  g.counter(name, "jobs by cache disposition").inc();
-  if (trace.retries > 0)
-    g.counter("runtime_retries_total", "CholQR escalation re-runs")
-        .add(trace.retries);
-  if (trace.degraded)
-    g.counter("runtime_degraded_total", "jobs with q lowered to fit deadline")
-        .inc();
+  // status / cache disposition).
+  by_status_[std::size_t(trace.status)].inc();
+  by_cache_[std::size_t(trace.cache)].inc();
+  if (trace.retries > 0) retries_.add(trace.retries);
+  if (trace.degraded) degraded_.inc();
 
   // SLO accounting: end-to-end latency (wait + exec) per job kind.
   // JobKind wire values match the obs SLO kind indices by construction.

@@ -8,6 +8,7 @@
 // replayed workload can be judged at a glance.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -120,6 +121,13 @@ class TelemetrySink {
   obs::Histogram exec_miss_hist_;
   obs::Histogram exec_sketch_hist_;
   obs::Histogram exec_result_hist_;
+  // Fleet-wide per-job counters in the global registry, registered once
+  // so record() indexes them instead of looking names up per job.
+  std::array<obs::Counter, std::size_t(JobStatus::Expired) + 1> by_status_;
+  std::array<obs::Counter, std::size_t(CacheDisposition::Result) + 1>
+      by_cache_;
+  obs::Counter retries_;
+  obs::Counter degraded_;
 };
 
 /// Shared percentile helper (see util/stats.hpp); re-exported here

@@ -6,8 +6,10 @@
 // Stats/Health service through the router, the cluster observability
 // plane (merged Stats fan-out, stale-shard degradation, Dump
 // postmortems, cross-process trace propagation — DESIGN.md §14), and
-// remote shutdown draining the whole cluster. Plus unit tests for the
-// bucket-exact stats merge.
+// remote shutdown draining the whole cluster, and the client-connection
+// edges shared with net::Server (bad headers, the connection cap, idle
+// close, fire-and-forget Shutdown). Plus unit tests for the bucket-exact
+// stats merge.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -488,6 +490,136 @@ TEST(ClusterRouter, ServesStatsHealthAndPing) {
   router.stop();
   shard_a.stop();
   shard_b.stop();
+}
+
+// ------------------------------------------------- client connections
+// The router's side of the connection layer it shares with net::Server
+// (net/conn.hpp): the same checks as the server's own tests.
+
+TEST(ClusterRouter, MalformedHeaderGetsTypedErrorThenClose) {
+  runtime::Scheduler sched(small_sched());
+  net::Server shard(sched, shard_opts());
+  ASSERT_TRUE(shard.start());
+  RouterOptions ro = router_over({&shard});
+  ro.max_frame_bytes = 1024;
+  Router router(ro);
+  ASSERT_TRUE(router.start());
+
+  const auto expect_error_then_close = [&](const std::vector<std::uint8_t>& raw,
+                                           net::ErrorCode want) {
+    net::Client client(client_for(router));
+    ASSERT_TRUE(client.connect());
+    ASSERT_TRUE(client.send_raw(raw.data(), raw.size()));
+    net::FrameHeader hdr;
+    std::vector<std::uint8_t> payload;
+    ASSERT_TRUE(client.read_frame(&hdr, &payload));
+    EXPECT_EQ(hdr.type, net::FrameType::Error);
+    const auto err = net::decode_error(payload.data(), payload.size());
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->code, want);
+    // The poisoned connection is closed after the error flushes.
+    EXPECT_FALSE(client.read_frame(&hdr, &payload));
+  };
+  expect_error_then_close(std::vector<std::uint8_t>(16, 0xAB),
+                          net::ErrorCode::BadFrame);
+  // A well-formed Ping header whose payload_len (LE u32 at byte 8)
+  // claims more than max_frame_bytes.
+  std::vector<std::uint8_t> too_large = net::encode_ping(1);
+  too_large[8] = 0x00;
+  too_large[9] = 0x10;  // 4096
+  too_large[10] = too_large[11] = 0;
+  expect_error_then_close(too_large, net::ErrorCode::TooLarge);
+
+  // The router itself is unharmed: a fresh connection works.
+  net::Client fresh(client_for(router));
+  ASSERT_TRUE(fresh.connect());
+  EXPECT_TRUE(fresh.ping(99));
+  router.stop();
+  EXPECT_EQ(router.stats().protocol_errors, 2u);
+  shard.stop();
+}
+
+TEST(ClusterRouter, ConnectionCapRefusesWithTypedError) {
+  runtime::Scheduler sched(small_sched());
+  net::Server shard(sched, shard_opts());
+  ASSERT_TRUE(shard.start());
+  RouterOptions ro = router_over({&shard});
+  ro.max_connections = 1;
+  Router router(ro);
+  ASSERT_TRUE(router.start());
+
+  net::Client first(client_for(router));
+  ASSERT_TRUE(first.connect());
+  ASSERT_TRUE(first.ping(1));  // ensure the router registered it
+
+  net::Client second(client_for(router));
+  ASSERT_TRUE(second.connect());  // TCP accept succeeds, then refusal
+  net::FrameHeader hdr;
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(second.read_frame(&hdr, &payload));
+  EXPECT_EQ(hdr.type, net::FrameType::Error);
+  const auto err = net::decode_error(payload.data(), payload.size());
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->code, net::ErrorCode::ServerFull);
+
+  EXPECT_TRUE(first.ping(2));  // the admitted connection is unaffected
+  router.stop();
+  EXPECT_EQ(router.stats().conns_refused, 1u);
+  EXPECT_EQ(router.stats().conns_accepted, 1u);
+  shard.stop();
+}
+
+TEST(ClusterRouter, IdleTimeoutClosesQuietClients) {
+  runtime::Scheduler sched(small_sched());
+  net::Server shard(sched, shard_opts());
+  ASSERT_TRUE(shard.start());
+  RouterOptions ro = router_over({&shard});
+  ro.idle_timeout_s = 0.2;
+  Router router(ro);
+  ASSERT_TRUE(router.start());
+
+  net::Client client(client_for(router));
+  ASSERT_TRUE(client.connect());
+  ASSERT_TRUE(client.ping(1));
+  // Go quiet; the router should close us within ~timeout + one tick.
+  const auto t0 = std::chrono::steady_clock::now();
+  net::FrameHeader hdr;
+  std::vector<std::uint8_t> payload;
+  EXPECT_FALSE(client.read_frame(&hdr, &payload));  // EOF from idle close
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            10.0);
+  router.stop();
+  shard.stop();
+}
+
+TEST(ClusterRouter, ShutdownThenImmediateCloseStillHonored) {
+  // Fire-and-forget shutdown: the frame and the FIN can land in the same
+  // poll cycle, and the router must parse buffered frames before
+  // treating the connection as gone.
+  runtime::Scheduler sched(small_sched());
+  net::Server shard(sched, shard_opts());
+  ASSERT_TRUE(shard.start());
+  RouterOptions ro = router_over({&shard});
+  ro.allow_remote_shutdown = true;
+  Router router(ro);
+  ASSERT_TRUE(router.start());
+
+  {
+    net::Client client(client_for(router));
+    ASSERT_TRUE(client.connect());
+    const auto frame = net::encode_shutdown();
+    ASSERT_TRUE(client.send_raw(frame.data(), frame.size()));
+    client.close();  // FIN chases the frame immediately
+  }
+
+  // Bounded waits so a regression fails the test instead of hanging it.
+  EXPECT_TRUE(wait_until([&] { return !router.running(); }, 5.0));
+  router.stop();  // cleanup no-op when the drain already finished
+  // The router broadcast Shutdown to the shard before exiting.
+  EXPECT_TRUE(wait_until([&] { return !shard.running(); }, 5.0));
+  shard.stop();
 }
 
 // ------------------------------------------------------- stats merging

@@ -4,7 +4,9 @@
 // backpressure under deliberate overload, malformed-frame handling,
 // mid-stream disconnects, connection caps, idle timeouts, graceful
 // drain, remote shutdown, and the completion wake (no lost wakes, no
-// idle spin, no write to a retired wake fd).
+// idle spin, no write to a retired wake fd). Plus unit tests, over a
+// socketpair, for the connection layer the server shares with the
+// router (net/conn.hpp): framing, backpressure and buffer shrinking.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -23,6 +25,7 @@
 #include "la/norms.hpp"
 #include "la/permutation.hpp"
 #include "net/client.hpp"
+#include "net/conn.hpp"
 #include "net/server.hpp"
 #include "net/socket_util.hpp"
 #include "obs/trace.hpp"
@@ -718,4 +721,151 @@ TEST(NetServer, LateCompletionNeverWritesARetiredWakeFd) {
     close(sp[0]);
     close(sp[1]);
   }
+}
+
+// ---------------------------------------------------------------------
+// The shared connection layer, driven over a socketpair.
+
+namespace {
+
+/// A FramedConn on one end of a non-blocking socketpair; the test plays
+/// the remote side through `peer`.
+struct ConnPair {
+  FramedConn conn;
+  int peer = -1;
+
+  ConnPair() {
+    int sp[2];
+    EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sp), 0);
+    set_nonblocking(sp[0]);
+    set_nonblocking(sp[1]);
+    conn.fd = sp[0];
+    peer = sp[1];
+  }
+  ~ConnPair() {
+    close(conn.fd);
+    close(peer);
+  }
+
+  void send(const std::vector<std::uint8_t>& bytes) {
+    ASSERT_EQ(write(peer, bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  }
+};
+
+/// A Ping header announcing `payload_len` bytes (LE u32 at byte 8).
+std::vector<std::uint8_t> ping_header(std::uint32_t payload_len) {
+  std::vector<std::uint8_t> h = encode_ping(1);
+  h.resize(kHeaderBytes);
+  for (int i = 0; i < 4; ++i)
+    h[8 + i] = static_cast<std::uint8_t>(payload_len >> (8 * i));
+  return h;
+}
+
+}  // namespace
+
+TEST(NetConn, OneFrameFedAByteAtATimeGivesOneFrame) {
+  ConnPair p;
+  const auto frame = encode_ping(42);
+  int frames = 0;
+  for (std::uint8_t b : frame) {
+    p.send({b});
+    const IoResult r = p.conn.read(kMaxFrameBytes);
+    EXPECT_EQ(r.bytes, 1u);
+    EXPECT_FALSE(r.peer_gone);
+    Frame f;
+    while (p.conn.next_frame(kMaxFrameBytes, &f) == HeaderStatus::Ok) {
+      ++frames;
+      EXPECT_EQ(f.hdr.type, FrameType::Ping);
+      EXPECT_EQ(f.size, frame.size());
+      EXPECT_EQ(decode_ping(f.payload(), f.hdr.payload_len), 42u);
+    }
+  }
+  EXPECT_EQ(frames, 1);
+  EXPECT_TRUE(p.conn.rbuf.empty());
+}
+
+TEST(NetConn, TwoFramesInOneReadGiveTwo) {
+  ConnPair p;
+  auto bytes = encode_ping(1);
+  const auto second = encode_ping(2);
+  bytes.insert(bytes.end(), second.begin(), second.end());
+  p.send(bytes);
+  EXPECT_EQ(p.conn.read(kMaxFrameBytes).bytes, bytes.size());
+  std::vector<std::uint64_t> nonces;
+  Frame f;
+  while (p.conn.next_frame(kMaxFrameBytes, &f) == HeaderStatus::Ok)
+    nonces.push_back(*decode_ping(f.payload(), f.hdr.payload_len));
+  EXPECT_EQ(nonces, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_TRUE(p.conn.rbuf.empty());
+}
+
+TEST(NetConn, OversizedHeaderReportsTooLarge) {
+  ConnPair p;
+  p.send(ping_header(1000));
+  ASSERT_EQ(p.conn.read(64).bytes, kHeaderBytes);
+  Frame f;
+  const HeaderStatus hs = p.conn.next_frame(64, &f);
+  EXPECT_EQ(hs, HeaderStatus::TooLarge);
+  // The stream is desynced: the rest is discarded and no frame follows.
+  EXPECT_TRUE(p.conn.close_after_flush);
+  EXPECT_TRUE(p.conn.rbuf.empty());
+  EXPECT_EQ(p.conn.next_frame(64, &f), HeaderStatus::NeedMore);
+  const auto reply = malformed_frame_error(hs);
+  const auto err = decode_error(reply.data() + kHeaderBytes,
+                                reply.size() - kHeaderBytes);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->code, ErrorCode::TooLarge);
+}
+
+TEST(NetConn, ReadStopsOnceAMaxFrameIsBuffered) {
+  // max_frame_bytes + kHeaderBytes = 28: reading goes on while at most
+  // that much is buffered, and stops once more is.
+  constexpr std::size_t kMax = 16;
+  ConnPair p;
+  const std::vector<std::uint8_t> chunk(20, 0xAB);
+  p.send(chunk);
+  EXPECT_EQ(p.conn.read(kMax).bytes, 20u);
+  p.send(chunk);
+  EXPECT_EQ(p.conn.read(kMax).bytes, 20u);  // 20 ≤ 28 before this read
+  p.send(chunk);
+  const IoResult r = p.conn.read(kMax);  // 40 > 28: backpressure
+  EXPECT_EQ(r.bytes, 0u);
+  EXPECT_FALSE(r.peer_gone);
+  EXPECT_EQ(p.conn.rbuf.size(), 40u);
+}
+
+TEST(NetConn, BuffersGiveUpCapacityOnceDrained) {
+  constexpr std::size_t kBig = 4 * kBufShrinkBytes;
+  ConnPair p;
+
+  // Write side: one big reply, flushed while the peer reads it.
+  p.conn.queue(std::vector<std::uint8_t>(kBig, 0x5A));
+  EXPECT_GE(p.conn.wbuf.capacity(), kBig);
+  std::vector<std::uint8_t> sink(65536);
+  while (p.conn.has_output()) {
+    ASSERT_FALSE(p.conn.flush().peer_gone);
+    const ssize_t drained = read(p.peer, sink.data(), sink.size());
+    (void)drained;
+  }
+  EXPECT_LE(p.conn.wbuf.capacity(), kBufShrinkBytes);
+
+  // Read side: one big frame, parsed out, then nothing left buffered.
+  std::vector<std::uint8_t> frame = ping_header(kBig);
+  frame.resize(kHeaderBytes + kBig);
+  std::size_t sent = 0;
+  int frames = 0;
+  Frame f;
+  while (frames == 0) {
+    if (sent < frame.size()) {
+      const ssize_t n = write(p.peer, frame.data() + sent, frame.size() - sent);
+      if (n > 0) sent += static_cast<std::size_t>(n);
+    }
+    ASSERT_FALSE(p.conn.read(kMaxFrameBytes).peer_gone);
+    while (p.conn.next_frame(kMaxFrameBytes, &f) == HeaderStatus::Ok) ++frames;
+  }
+  EXPECT_EQ(frames, 1);
+  EXPECT_EQ(f.hdr.payload_len, kBig);
+  EXPECT_TRUE(p.conn.rbuf.empty());
+  EXPECT_LE(p.conn.rbuf.capacity(), kBufShrinkBytes);
 }
