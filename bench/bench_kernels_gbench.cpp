@@ -61,18 +61,58 @@ void BM_GemmSquare1024(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmSquare1024)->Unit(benchmark::kMillisecond);
 
-void BM_CholQrTall(benchmark::State& state) {
-  const index_t m = state.range(0), n = 64;
+// One CholQR or CholQR2 of an m×n panel per iteration (the input copy is
+// untimed); the rate counts scheme_flops, the nominal volume.
+void run_cholqr(benchmark::State& state, ortho::Scheme scheme, index_t m,
+                index_t n) {
   const Matrix<double> a0 = rng::gaussian_matrix<double>(m, n, 3);
   for (auto _ : state) {
     state.PauseTiming();
     Matrix<double> a = Matrix<double>::copy_of(a0.view());
     state.ResumeTiming();
-    ortho::orthonormalize_columns<double>(ortho::Scheme::CholQR, a.view());
+    ortho::orthonormalize_columns<double>(scheme, a.view());
     benchmark::DoNotOptimize(a.data());
   }
+  state.counters["Gflop/s"] = benchmark::Counter(
+      ortho::scheme_flops(scheme, m, n) * double(state.iterations()) * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+
+void BM_CholQrTall(benchmark::State& state) {
+  run_cholqr(state, ortho::Scheme::CholQR, state.range(0), 64);
 }
 BENCHMARK(BM_CholQrTall)->Arg(2000)->Arg(8000);
+
+// CholQR2 at factor_tall's Step-3 shape (10000×50), arg = pool threads.
+// Real time, because the pool's lanes do the work.
+void BM_CholQr2Tall(benchmark::State& state) {
+  const index_t prev_threads = blas_num_threads();
+  set_blas_num_threads(state.range(0));
+  run_cholqr(state, ortho::Scheme::CholQR2, 10000, 50);
+  set_blas_num_threads(prev_threads);
+}
+BENCHMARK(BM_CholQr2Tall)->Arg(1)->Arg(4)->UseRealTime()->Unit(
+    benchmark::kMillisecond);
+
+// The CholQR Gram G = AᵀA of a 10000×50 panel, arg = pool threads. The
+// rate counts flops::syrk, the nominal n(n+1)·k.
+void BM_SyrkTall(benchmark::State& state) {
+  const index_t m = 10000, n = 50;
+  const index_t prev_threads = blas_num_threads();
+  set_blas_num_threads(state.range(0));
+  const Matrix<double> a = rng::gaussian_matrix<double>(m, n, 11);
+  Matrix<double> g(n, n);
+  for (auto _ : state) {
+    blas::syrk<double>(Uplo::Upper, Op::Trans, 1.0, a.view(), 0.0, g.view());
+    benchmark::DoNotOptimize(g.data());
+  }
+  set_blas_num_threads(prev_threads);
+  state.counters["Gflop/s"] = benchmark::Counter(
+      flops::syrk(n, m) * double(state.iterations()) * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SyrkTall)->Arg(1)->Arg(4)->UseRealTime()->Unit(
+    benchmark::kMillisecond);
 
 void BM_HhqrTall(benchmark::State& state) {
   const index_t m = state.range(0), n = 64;

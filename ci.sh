@@ -2,9 +2,10 @@
 # ci.sh — the checks a change must pass before merging.
 #
 #   1. tier-1: default (Release) build + the full ctest suite;
-#   2. kernel smoke: bench_kernels_gbench in JSON mode, failing on
-#      missing/zero/NaN flop rates (catches a microkernel that compiles
-#      but silently computes garbage or never runs);
+#   2. kernel smoke: bench_kernels_gbench in JSON mode (the GEMM rows
+#      plus the tall CholQR2 and syrk rows), failing on missing/zero/NaN
+#      flop rates (catches a microkernel that compiles but silently
+#      computes garbage or never runs);
 #   2b. qrcp engines: the bench_qrcp crossover sweep (QP3 vs RQRCP vs
 #      truncated sampling), whose exit code enforces the DESIGN.md §13
 #      quality tripwires — RQRCP residual within 2x of QP3 everywhere
@@ -66,7 +67,9 @@
 #   7. memory safety: the wire-protocol, server, cluster router and
 #      hash-ring, fault-plane, batched BLAS, zero-copy decode,
 #      QRCP-engine, observability, Householder (blocked orgqr
-#      index/zeroing loops) and RNG suites rebuilt with
+#      index/zeroing loops), RNG, BLAS-3 (syrk's summation chunks and
+#      partial Grams, the trsm/trmm panels and transpose buffers),
+#      BLAS property and orthogonalization suites rebuilt with
 #      -fsanitize=address,undefined (the `asan` preset), so
 #      adversarial frames, the shared connection buffers (net/conn.hpp)
 #      on both the server and the router, and the arena lease/recycle
@@ -92,7 +95,8 @@ ctest --preset default -j "$JOBS"
 
 echo "== kernel smoke: flop rates finite and nonzero =="
 SMOKE_JSON=build/kernel_smoke.json
-./build/bench/bench_kernels_gbench --benchmark_filter='BM_Gemm' \
+./build/bench/bench_kernels_gbench \
+  --benchmark_filter='BM_Gemm|BM_CholQr2Tall|BM_SyrkTall' \
   --benchmark_format=json > "$SMOKE_JSON"
 grep -q '"kernel_arch"' "$SMOKE_JSON" || {
   echo "kernel smoke FAILED: no kernel_arch in benchmark context"; exit 1; }
@@ -306,7 +310,8 @@ cmake --build --preset asan -j "$JOBS" \
   --target test_net_protocol test_net_server test_cluster_router \
   test_cluster_ring test_fault \
   test_batched_blas test_zero_copy_decode test_qrcp test_qrcp_rqrcp \
-  test_obs test_householder test_rng randla_loadgen
+  test_obs test_householder test_rng test_blas3 test_blas_property \
+  test_ortho randla_loadgen
 ctest --preset asan -j "$JOBS"
 
 echo "== chaos under ASan: fault paths memory-clean =="

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "la/blas1.hpp"
-#include "la/blas2.hpp"
 #include "la/parallel.hpp"
 #include "la/profile_hooks.hpp"
 #include "la/simd.hpp"
@@ -44,14 +45,19 @@ struct Tile<float> {
 #endif
 
 // Parallel tiling policy: a GEMM is split into a row_tiles×col_tiles
-// grid of independent C blocks (the k dimension is never split, so the
-// summation order — and therefore the bits — never depend on the
-// thread count). Grains keep each tile at a full packed panel.
+// grid of independent C blocks (GEMM never splits the k dimension, so
+// the summation order — and therefore the bits — never depend on the
+// thread count; the tall syrk below splits k only at fixed boundaries).
+// Grains keep each tile at a full packed panel.
 constexpr index_t kRowGrain = 256;
 constexpr index_t kColGrain = 64;
 // Don't fan out below ~8 Mflop (2·m·n·k); fork-join bookkeeping would
 // dominate.
 constexpr double kMinParallelFlops = 8.0e6;
+// The tall syrk and the triangular kernels fan out over fixed chunks and
+// panels from ~2 Mflop (n²·k, dim²·len): on a 4-vCPU AVX2 VM a 50-wide
+// trsm on 800 rows (2 Mflop, 3 panels) runs 1.9× faster on 4 threads.
+constexpr double kMinParallelPanelFlops = 2.0e6;
 
 // Pack an mc×kc block of op(A) (top-left at (i0, k0) of op(A)) into
 // row-panels of height MR: panel p holds rows [p*MR, p*MR+MR), stored
@@ -281,9 +287,13 @@ void scale_matrix(MatrixView<Real> c, Real beta) {
   }
 }
 
+// With `only` set, C is square and only the MR×NR tiles that touch that
+// triangle are computed; tiles wholly outside it are left as they were
+// (syrk's partial Grams).
 template <class Real>
 void gemm_serial(Op opa, Op opb, Real alpha, ConstMatrixView<Real> a,
-                 ConstMatrixView<Real> b, Real beta, MatrixView<Real> c) {
+                 ConstMatrixView<Real> b, Real beta, MatrixView<Real> c,
+                 std::optional<Uplo> only = std::nullopt) {
   constexpr index_t MR = Tile<Real>::MR;
   constexpr index_t NR = Tile<Real>::NR;
   const index_t m = c.rows();
@@ -323,6 +333,9 @@ void gemm_serial(Op opa, Op opb, Real alpha, ConstMatrixView<Real> a,
           const Real* bp = b_pack.data() + (q / NR) * kc * NR;
           for (index_t p = 0; p < mc; p += MR) {
             const index_t pr = std::min(MR, mc - p);
+            if (only && (*only == Uplo::Upper ? ic + p > jc + q + qc - 1
+                                              : ic + p + pr - 1 < jc + q))
+              continue;
             const Real* ap = a_pack.data() + (p / MR) * kc * MR;
             micro_kernel(kc, ap, bp, acc);
             for (index_t cc = 0; cc < qc; ++cc) {
@@ -490,6 +503,69 @@ void gemm_batched(const GemmProblem<Real>* problems, index_t count) {
   });
 }
 
+namespace {
+
+// Tall syrk (k ≫ n, the CholQR Gram): the summation dimension is cut
+// into fixed chunks of kSyrkChunk rows (op == Trans) or columns
+// (op == NoTrans). Each chunk writes its own n×n partial Gram with the
+// GEMM microkernel, and the partials are summed in a fixed pairwise
+// tree. Chunk boundaries depend only on k, so the sum — and the bits —
+// are the same at every thread count, nested or not. The path is taken
+// only for n ≤ kSyrkChunk/8, so the partials (one n×n per chunk) take
+// at most an eighth of A's memory.
+constexpr index_t kSyrkChunk = 1024;
+
+// C's uplo triangle ← β·C + full (full is the dense n×n product).
+template <class Real>
+void add_triangle(Uplo uplo, Real beta, ConstMatrixView<Real> full,
+                  MatrixView<Real> c) {
+  const index_t n = c.rows();
+  for (index_t j = 0; j < n; ++j) {
+    const index_t lo = (uplo == Uplo::Upper) ? 0 : j;
+    const index_t hi = (uplo == Uplo::Upper) ? j + 1 : n;
+    for (index_t i = lo; i < hi; ++i) {
+      const Real prev = beta == Real(0) ? Real(0) : beta * c(i, j);
+      c(i, j) = prev + full(i, j);
+    }
+  }
+}
+
+template <class Real>
+void syrk_tall(Uplo uplo, Op op, Real alpha, ConstMatrixView<Real> a,
+               Real beta, MatrixView<Real> c) {
+  const index_t n = c.rows();
+  const index_t k = (op == Op::NoTrans) ? a.cols() : a.rows();
+  const index_t chunks = (k + kSyrkChunk - 1) / kSyrkChunk;
+  const std::size_t nn = static_cast<std::size_t>(n) * n;
+  std::vector<Real> partial(nn * static_cast<std::size_t>(chunks));
+  auto gram = [&](index_t c0, index_t c1) {
+    for (index_t ch = c0; ch < c1; ++ch) {
+      const index_t k0 = ch * kSyrkChunk;
+      const index_t k1 = std::min(k, k0 + kSyrkChunk);
+      auto part = (op == Op::NoTrans) ? a.cols_range(k0, k1)
+                                      : a.rows_range(k0, k1);
+      gemm_serial(op, transpose(op), alpha, part, part, Real(0),
+                  MatrixView<Real>(n, n, partial.data() + nn * ch, n), uplo);
+    }
+  };
+  if (blas_num_threads() > 1 &&
+      double(n) * double(n) * double(k) >= kMinParallelPanelFlops) {
+    parallel_ranges(chunks, 1, gram);
+  } else {
+    gram(0, chunks);
+  }
+  for (index_t s = 1; s < chunks; s *= 2) {
+    for (index_t ch = 0; ch + s < chunks; ch += 2 * s) {
+      Real* dst = partial.data() + nn * ch;
+      const Real* src = partial.data() + nn * (ch + s);
+      for (std::size_t i = 0; i < nn; ++i) dst[i] += src[i];
+    }
+  }
+  add_triangle(uplo, beta, ConstMatrixView<Real>(n, n, partial.data(), n), c);
+}
+
+}  // namespace
+
 template <class Real>
 void syrk(Uplo uplo, Op op, Real alpha, ConstMatrixView<Real> a, Real beta,
           MatrixView<Real> c) {
@@ -498,13 +574,16 @@ void syrk(Uplo uplo, Op op, Real alpha, ConstMatrixView<Real> a, Real beta,
   const index_t k = (op == Op::NoTrans) ? a.cols() : a.rows();
   assert(((op == Op::NoTrans) ? a.rows() : a.cols()) == n);
   la_prof::KernelScope prof("syrk", double(n) * double(n) * double(k));
+  if (n > 0 && k > kSyrkChunk && n <= kSyrkChunk / 8) {
+    syrk_tall(uplo, op, alpha, a, beta, c);
+    return;
+  }
 
   // Blocked over the triangle: diagonal blocks are computed densely with
   // gemm into a scratch tile (cheap relative to the off-diagonal volume),
   // off-diagonal blocks call gemm directly. Every (i, j) block of C is
   // written exactly once, so the blocks parallelize as independent
-  // tasks across the worker pool (the CholQR Gram matrix is the hot
-  // caller here).
+  // tasks across the worker pool.
   constexpr index_t nb = 96;
   auto do_block = [&](index_t i, index_t j) {
     const index_t ib = std::min(nb, n - i);
@@ -514,15 +593,8 @@ void syrk(Uplo uplo, Op op, Real alpha, ConstMatrixView<Real> a, Real beta,
       thread_local Matrix<Real> diag_tile;
       diag_tile.resize(ib, ib);
       gemm(op, transpose(op), alpha, ai, ai, Real(0), diag_tile.view());
-      auto cii = c.block(i, i, ib, ib);
-      for (index_t jj = 0; jj < ib; ++jj) {
-        const index_t lo = (uplo == Uplo::Upper) ? 0 : jj;
-        const index_t hi = (uplo == Uplo::Upper) ? jj + 1 : ib;
-        for (index_t ii = lo; ii < hi; ++ii) {
-          const Real prev = beta == Real(0) ? Real(0) : beta * cii(ii, jj);
-          cii(ii, jj) = prev + diag_tile(ii, jj);
-        }
-      }
+      add_triangle(uplo, beta, ConstMatrixView<Real>(diag_tile.view()),
+                   c.block(i, i, ib, ib));
       return;
     }
     const index_t jb = std::min(nb, n - j);
@@ -569,171 +641,180 @@ void symmetrize(Uplo stored, MatrixView<Real> c) {
 
 namespace {
 
+// Triangular solve and multiply, blocked for small triangles. op(T) is
+// cut into diagonal blocks of kTriBlock; every off-diagonal block goes
+// through the GEMM microkernel, and each diagonal block runs column by
+// column over strips of rows held in registers (still substitution, no
+// explicit inverse). Right-side rows are independent, so B is cut into row
+// panels of about kTriPanelBytes that stay in L2. A left-side panel of
+// columns is the right-side problem on its transpose
+// (op(T)·X = B ⇔ Xᵀ·op(T)ᵀ = Bᵀ): it is transposed into a buffer and
+// shares the code. Panel boundaries depend only on the triangle's size,
+// never on the thread count, so every element sees the same operations
+// in the same order at any thread count, nested or not.
+constexpr index_t kTriBlock = 16;
+constexpr std::size_t kTriPanelBytes = 128 * 1024;
+constexpr index_t kTriMinPanel = 16;
+// Rows per register strip in a diagonal block: enough independent
+// accumulators to hide the FMA latency.
+constexpr index_t kTriStrip = 32;
+
+// y[0:len) ← after·(before·y + Σ_{r<nr} w[r]·x_r[0:len)) with
+// x_r = x + r·ld: one column of a diagonal block over a strip of rows,
+// accumulated in registers. Len is a compile-time kTriStrip for full
+// strips, so the loops vectorize, and index_t for the ragged last one.
+template <class Real, class Len>
+inline void combine_strip(Len len, Real* y, const Real* x, index_t ld,
+                          const Real* w, index_t nr, Real before, Real after) {
+  Real acc[kTriStrip];
+  for (index_t i = 0; i < len; ++i) acc[i] = before * y[i];
+  for (index_t r = 0; r < nr; ++r) {
+    const Real* xr = x + r * ld;
+    const Real wr = w[r];
+    for (index_t i = 0; i < len; ++i) acc[i] += wr * xr[i];
+  }
+  for (index_t i = 0; i < len; ++i) y[i] = after * acc[i];
+}
+
+// B ← α·B·op(T)⁻¹ (solve) or B ← α·B·op(T) on one row panel, in place.
 template <class Real>
-void trsm_serial(Side side, Uplo uplo, Op op, Diag diag, Real alpha,
-                 ConstMatrixView<Real> t, MatrixView<Real> b) {
+void tri_right_panel(bool solve, Uplo uplo, Op op, Diag diag, Real alpha,
+                     ConstMatrixView<Real> t, MatrixView<Real> b) {
   const index_t m = b.rows();
-  const index_t n = b.cols();
-
-  if (alpha != Real(1)) scale_matrix(b, alpha);
-  if (m == 0 || n == 0) return;
-
-  constexpr index_t nb = 64;
   const index_t dim = t.rows();
+  constexpr index_t nb = kTriBlock;
+  // op(T)(r, c), and the block op(T)(r0:r0+nr, c0:c0+nc) as a gemm
+  // operand to be applied with `op`.
+  auto tri = [&](index_t r, index_t c) {
+    return op == Op::NoTrans ? t(r, c) : t(c, r);
+  };
+  auto tri_block = [&](index_t r0, index_t nr, index_t c0, index_t nc) {
+    return op == Op::NoTrans ? t.block(r0, c0, nr, nc)
+                             : t.block(c0, r0, nc, nr);
+  };
+  const bool upper = (uplo == Uplo::Upper) == (op == Op::NoTrans);
+  const index_t last = ((dim - 1) / nb) * nb;
+  // Columns [k0, k0 + kn) of B feed block j through op(T)'s off-diagonal
+  // block: the solved ones for a solve, the unmodified ones for a
+  // multiply (each sweeps so that this holds).
+  auto off_diagonal = [&](index_t j, index_t jb, Real a) {
+    const index_t k0 = upper ? 0 : j + jb;
+    const index_t kn = upper ? j : dim - k0;
+    if (kn > 0)
+      gemm_serial(Op::NoTrans, op, a,
+                  ConstMatrixView<Real>(b.cols_range(k0, k0 + kn)),
+                  tri_block(k0, kn, j, jb), Real(1), b.cols_range(j, j + jb));
+  };
 
-  // Effective orientation: is op(T) lower-triangular?
-  const bool eff_lower = (uplo == Uplo::Lower) == (op == Op::NoTrans);
-
-  if (side == Side::Left) {
-    // Solve op(T)·X = B, blocked forward (eff_lower) or backward.
-    if (eff_lower) {
-      for (index_t i = 0; i < dim; i += nb) {
-        const index_t ib = std::min(nb, dim - i);
-        // Update B_i -= op(T)_{i,0:i} · X_{0:i}.
-        if (i > 0) {
-          auto tio = (op == Op::NoTrans) ? t.block(i, 0, ib, i)
-                                         : t.block(0, i, i, ib);
-          gemm(op, Op::NoTrans, Real(-1), tio,
-               ConstMatrixView<Real>(b.block(0, 0, i, n)), Real(1),
-               b.block(i, 0, ib, n));
+  if (solve && alpha != Real(1)) scale_matrix(b, alpha);
+  Real w[nb * nb];
+  Real before[nb], after[nb];
+  for (index_t s = 0; s <= last; s += nb) {
+    // A solve of an upper op(T) and a multiply by a lower one sweep
+    // forward; the other two sweep backward.
+    const index_t j = (upper == solve) ? s : last - s;
+    const index_t jb = std::min(nb, dim - j);
+    if (solve) off_diagonal(j, jb, Real(-1));
+    // Diagonal block: block column cc combines block columns
+    // [lo(cc), hi(cc)) — earlier ones for upper, later ones for lower.
+    // Its order keeps every column it reads solved (solve) or
+    // unmodified (multiply).
+    auto lo = [&](index_t cc) { return upper ? 0 : cc + 1; };
+    auto hi = [&](index_t cc) { return upper ? cc : jb; };
+    for (index_t cc = 0; cc < jb; ++cc) {
+      const Real d = diag == Diag::Unit ? Real(1) : tri(j + cc, j + cc);
+      before[cc] = solve ? Real(1) : alpha * d;
+      after[cc] = solve ? Real(1) / d : Real(1);
+      for (index_t rr = lo(cc); rr < hi(cc); ++rr)
+        w[cc * nb + rr] = solve ? -tri(j + rr, j + cc)
+                                : alpha * tri(j + rr, j + cc);
+    }
+    for (index_t i0 = 0; i0 < m; i0 += kTriStrip) {
+      const index_t len = std::min(kTriStrip, m - i0);
+      Real* row = b.data() + i0 + j * b.ld();
+      for (index_t q = 0; q < jb; ++q) {
+        const index_t cc = (upper == solve) ? q : jb - 1 - q;
+        auto strip = [&](auto n) {
+          combine_strip(n, row + cc * b.ld(), row + lo(cc) * b.ld(), b.ld(),
+                        w + cc * nb + lo(cc), hi(cc) - lo(cc), before[cc],
+                        after[cc]);
+        };
+        if (len == kTriStrip) {
+          strip(std::integral_constant<index_t, kTriStrip>{});
+        } else {
+          strip(len);
         }
-        // Unblocked solve on the diagonal block, column by column of B.
-        auto tii = t.block(i, i, ib, ib);
-        for (index_t j = 0; j < n; ++j)
-          trsv(uplo, op, diag, tii, b.col_ptr(j) + i, index_t{1});
-      }
-    } else {
-      for (index_t i = ((dim - 1) / nb) * nb; i >= 0; i -= nb) {
-        const index_t ib = std::min(nb, dim - i);
-        const index_t rest = dim - (i + ib);
-        if (rest > 0) {
-          auto tir = (op == Op::NoTrans) ? t.block(i, i + ib, ib, rest)
-                                         : t.block(i + ib, i, rest, ib);
-          gemm(op, Op::NoTrans, Real(-1), tir,
-               ConstMatrixView<Real>(b.block(i + ib, 0, rest, n)), Real(1),
-               b.block(i, 0, ib, n));
-        }
-        auto tii = t.block(i, i, ib, ib);
-        for (index_t j = 0; j < n; ++j)
-          trsv(uplo, op, diag, tii, b.col_ptr(j) + i, index_t{1});
-        if (i == 0) break;
       }
     }
-  } else {
-    // Solve X·op(T) = B  ⇔  op(T)ᵀ·Xᵀ = Bᵀ. op(T)ᵀ is lower iff op(T) is
-    // upper, so the sweep direction flips relative to the Left case.
-    if (!eff_lower) {
-      // op(T) upper: forward over columns of B.
-      for (index_t j = 0; j < dim; j += nb) {
-        const index_t jb = std::min(nb, dim - j);
-        if (j > 0) {
-          auto toj = (op == Op::NoTrans) ? t.block(0, j, j, jb)
-                                         : t.block(j, 0, jb, j);
-          gemm(Op::NoTrans, op, Real(-1),
-               ConstMatrixView<Real>(b.block(0, 0, m, j)), toj, Real(1),
-               b.block(0, j, m, jb));
-        }
-        auto tjj = t.block(j, j, jb, jb);
-        // Row-wise trsv on Bᵀ: solve op(T_jj)ᵀ x = row for each row of B.
-        for (index_t i = 0; i < m; ++i)
-          trsv(uplo, transpose(op), diag, tjj, b.data() + i + j * b.ld(),
-               b.ld());
-      }
-    } else {
-      for (index_t j = ((dim - 1) / nb) * nb; j >= 0; j -= nb) {
-        const index_t jb = std::min(nb, dim - j);
-        const index_t rest = dim - (j + jb);
-        if (rest > 0) {
-          auto tjr = (op == Op::NoTrans) ? t.block(j + jb, j, rest, jb)
-                                         : t.block(j, j + jb, jb, rest);
-          gemm(Op::NoTrans, op, Real(-1),
-               ConstMatrixView<Real>(b.block(0, j + jb, m, rest)), tjr, Real(1),
-               b.block(0, j, m, jb));
-        }
-        auto tjj = t.block(j, j, jb, jb);
-        for (index_t i = 0; i < m; ++i)
-          trsv(uplo, transpose(op), diag, tjj, b.data() + i + j * b.ld(),
-               b.ld());
-        if (j == 0) break;
-      }
-    }
+    if (!solve) off_diagonal(j, jb, alpha);
   }
 }
 
+// dst ← srcᵀ in blocks of 8 columns of src, so that reads and writes
+// both stream.
 template <class Real>
-void trmm_serial(Side side, Uplo uplo, Op op, Diag diag, Real alpha,
-                 ConstMatrixView<Real> t, MatrixView<Real> b) {
+void transpose_copy(ConstMatrixView<Real> src, MatrixView<Real> dst) {
+  constexpr index_t kb = 8;
+  const Real* s = src.data();
+  Real* d = dst.data();
+  for (index_t j0 = 0; j0 < src.cols(); j0 += kb) {
+    const index_t j1 = std::min(src.cols(), j0 + kb);
+    for (index_t i = 0; i < src.rows(); ++i)
+      for (index_t j = j0; j < j1; ++j)
+        d[j + i * dst.ld()] = s[i + j * src.ld()];
+  }
+}
+
+// Left side on one column panel: transpose it into a buffer, apply the
+// right-side kernel with op(T)ᵀ, transpose back.
+template <class Real>
+void tri_left_panel(bool solve, Uplo uplo, Op op, Diag diag, Real alpha,
+                    ConstMatrixView<Real> t, MatrixView<Real> b) {
+  const index_t dim = b.rows();
+  const index_t nc = b.cols();
+  thread_local std::vector<Real> buf;
+  buf.resize(static_cast<std::size_t>(nc) * dim);
+  MatrixView<Real> bt(nc, dim, buf.data(), nc);
+  transpose_copy(ConstMatrixView<Real>(b), bt);
+  tri_right_panel(solve, uplo, transpose(op), diag, alpha, t, bt);
+  transpose_copy(ConstMatrixView<Real>(bt), b);
+}
+
+// Split the independent dimension (B's columns for Left, rows for
+// Right) into fixed panels and run them across the pool.
+template <class Real>
+void tri_apply(bool solve, Side side, Uplo uplo, Op op, Diag diag, Real alpha,
+               ConstMatrixView<Real> t, MatrixView<Real> b) {
   const index_t m = b.rows();
   const index_t n = b.cols();
+  assert(t.rows() == t.cols());
+  assert(t.rows() == (side == Side::Left ? m : n));
+  const index_t dim = t.rows();
+  const index_t len = (side == Side::Left) ? n : m;
+  const double work = double(dim) * double(dim) * double(len);
+  la_prof::KernelScope prof(solve ? "trsm" : "trmm", work);
   if (m == 0 || n == 0) return;
-
-  const bool eff_lower = (uplo == Uplo::Lower) == (op == Op::NoTrans);
-
-  // In-place triangular multiply with axpy/dot inner kernels; the
-  // triangular factors in this library are ℓ×ℓ (small), so the O(dim²·n)
-  // two-level loop is adequate once the inner kernels are vectorized
-  // and the outer independent dimension is split across the pool.
-  if (side == Side::Left) {
-    if (!eff_lower) {
-      // op(T) upper: compute rows top-down (row i uses rows ≥ i).
-      for (index_t j = 0; j < n; ++j) {
-        Real* bj = b.col_ptr(j);
-        for (index_t i = 0; i < m; ++i) {
-          Real s = diag == Diag::Unit ? bj[i] : t(i, i) * bj[i];
-          if (op == Op::Trans) {
-            // t(kk, i) down column i is stride-1: vectorized dot.
-            s += dot(m - i - 1, t.col_ptr(i) + i + 1, index_t{1}, bj + i + 1,
-                     index_t{1});
-          } else {
-            for (index_t kk = i + 1; kk < m; ++kk) s += t(i, kk) * bj[kk];
-          }
-          bj[i] = alpha * s;
-        }
-      }
-    } else {
-      // op(T) lower: compute rows bottom-up (row i uses rows ≤ i).
-      for (index_t j = 0; j < n; ++j) {
-        Real* bj = b.col_ptr(j);
-        for (index_t i = m - 1; i >= 0; --i) {
-          Real s = diag == Diag::Unit ? bj[i] : t(i, i) * bj[i];
-          if (op == Op::Trans) {
-            s += dot(i, t.col_ptr(i), index_t{1}, bj, index_t{1});
-          } else {
-            for (index_t kk = 0; kk < i; ++kk) s += t(i, kk) * bj[kk];
-          }
-          bj[i] = alpha * s;
-        }
+  const index_t panel = std::max<index_t>(
+      kTriMinPanel,
+      static_cast<index_t>(kTriPanelBytes / (sizeof(Real) * std::size_t(dim))));
+  const index_t panels = (len + panel - 1) / panel;
+  auto run = [&](index_t p0, index_t p1) {
+    for (index_t p = p0; p < p1; ++p) {
+      const index_t i0 = p * panel;
+      const index_t i1 = std::min(len, i0 + panel);
+      if (side == Side::Right) {
+        tri_right_panel(solve, uplo, op, diag, alpha, t,
+                        b.rows_range(i0, i1));
+      } else {
+        tri_left_panel(solve, uplo, op, diag, alpha, t, b.cols_range(i0, i1));
       }
     }
-  } else {
-    // B ← α·B·op(T).
-    if (!eff_lower) {
-      // op(T) upper: column j of the result uses columns ≤ j; go right-to-left.
-      for (index_t j = n - 1; j >= 0; --j) {
-        Real* bj = b.col_ptr(j);
-        const Real tjj = diag == Diag::Unit ? Real(1) : t(j, j);
-        scal(m, alpha * tjj, bj, index_t{1});
-        for (index_t kk = 0; kk < j; ++kk) {
-          const Real tkj = op == Op::NoTrans ? t(kk, j) : t(j, kk);
-          if (tkj != Real(0))
-            axpy(m, alpha * tkj, b.col_ptr(kk), index_t{1}, bj, index_t{1});
-        }
-        if (j == 0) break;
-      }
-    } else {
-      // op(T) lower: column j uses columns ≥ j; go left-to-right.
-      for (index_t j = 0; j < n; ++j) {
-        Real* bj = b.col_ptr(j);
-        const Real tjj = diag == Diag::Unit ? Real(1) : t(j, j);
-        scal(m, alpha * tjj, bj, index_t{1});
-        for (index_t kk = j + 1; kk < n; ++kk) {
-          const Real tkj = op == Op::NoTrans ? t(kk, j) : t(j, kk);
-          if (tkj != Real(0))
-            axpy(m, alpha * tkj, b.col_ptr(kk), index_t{1}, bj, index_t{1});
-        }
-      }
-    }
+  };
+  if (blas_num_threads() > 1 && panels > 1 && work >= kMinParallelPanelFlops) {
+    parallel_ranges(panels, 1, run);
+    return;
   }
+  run(0, panels);
 }
 
 }  // namespace
@@ -741,68 +822,13 @@ void trmm_serial(Side side, Uplo uplo, Op op, Diag diag, Real alpha,
 template <class Real>
 void trsm(Side side, Uplo uplo, Op op, Diag diag, Real alpha,
           ConstMatrixView<Real> t, MatrixView<Real> b) {
-  const index_t m = b.rows();
-  const index_t n = b.cols();
-  assert(t.rows() == t.cols());
-  assert(t.rows() == (side == Side::Left ? m : n));
-  const index_t dim = t.rows();
-
-  // Left solves are independent per column of B, right solves per row:
-  // split the independent dimension across the pool (the CholQR
-  // A·R⁻¹ step is a Right solve over all m rows of the sample matrix).
-  const double work = double(dim) * double(dim) * (side == Side::Left ? n : m);
-  la_prof::KernelScope prof("trsm", work);
-  if (blas_num_threads() > 1 && work >= kMinParallelFlops) {
-    if (side == Side::Left && n > 1) {
-      parallel_ranges(n, 8, [&](index_t j0, index_t j1) {
-        trsm_serial(side, uplo, op, diag, alpha, t,
-                    b.block(0, j0, m, j1 - j0));
-      });
-      return;
-    }
-    if (side == Side::Right && m > 1) {
-      parallel_ranges(m, 8, [&](index_t i0, index_t i1) {
-        trsm_serial(side, uplo, op, diag, alpha, t,
-                    b.block(i0, 0, i1 - i0, n));
-      });
-      return;
-    }
-  }
-  trsm_serial(side, uplo, op, diag, alpha, t, b);
+  tri_apply(true, side, uplo, op, diag, alpha, t, b);
 }
 
 template <class Real>
 void trmm(Side side, Uplo uplo, Op op, Diag diag, Real alpha,
           ConstMatrixView<Real> t, MatrixView<Real> b) {
-  const index_t m = b.rows();
-  const index_t n = b.cols();
-  assert(t.rows() == t.cols());
-  assert(t.rows() == (side == Side::Left ? m : n));
-  if (m == 0 || n == 0) return;
-  const index_t dim = t.rows();
-
-  // Left multiplies are independent per column of B; right multiplies
-  // per row (row i of B·op(T) only reads row i of B), so a row-sliced
-  // view runs the same in-place algorithm correctly.
-  const double work = double(dim) * double(dim) * (side == Side::Left ? n : m);
-  la_prof::KernelScope prof("trmm", work);
-  if (blas_num_threads() > 1 && work >= kMinParallelFlops) {
-    if (side == Side::Left && n > 1) {
-      parallel_ranges(n, 8, [&](index_t j0, index_t j1) {
-        trmm_serial(side, uplo, op, diag, alpha, t,
-                    b.block(0, j0, m, j1 - j0));
-      });
-      return;
-    }
-    if (side == Side::Right && m > 1) {
-      parallel_ranges(m, 8, [&](index_t i0, index_t i1) {
-        trmm_serial(side, uplo, op, diag, alpha, t,
-                    b.block(i0, 0, i1 - i0, n));
-      });
-      return;
-    }
-  }
-  trmm_serial(side, uplo, op, diag, alpha, t, b);
+  tri_apply(false, side, uplo, op, diag, alpha, t, b);
 }
 
 #define RANDLA_INSTANTIATE_BLAS3(Real)                                         \

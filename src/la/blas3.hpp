@@ -61,7 +61,10 @@ void gemm_batched(const GemmProblem<Real>* problems, index_t count);
 
 /// Symmetric rank-k update on one triangle:
 /// C ← α·A·Aᵀ + β·C (op == NoTrans) or C ← α·Aᵀ·A + β·C (op == Trans).
-/// Only the `uplo` triangle of C is referenced/written.
+/// Only the `uplo` triangle of C is referenced/written. A tall update
+/// (k > 1024, n ≤ 128) cuts k into fixed 1024-long chunks on the pool
+/// and sums their partial Grams in a fixed tree, so the result is
+/// bitwise the same at every thread count.
 template <class Real>
 void syrk(Uplo uplo, Op op, Real alpha, ConstMatrixView<Real> a, Real beta,
           MatrixView<Real> c);
@@ -73,6 +76,8 @@ void symmetrize(Uplo stored, MatrixView<Real> c);
 
 /// Triangular solve with multiple right-hand sides:
 /// B ← α·op(T)⁻¹·B (side == Left) or B ← α·B·op(T)⁻¹ (side == Right).
+/// B's independent dimension is cut into panels sized by T alone, so
+/// trsm and trmm are bitwise the same at every thread count.
 template <class Real>
 void trsm(Side side, Uplo uplo, Op op, Diag diag, Real alpha,
           ConstMatrixView<Real> t, MatrixView<Real> b);

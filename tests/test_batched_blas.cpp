@@ -140,13 +140,16 @@ TEST(GemmBatched, EmptyAndDegenerateProblems) {
 }
 
 TEST(CholQRPanelBatched, BitwiseMatchesLoopedAcrossThreads) {
-  const index_t ls[] = {4, 9, 16, 5, 12};
-  const index_t ns[] = {40, 64, 90, 33, 48};
+  // The last panel is wider than syrk's 1024-column summation chunk, so
+  // its Gram takes the chunked path, serially inside the pool chunk.
+  const index_t ls[] = {4, 9, 16, 5, 12, 12};
+  const index_t ns[] = {40, 64, 90, 33, 48, 3000};
+  constexpr int kPanels = 6;
   for (ortho::Scheme scheme : {ortho::Scheme::CholQR, ortho::Scheme::CholQR2}) {
     set_blas_num_threads(1);
     std::vector<Matrix<double>> ref;
     std::vector<ortho::OrthoReport> ref_reps;
-    for (int i = 0; i < 5; ++i) {
+    for (int i = 0; i < kPanels; ++i) {
       ref.push_back(random_matrix<double>(ls[i], ns[i], 7 + i));
       ref_reps.push_back(orthonormalize_rows(scheme, ref.back().view()));
     }
@@ -154,7 +157,7 @@ TEST(CholQRPanelBatched, BitwiseMatchesLoopedAcrossThreads) {
       set_blas_num_threads(threads);
       std::vector<Matrix<double>> got;
       std::vector<MatrixView<double>> panels;
-      for (int i = 0; i < 5; ++i) {
+      for (int i = 0; i < kPanels; ++i) {
         got.push_back(random_matrix<double>(ls[i], ns[i], 7 + i));
         panels.push_back(got.back().view());
       }
@@ -163,7 +166,7 @@ TEST(CholQRPanelBatched, BitwiseMatchesLoopedAcrossThreads) {
                                   static_cast<index_t>(panels.size()),
                                   reps.data());
       set_blas_num_threads(1);
-      for (int i = 0; i < 5; ++i) {
+      for (int i = 0; i < kPanels; ++i) {
         EXPECT_TRUE(bitwise_equal(ConstMatrixView<double>(ref[i].view()),
                                   ConstMatrixView<double>(got[i].view())))
             << scheme_name(scheme) << " panel " << i << " at " << threads

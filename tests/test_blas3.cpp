@@ -1,9 +1,11 @@
 // Unit tests for BLAS-3 kernels: the blocked GEMM against a reference
 // triple loop over shapes that exercise every packing edge case, plus
-// syrk / trsm / trmm in all orientations.
+// syrk (both its triangle-block and summation-chunk paths) and trsm /
+// trmm in all orientations.
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "la/blas3.hpp"
 #include "test_util.hpp"
@@ -97,6 +99,9 @@ TEST(Gemm, EmptyDimensionsNoop) {
 
 // ---------------------------------------------------------------- SYRK
 
+// k runs up to and past the tall path's 1024-long summation chunk
+// (1025 is a full chunk plus a one-element one); n = 150 is beyond the
+// tall path and takes the triangle blocks at every k.
 class SyrkCase
     : public ::testing::TestWithParam<std::tuple<Uplo, Op, index_t, index_t>> {};
 
@@ -104,16 +109,18 @@ TEST_P(SyrkCase, MatchesGemmOnTriangle) {
   auto [uplo, op, n, k] = GetParam();
   auto a = (op == Op::NoTrans) ? random_matrix<double>(n, k, 9)
                                : random_matrix<double>(k, n, 9);
-  Matrix<double> c(n, n);
-  syrk<double>(uplo, op, 1.0, a.view(), 0.0, c.view());
-  auto ref = reference_gemm<double>(op, transpose(op), 1.0, a.view(), a.view());
+  const auto c0 = random_matrix<double>(n, n, 16);
+  auto c = Matrix<double>::copy_of(c0.view());
+  syrk<double>(uplo, op, 0.5, a.view(), -0.75, c.view());
+  auto ref = reference_gemm<double>(op, transpose(op), 0.5, a.view(), a.view());
+  const double tol = 1e-14 * double(k + 64);
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i < n; ++i) {
       const bool in_tri = (uplo == Uplo::Upper) ? (i <= j) : (i >= j);
       if (in_tri)
-        EXPECT_NEAR(c(i, j), ref(i, j), 1e-11) << i << "," << j;
+        ASSERT_NEAR(c(i, j), ref(i, j) - 0.75 * c0(i, j), tol) << i << "," << j;
       else
-        EXPECT_DOUBLE_EQ(c(i, j), 0.0) << "triangle leak at " << i << "," << j;
+        ASSERT_EQ(c(i, j), c0(i, j)) << "triangle leak at " << i << "," << j;
     }
 }
 
@@ -122,7 +129,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Uplo::Upper, Uplo::Lower),
                        ::testing::Values(Op::NoTrans, Op::Trans),
                        ::testing::Values<index_t>(5, 96, 150),
-                       ::testing::Values<index_t>(7, 64)));
+                       ::testing::Values<index_t>(7, 64, 1023, 1024, 1025,
+                                                  5000)));
 
 TEST(Syrk, BetaAccumulation) {
   auto a = random_matrix<double>(6, 4, 10);
@@ -174,6 +182,96 @@ TEST_P(TrsmCase, SolveInvertsMultiply) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllOrientations, TrsmCase,
+    ::testing::Combine(::testing::Values(Side::Left, Side::Right),
+                       ::testing::Values(Uplo::Upper, Uplo::Lower),
+                       ::testing::Values(Op::NoTrans, Op::Trans),
+                       ::testing::Values(Diag::NonUnit, Diag::Unit)));
+
+// Every Side×Uplo×Op×Diag against a naive dense reference, at triangle
+// sizes around the 16-wide diagonal blocks and past one L2 panel of B
+// (700 right-hand sides), with α ≠ 1. Unit-diagonal triangles store a
+// junk diagonal that must be ignored.
+class TriangularDense
+    : public ::testing::TestWithParam<std::tuple<Side, Uplo, Op, Diag>> {};
+
+TEST_P(TriangularDense, TrsmAndTrmmMatchNaiveReference) {
+  auto [side, uplo, op, diag] = GetParam();
+  const index_t len = 700;
+  const double alpha = 0.7;
+  for (index_t dim : {1, 15, 16, 17, 50, 130}) {
+    const index_t m = (side == Side::Left) ? dim : len;
+    const index_t n = (side == Side::Left) ? len : dim;
+    Matrix<double> t = random_matrix<double>(dim, dim, 17);
+    Matrix<double> opt(dim, dim);  // dense op(T), the triangle only
+    for (index_t j = 0; j < dim; ++j)
+      for (index_t i = 0; i < dim; ++i) {
+        const bool in_tri = (uplo == Uplo::Upper) ? (i <= j) : (i >= j);
+        if (i == j) {
+          t(i, j) = (diag == Diag::Unit) ? 99.0 : 2.0 + 0.01 * double(i);
+        } else if (in_tri) {
+          t(i, j) /= double(dim);
+        }
+        if (!in_tri) continue;
+        const double v = (i == j && diag == Diag::Unit) ? 1.0 : t(i, j);
+        if (op == Op::NoTrans)
+          opt(i, j) = v;
+        else
+          opt(j, i) = v;
+      }
+    const auto b0 = random_matrix<double>(m, n, 18);
+    auto ab0 = Matrix<double>::copy_of(b0.view());
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < m; ++i) ab0(i, j) *= alpha;
+
+    // trmm: α·op(T)·B or α·B·op(T).
+    auto mult = Matrix<double>::copy_of(b0.view());
+    trmm<double>(side, uplo, op, diag, alpha, t.view(), mult.view());
+    auto want_mult =
+        (side == Side::Left)
+            ? reference_gemm<double>(Op::NoTrans, Op::NoTrans, alpha,
+                                     opt.view(), b0.view())
+            : reference_gemm<double>(Op::NoTrans, Op::NoTrans, alpha,
+                                     b0.view(), opt.view());
+    EXPECT_LT(rel_diff<double>(mult.view(), want_mult.view()), 1e-13)
+        << "trmm dim=" << dim;
+
+    // trsm: naive substitution on the dense op(T), one right-hand side
+    // (a column of αB for Left, a row for Right) at a time.
+    auto solve = Matrix<double>::copy_of(b0.view());
+    trsm<double>(side, uplo, op, diag, alpha, t.view(), solve.view());
+    const bool lower_eff = (uplo == Uplo::Lower) == (op == Op::NoTrans);
+    Matrix<double> want_solve(m, n);
+    std::vector<double> x(static_cast<std::size_t>(dim));
+    for (index_t v = 0; v < len; ++v) {
+      auto rhs = [&](index_t i) -> double& {
+        return (side == Side::Left) ? ab0(i, v) : ab0(v, i);
+      };
+      // Left: op(T)·x = rhs. Right: x·op(T) = rhs, i.e. op(T)ᵀ·x = rhs.
+      auto coef = [&](index_t i, index_t k) {
+        return (side == Side::Left) ? opt(i, k) : opt(k, i);
+      };
+      const bool lower = (side == Side::Left) == lower_eff;
+      for (index_t s = 0; s < dim; ++s) {
+        const index_t i = lower ? s : dim - 1 - s;
+        double acc = rhs(i);
+        for (index_t k = 0; k < dim; ++k)
+          if (k != i && (lower ? k < i : k > i)) acc -= coef(i, k) * x[k];
+        x[i] = acc / coef(i, i);
+      }
+      for (index_t i = 0; i < dim; ++i) {
+        if (side == Side::Left)
+          want_solve(i, v) = x[i];
+        else
+          want_solve(v, i) = x[i];
+      }
+    }
+    EXPECT_LT(rel_diff<double>(solve.view(), want_solve.view()), 1e-13)
+        << "trsm dim=" << dim;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllOrientations, TriangularDense,
     ::testing::Combine(::testing::Values(Side::Left, Side::Right),
                        ::testing::Values(Uplo::Upper, Uplo::Lower),
                        ::testing::Values(Op::NoTrans, Op::Trans),

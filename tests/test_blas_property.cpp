@@ -1,13 +1,14 @@
 // Property tests for the vectorized kernel core: the AVX2/FMA (or
 // scalar fallback) GEMM/GEMV/SYRK paths are validated against naive
 // triple-loop references across every transpose combination, ragged
-// sizes, and alpha/beta in {0, 1, -1, 0.3}; and the 2D-tiled parallel
-// dispatch is checked to be bitwise identical across worker counts
-// (the k dimension is never split, so the summation order per element
-// is fixed — see blas3.cpp).
+// sizes, and alpha/beta in {0, 1, -1, 0.3}; and the parallel dispatch
+// is checked to be bitwise identical across worker counts (GEMM never
+// splits the k dimension, and the tall syrk splits it only at fixed
+// boundaries summed in a fixed tree — see blas3.cpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "la/blas1.hpp"
@@ -131,9 +132,12 @@ TEST(SyrkProperty, MatchesNaiveReferenceOnTriangle) {
   }
 }
 
-// The parallel dispatch never splits the k (summation) dimension, so
+// GEMM's parallel dispatch never splits the k (summation) dimension, so
 // every per-element accumulation runs in the same order at any worker
-// count: results must be bitwise identical, not merely close.
+// count: results must be bitwise identical, not merely close. (The tall
+// syrk does split k, but only at fixed boundaries that do not depend on
+// the thread count, and sums the parts in a fixed tree; see
+// TallSyrkAndSmallTriangleKernelsBitwiseIdentical.)
 TEST(ThreadInvariance, GemmBitwiseIdenticalAcrossWorkerCounts) {
   const index_t m = 300, n = 520, k = 64;
   const Matrix<double> a = random_matrix<double>(m, k, 109);
@@ -185,6 +189,62 @@ TEST(ThreadInvariance, TrsmAndTrmmBitwiseIdenticalAcrossWorkerCounts) {
       }
   }
   set_blas_num_threads(1);
+}
+
+// The tall syrk sums fixed 1024-row chunks in a fixed tree, and the
+// small-triangle trsm/trmm cut B into panels sized by the triangle
+// alone, so the bits must not depend on the worker count — and at these
+// shapes the pool must really split.
+TEST(ThreadInvariance, TallSyrkAndSmallTriangleKernelsBitwiseIdentical) {
+  const index_t tall = 3000, dim = 50;
+  const Matrix<double> a = random_matrix<double>(tall, dim, 116);
+  const Matrix<double> aw = random_matrix<double>(dim, tall, 117);
+  Matrix<double> t = random_matrix<double>(dim, dim, 118);
+  for (index_t i = 0; i < dim; ++i) t(i, i) += double(dim);
+  struct Result {
+    Matrix<double> gram_t, gram_n, solve_r, mult_r, solve_l, mult_l;
+  };
+  auto run = [&](index_t threads) {
+    set_blas_num_threads(threads);
+    const std::uint64_t splits = pool_stats().split_batches;
+    Result r{Matrix<double>(dim, dim), Matrix<double>(dim, dim),
+             Matrix<double>::copy_of(a.view()), Matrix<double>::copy_of(a.view()),
+             Matrix<double>::copy_of(aw.view()),
+             Matrix<double>::copy_of(aw.view())};
+    blas::syrk<double>(Uplo::Upper, Op::Trans, 1.0, a.view(), 0.0,
+                       r.gram_t.view());
+    blas::syrk<double>(Uplo::Lower, Op::NoTrans, 1.0, aw.view(), 0.0,
+                       r.gram_n.view());
+    blas::trsm<double>(Side::Right, Uplo::Upper, Op::NoTrans, Diag::NonUnit,
+                       1.0, t.view(), r.solve_r.view());
+    blas::trmm<double>(Side::Right, Uplo::Upper, Op::NoTrans, Diag::NonUnit,
+                       1.0, t.view(), r.mult_r.view());
+    blas::trsm<double>(Side::Left, Uplo::Lower, Op::Trans, Diag::NonUnit, 1.0,
+                       t.view(), r.solve_l.view());
+    blas::trmm<double>(Side::Left, Uplo::Lower, Op::Trans, Diag::Unit, 1.0,
+                       t.view(), r.mult_l.view());
+    if (threads > 1) {
+      EXPECT_EQ(pool_stats().split_batches, splits + 6)
+          << "every call should split at threads=" << threads;
+    }
+    set_blas_num_threads(1);
+    return r;
+  };
+  auto same = [](const Matrix<double>& x, const Matrix<double>& y) {
+    return std::memcmp(x.data(), y.data(),
+                       sizeof(double) *
+                           static_cast<std::size_t>(x.rows() * x.cols())) == 0;
+  };
+  const Result ref = run(1);
+  for (index_t threads : {2, 4}) {
+    const Result got = run(threads);
+    EXPECT_TRUE(same(ref.gram_t, got.gram_t)) << "syrk Trans, " << threads;
+    EXPECT_TRUE(same(ref.gram_n, got.gram_n)) << "syrk NoTrans, " << threads;
+    EXPECT_TRUE(same(ref.solve_r, got.solve_r)) << "trsm Right, " << threads;
+    EXPECT_TRUE(same(ref.mult_r, got.mult_r)) << "trmm Right, " << threads;
+    EXPECT_TRUE(same(ref.solve_l, got.solve_l)) << "trsm Left, " << threads;
+    EXPECT_TRUE(same(ref.mult_l, got.mult_l)) << "trmm Left, " << threads;
+  }
 }
 
 // Regression for the seed's parallel cutoff bug: the old dispatch only

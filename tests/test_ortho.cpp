@@ -3,14 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "la/blas3.hpp"
+#include "la/parallel.hpp"
 #include "ortho/ortho.hpp"
+#include "rng/gaussian.hpp"
 #include "test_util.hpp"
 
 namespace randla::ortho {
 namespace {
 
+using testing::digest;
 using testing::ortho_defect;
 using testing::random_matrix;
 using testing::rel_diff;
@@ -125,6 +129,24 @@ TEST(CholQR2, BeatsSingleCholQROnIllConditioned) {
   const double d2 = ortho_defect<double>(a2.view());
   EXPECT_LT(d2, 1e-12);
   EXPECT_LT(d2, d1);
+}
+
+// CholQR2's Q at a tall shape that takes the chunked Gram and the
+// blocked right-side solve, pinned at 1 and 4 threads. The bits belong
+// to the AVX2-FMA kernels; the portable build rounds differently.
+TEST(CholQR2, GoldenDigestTall) {
+  if (std::string(blas::kernel_arch()).rfind("avx2", 0) != 0)
+    GTEST_SKIP() << "digest pinned for the avx2-fma kernels";
+  const auto a0 = rng::gaussian_matrix<double>(3000, 50, 20151115);
+  const index_t prev_threads = blas_num_threads();
+  for (index_t threads : {1, 4}) {
+    set_blas_num_threads(threads);
+    auto q = Matrix<double>::copy_of(a0.view());
+    orthonormalize_columns<double>(Scheme::CholQR2, q.view());
+    EXPECT_EQ(digest(q), 0xf7d9df79109c7c26ull) << "threads=" << threads;
+    EXPECT_LT(ortho_defect<double>(q.view()), 1e-14);
+  }
+  set_blas_num_threads(prev_threads);
 }
 
 TEST(OrthColumns, WideInputThrows) {

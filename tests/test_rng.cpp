@@ -9,9 +9,12 @@
 #include "la/parallel.hpp"
 #include "rng/gaussian.hpp"
 #include "rng/philox.hpp"
+#include "test_util.hpp"
 
 namespace randla::rng {
 namespace {
+
+using randla::testing::digest;
 
 TEST(Philox, Deterministic) {
   Philox4x32 a(123, 0), b(123, 0);
@@ -159,22 +162,6 @@ TEST(Sampling, RoughlyUniform) {
     EXPECT_GT(h, trials / 10 / 3);
     EXPECT_LT(h, trials / 10 * 3);
   }
-}
-
-// FNV-1a over the bit patterns of the entries, column-major.
-std::uint64_t digest(const Matrix<double>& a) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (index_t j = 0; j < a.cols(); ++j)
-    for (index_t i = 0; i < a.rows(); ++i) {
-      const double v = a(i, j);
-      std::uint64_t bits;
-      std::memcpy(&bits, &v, sizeof bits);
-      for (int b = 0; b < 8; ++b) {
-        h ^= (bits >> (8 * b)) & 0xffu;
-        h *= 0x100000001b3ull;
-      }
-    }
-  return h;
 }
 
 // Ω is split across the pool by columns, each on its own substream, so

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "la/blas3.hpp"
@@ -56,6 +58,23 @@ Real ortho_defect(ConstMatrixView<Real> q) {
       worst = std::max(worst, std::abs(g(i, j) - want));
     }
   return worst;
+}
+
+/// FNV-1a over the bit patterns of the entries, column-major: pins
+/// results bit for bit in golden tests.
+inline std::uint64_t digest(const Matrix<double>& a) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (index_t j = 0; j < a.cols(); ++j)
+    for (index_t i = 0; i < a.rows(); ++i) {
+      const double v = a(i, j);
+      std::uint64_t bits;
+      std::memcpy(&bits, &v, sizeof bits);
+      for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ull;
+      }
+    }
+  return h;
 }
 
 /// Random Gaussian matrix with fixed seed (deterministic per test).
