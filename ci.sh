@@ -22,11 +22,11 @@
 #      failed jobs, zero failed residual checks, observed backpressure,
 #      and a sane p99; BENCH_serving.json captures the series;
 #   4b. batching collector: the same closed-loop workload with --batch 1
-#      vs --batch 8, three runs each, alternating — the gate demands the
+#      vs --batch 8, five runs each, alternating — the gate demands the
 #      median ON throughput within 10% of the median OFF (1-core CI cannot
-#      fan the batched Step-1 out; a single pair flips on run-to-run
-#      noise) and a median dispatch occupancy >= 2, i.e. the collector
-#      demonstrably coalesced;
+#      fan the batched Step-1 out; a single pair, and even a median of
+#      three, flips on run-to-run noise) and a median dispatch occupancy
+#      >= 2, i.e. the collector demonstrably coalesced;
 #   5. observability: a traced `randla_serve --trace --metrics` run
 #      driven by randla_loadgen --check-stats (server counters must
 #      exactly match the client's own accounting), then
@@ -142,15 +142,16 @@ wait "$SERVE_PID"
 
 echo "== batching collector: ON vs OFF closed-loop throughput =="
 # Same closed-loop saturating workload with coalescing off (--batch 1)
-# and on (--batch 8), three runs each, alternating OFF/ON so drift hits
-# both sides alike. The gate compares medians, because one pair swings
-# by more than the bound on its own. It is deliberately 1-core-honest:
+# and on (--batch 8), five runs each, alternating OFF/ON so drift hits
+# both sides alike. The gate compares medians of five, because one pair
+# swings by more than the bound on its own and a median of three still
+# flipped on noise. It is deliberately 1-core-honest:
 # median ON must not regress median OFF by more than 10% (raw wins need
 # a worker pool to fan the batched Step-1 out), and the collector must
 # actually engage — median dispatch occupancy >= 2 jobs. The json rows
-# land in build/BENCH_serving_batch_{off,on}_{1,2,3}.json.
+# land in build/BENCH_serving_batch_{off,on}_{1..5}.json.
 BATCH_PORT=18433
-for RUN in 1 2 3; do
+for RUN in 1 2 3 4 5; do
   for B in 1 8; do
     ./build/examples/randla_serve --tcp "$BATCH_PORT" --linger --jobs 0 \
       --workers 1 --queue 32 --batch "$B" &
@@ -166,12 +167,12 @@ for RUN in 1 2 3; do
     wait "$BATCH_PID"
   done
 done
-# median ROW FIELD TAG: the middle of the three runs' values.
+# median ROW FIELD TAG: the middle of the five runs' values.
 median() {
-  for RUN in 1 2 3; do
+  for RUN in 1 2 3 4 5; do
     awk -F"\"$2\":" "/$1/"' { split($2, a, ","); print a[1]; exit }' \
       "build/BENCH_serving_batch_$3_$RUN.json"
-  done | sort -g | sed -n 2p
+  done | sort -g | sed -n 3p
 }
 awk -v off="$(median summary throughput_jps off)" \
     -v on="$(median summary throughput_jps on)" \

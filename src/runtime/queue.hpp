@@ -28,7 +28,9 @@ class BoundedQueue {
   explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {}
 
   /// Non-blocking admission; never waits (backpressure by rejection).
-  PushStatus try_push(T item) {
+  /// The item is moved from only on Ok, so a refused one can still be
+  /// answered by the caller.
+  PushStatus try_push(T&& item) {
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (closed_) return PushStatus::Closed;

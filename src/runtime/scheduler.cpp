@@ -93,6 +93,11 @@ bool escalatable(ortho::Scheme s) {
   return s == ortho::Scheme::CholQR || s == ortho::Scheme::CholQR2;
 }
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 }  // namespace
 
 Scheduler::Scheduler(SchedulerOptions opts)
@@ -195,17 +200,25 @@ void Scheduler::drain_queue_no_workers() {
 
 void Scheduler::fail_pending(PendingJob pending, const std::string& why) {
   JobOutcome outcome;
-  outcome.status = JobStatus::Failed;
-  outcome.error = why;
-  outcome.trace.status = JobStatus::Failed;
-  outcome.trace.error = why;
-  outcome.trace.tag = pending.job.tag;
-  outcome.trace.kind = job_kind(pending.job);
-  outcome.trace.submit_s = pending.submit_s;
+  outcome.status = outcome.trace.status = JobStatus::Failed;
+  outcome.error = outcome.trace.error = why;
   outcome.trace.queue_wait_s = now() - pending.submit_s;
-  outcome.trace.job_id = pending.handle->id();
-  outcome.trace.trace_id = pending.job.trace_id;
-  telemetry_.record(outcome.trace);
+  complete(std::move(pending), std::move(outcome));
+}
+
+void Scheduler::complete(PendingJob pending, JobOutcome outcome) {
+  JobTrace& tr = outcome.trace;
+  tr.job_id = pending.handle->id();
+  tr.trace_id = pending.job.trace_id;
+  tr.tag = std::move(pending.job.tag);
+  tr.kind = job_kind(pending.job);
+  tr.submit_s = pending.submit_s;
+  if (tr.exec_s > 0) {
+    std::lock_guard<std::mutex> lk(calib_mu_);
+    exec_ema_s_ =
+        exec_ema_s_ <= 0 ? tr.exec_s : 0.8 * exec_ema_s_ + 0.2 * tr.exec_s;
+  }
+  telemetry_.record(tr);
   pending.handle->fulfill(std::move(outcome));
   inflight_.fetch_sub(1);
   inflight_gauge().set(double(inflight_.load()));
@@ -274,13 +287,14 @@ void Scheduler::observe_calibration(double real_s, double modeled_s) {
 
 SubmitResult Scheduler::submit(Job job) {
   auto handle = std::make_shared<JobHandle>(next_id_.fetch_add(1));
-  const double submit_s = now();
-  const std::string tag = job.tag;
-  const JobKind kind = job_kind(job);
-  const std::uint64_t trace_id = job.trace_id;
+  PendingJob pending{std::move(job), handle, now()};
+  // A worker may pop (and finish) an accepted job before try_push even
+  // returns, so capture what the accept event needs first.
+  const std::string tag = pending.job.tag;
+  const JobKind kind = job_kind(pending.job);
+  const std::uint64_t trace_id = pending.job.trace_id;
 
-  // Count the job in-flight *before* pushing: a worker may fulfill it
-  // (and decrement) before try_push even returns.
+  // Count the job in-flight *before* pushing, for the same reason.
   inflight_.fetch_add(1);
   PushStatus st;
   if (healthy_.load() == 0) {
@@ -288,7 +302,7 @@ SubmitResult Scheduler::submit(Job job) {
     // exactly like a closed queue rather than stranding the job.
     st = PushStatus::Closed;
   } else {
-    st = queue_.try_push(PendingJob{std::move(job), handle, submit_s});
+    st = queue_.try_push(std::move(pending));
     // A push can race the last device's death; sweep so the job cannot
     // sit in a queue no worker will ever drain.
     if (st == PushStatus::Ok && healthy_.load() == 0)
@@ -301,28 +315,15 @@ SubmitResult Scheduler::submit(Job job) {
   queue_depth_gauge().set(double(queue_.size()));
   inflight_gauge().set(double(inflight_.load()));
   if (st != PushStatus::Ok) {
-    // Shed at the door: record the rejection and fulfill immediately so
+    // Shed at the door (try_push left `pending` intact): fulfill now so
     // callers can wait() on every handle uniformly.
     JobOutcome outcome;
-    outcome.status = JobStatus::Rejected;
-    outcome.error = st == PushStatus::QueueFull ? "queue at high-water mark"
-                    : healthy_.load() == 0      ? "no healthy devices"
-                                                : "scheduler shutting down";
-    outcome.trace.status = JobStatus::Rejected;
-    outcome.trace.tag = tag;
-    outcome.trace.kind = kind;
-    outcome.trace.submit_s = submit_s;
-    outcome.trace.error = outcome.error;
-    outcome.trace.job_id = handle->id();
-    outcome.trace.trace_id = trace_id;
-    telemetry_.record(outcome.trace);
-    handle->fulfill(std::move(outcome));
-    inflight_.fetch_sub(1);
-    inflight_gauge().set(double(inflight_.load()));
-    {
-      std::lock_guard<std::mutex> lk(drain_mu_);  // pairs with drain()'s wait
-    }
-    drain_cv_.notify_all();
+    outcome.status = outcome.trace.status = JobStatus::Rejected;
+    outcome.error = outcome.trace.error =
+        st == PushStatus::QueueFull ? "queue at high-water mark"
+        : healthy_.load() == 0      ? "no healthy devices"
+                                    : "scheduler shutting down";
+    complete(std::move(pending), std::move(outcome));
   }
   return SubmitResult{st, std::move(handle)};
 }
@@ -366,69 +367,10 @@ void Scheduler::worker_loop(int widx) {
       continue;
     }
 
-    // --- batching collector (DESIGN.md §12) ---------------------------
-    // Coalesce compatible queued FixedRank jobs behind this one into a
-    // single batched dispatch. A singleton batch falls through to the
-    // solo path below unchanged.
-    if (opts_.batch_max > 1) {
-      auto batch = collect_batch(std::move(*pending), widx);
-      if (batch.size() > 1) {
-        run_batch(std::move(batch), widx);
-        continue;
-      }
-      pending = std::move(batch.front());
-    }
-
-    const double queue_wait = now() - pending->submit_s;
-    const std::uint64_t trace_id = pending->job.trace_id;
-    if (trace_id != 0 && obs::Tracer::global().enabled()) {
-      // The wait already happened; reconstruct its span from submit_s.
-      const auto begin =
-          start_ + std::chrono::duration_cast<
-                       std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double>(pending->submit_s));
-      obs::Tracer::global().record_complete(
-          trace_id, "queue.wait", "runtime", begin,
-          std::chrono::steady_clock::now());
-    }
-
-    obs::Recorder::global().record(obs::EventKind::JobDispatched,
-                                   pending->handle->id(), trace_id, widx, 0,
-                                   pending->job.tag);
-    const auto cancel = begin_dispatch(widx, watchdog_budget(pending->job),
-                                       pending->handle->id());
-    const double t0 = now();
-    JobOutcome outcome;
-    {
-      // Installed on this thread so rsvd phase and kernel spans connect.
-      obs::ScopedTraceId scoped(trace_id);
-      obs::Span span("worker.exec", "runtime", trace_id);
-      outcome = execute(pending->job, widx, queue_wait, cancel);
-    }
-    end_dispatch(widx, now() - t0, outcome.trace.modeled_s);
-
-    outcome.trace.job_id = pending->handle->id();
-    outcome.trace.trace_id = trace_id;
-    outcome.trace.tag = pending->job.tag;
-    outcome.trace.kind = job_kind(pending->job);
-    outcome.trace.submit_s = pending->submit_s;
-    outcome.trace.queue_wait_s = queue_wait;
-    outcome.trace.worker = widx;
-    if (outcome.trace.exec_s > 0) {
-      std::lock_guard<std::mutex> lk(calib_mu_);
-      exec_ema_s_ = exec_ema_s_ <= 0
-                        ? outcome.trace.exec_s
-                        : 0.8 * exec_ema_s_ + 0.2 * outcome.trace.exec_s;
-    }
-
-    telemetry_.record(outcome.trace);
-    pending->handle->fulfill(std::move(outcome));
-    inflight_.fetch_sub(1);
-    inflight_gauge().set(double(inflight_.load()));
-    {
-      std::lock_guard<std::mutex> lk(drain_mu_);  // pairs with drain()'s wait
-    }
-    drain_cv_.notify_all();
+    // --- dispatch (DESIGN.md §7, §12) --------------------------------
+    // The collector coalesces compatible queued FixedRank jobs behind
+    // this one; a solo job is a batch of one.
+    dispatch(collect_batch(std::move(*pending), widx), widx);
   }
 }
 
@@ -500,60 +442,21 @@ void Scheduler::end_dispatch(int widx, double busy_s, double modeled_s) {
   slot.modeled_s += modeled_s;
 }
 
-JobOutcome Scheduler::execute(const Job& job, int widx, double queue_wait,
-                              const std::shared_ptr<std::atomic<bool>>& cancel) {
-  (void)widx;
-  JobOutcome outcome;
+void Scheduler::execute(Member& m) {
+  const Job& job = m.pending.job;
+  // Installed on this thread so rsvd phase and kernel spans connect.
+  obs::ScopedTraceId scoped(job.trace_id);
+  obs::Span span("worker.exec", "runtime", job.trace_id);
+  JobOutcome& outcome = m.outcome;
   JobTrace& trace = outcome.trace;
-
-  double deadline = job.deadline_s;
-  if (deadline == 0) deadline = opts_.default_deadline_s;
-  if (deadline < 0) deadline = 0;
-  trace.deadline_s = deadline;
-
-  if (deadline > 0 && queue_wait >= deadline) {
-    outcome.status = trace.status = JobStatus::Expired;
-    outcome.error = trace.error = "deadline exceeded while queued";
-    return outcome;
-  }
-  const double remaining = deadline > 0 ? deadline - queue_wait : 0;
-
-  if (opts_.injector) {
-    // Transient latency: the job still runs, it just pays first.
-    if (opts_.injector->fire(fault::FaultKind::JobLatency)) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          opts_.injector->config().latency_ms));
-    }
-    // Injected hang: spin-sleep until the watchdog cancels us or the
-    // hang cap lapses (the latter keeps watchdog-less configurations
-    // from wedging forever). Cancelled jobs report a watchdog failure,
-    // which clients treat as retryable.
-    if (opts_.injector->fire(fault::FaultKind::WorkerHang)) {
-      const auto hang0 = std::chrono::steady_clock::now();
-      const double cap_s = opts_.injector->config().hang_cap_s;
-      for (;;) {
-        if (cancel && cancel->load(std::memory_order_acquire)) {
-          outcome.status = trace.status = JobStatus::Failed;
-          outcome.error = trace.error =
-              "watchdog: cancelled after exceeding execution budget";
-          trace.exec_s = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - hang0)
-                             .count();
-          return outcome;
-        }
-        if (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          hang0)
-                .count() >= cap_s)
-          break;  // hang over; the job proceeds normally
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-  }
-
+  // exec_s = this job's own wall time plus its flops-share of a shared
+  // Step-1: summed over a dispatch it matches the real dispatch time, so
+  // the EMA behind Retry-After stays honest.
+  const double step1_s = m.fresh ? m.fresh->phases.total() : 0;
   const auto t0 = std::chrono::steady_clock::now();
   try {
     if (const auto* fj = std::get_if<FixedRankJob>(&job.payload)) {
-      outcome = run_fixed_rank(*fj, trace, remaining);
+      outcome = finish_fixed_rank(*fj, m.plan, trace, std::move(m.fresh));
     } else if (const auto* aj = std::get_if<AdaptiveJob>(&job.payload)) {
       auto res = std::make_shared<rsvd::AdaptiveResult>(
           rsvd::adaptive_sample(aj->a->view(), aj->opts));
@@ -570,7 +473,7 @@ JobOutcome Scheduler::execute(const Job& job, int widx, double queue_wait,
       outcome.adaptive = std::move(res);
       outcome.status = trace.status = JobStatus::Done;
     } else if (const auto* rj = std::get_if<RqrcpJob>(&job.payload)) {
-      outcome = run_rqrcp(*rj, trace, remaining);
+      outcome = run_rqrcp(*rj, trace, m.remaining_s);
     } else {
       const auto& qj = std::get<QrcpJob>(job.payload);
       rsvd::PhaseTimer t(trace.phases.qrcp, "rsvd.qrcp");
@@ -587,18 +490,7 @@ JobOutcome Scheduler::execute(const Job& job, int widx, double queue_wait,
     outcome.status = trace.status = JobStatus::Failed;
     outcome.error = trace.error = e.what();
   }
-  trace.exec_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return outcome;
-}
-
-JobOutcome Scheduler::run_fixed_rank(const FixedRankJob& fj, JobTrace& trace,
-                                     double remaining_s) {
-  rsvd::FixedRankOptions opts = fj.opts;
-  trace.q_requested = opts.q;
-  degrade_to_fit(opts, fj.a->rows(), fj.a->cols(), remaining_s, trace);
-  return finish_fixed_rank(fj, std::move(opts), trace, nullptr);
+  trace.exec_s = seconds_since(t0) + step1_s;
 }
 
 JobOutcome Scheduler::run_rqrcp(const RqrcpJob& rj, JobTrace& trace,
@@ -809,7 +701,7 @@ Scheduler::PassResult Scheduler::fixed_rank_pass(
 }
 
 // ---------------------------------------------------------------------
-// Batching collector (DESIGN.md §12)
+// The batching collector and the one dispatch path (DESIGN.md §12)
 
 std::vector<Scheduler::PendingJob> Scheduler::collect_batch(PendingJob first,
                                                             int widx) {
@@ -821,7 +713,7 @@ std::vector<Scheduler::PendingJob> Scheduler::collect_batch(PendingJob first,
   const ortho::Scheme scheme =
       leadable ? lead->opts.power_ortho : ortho::Scheme::CholQR2;
   batch.push_back(std::move(first));
-  if (!leadable) return batch;
+  if (!leadable || opts_.batch_max <= 1) return batch;
 
   // Compatibility = the batched Step-1 kernel's contract: FixedRank,
   // Gaussian sampling, one shared power-iteration scheme. Everything
@@ -834,8 +726,7 @@ std::vector<Scheduler::PendingJob> Scheduler::collect_batch(PendingJob first,
            fj->opts.power_ortho == scheme;
   };
   const auto t0 = std::chrono::steady_clock::now();
-  const auto cap = static_cast<std::size_t>(std::max(1, opts_.batch_max));
-  while (batch.size() < cap) {
+  while (batch.size() < static_cast<std::size_t>(opts_.batch_max)) {
     if (auto next = queue_.try_pop_if(compatible)) {
       batch.push_back(std::move(*next));
       continue;
@@ -843,236 +734,165 @@ std::vector<Scheduler::PendingJob> Scheduler::collect_batch(PendingJob first,
     // Size window not met: linger briefly for stragglers, then go with
     // what we have — batching must never cost more latency than it
     // saves, so the window stays well under one service time.
-    const double waited =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (waited >= opts_.batch_linger_s) break;
+    if (seconds_since(t0) >= opts_.batch_linger_s) break;
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   queue_depth_gauge().set(double(queue_.size()));
   return batch;
 }
 
-void Scheduler::run_batch(std::vector<PendingJob> batch, int widx) {
+void Scheduler::dispatch(std::vector<PendingJob> batch, int widx) {
   const std::size_t count = batch.size();
+  if (count > 1) {
+    batches_.fetch_add(1);
+    batched_jobs_.fetch_add(count);
+    batches_counter().inc();
+    batched_jobs_counter().add(double(count));
+    batch_occupancy_gauge().set(double(count) / double(opts_.batch_max));
+  }
+
+  // Queue wait ends here for every member (it includes the collector's
+  // linger); its span is reconstructed from submit_s. One watchdog slot
+  // guards the dispatch with the largest member budget, so a shared
+  // dispatch is never cancelled earlier than its most patient member
+  // would have been alone. The slot names the lead job; JobBatched
+  // events tie the other members to the dispatch.
   const double dispatch_s = now();
-
-  batches_.fetch_add(1);
-  batched_jobs_.fetch_add(count);
-  batches_counter().inc();
-  batched_jobs_counter().add(double(count));
-  batch_occupancy_gauge().set(double(count) /
-                              double(std::max(1, opts_.batch_max)));
-
-  // Per-job queue→dispatch latency (includes the collector's linger).
-  std::vector<double> queue_wait(count);
   const auto dispatch_tp = std::chrono::steady_clock::now();
+  std::vector<Member> members(count);
+  double budget = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    queue_wait[i] = dispatch_s - batch[i].submit_s;
-    const std::uint64_t tid = batch[i].job.trace_id;
-    if (tid != 0 && obs::Tracer::global().enabled()) {
+    Member& m = members[i];
+    m.pending = std::move(batch[i]);
+    const Job& job = m.pending.job;
+    JobTrace& tr = m.outcome.trace;
+    tr.queue_wait_s = dispatch_s - m.pending.submit_s;
+    tr.worker = widx;
+    tr.batch_size = static_cast<int>(count);
+    if (job.trace_id != 0 && obs::Tracer::global().enabled()) {
       const auto begin =
           start_ + std::chrono::duration_cast<
                        std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double>(batch[i].submit_s));
-      obs::Tracer::global().record_complete(tid, "queue.wait", "runtime",
-                                            begin, dispatch_tp);
+                       std::chrono::duration<double>(m.pending.submit_s));
+      obs::Tracer::global().record_complete(job.trace_id, "queue.wait",
+                                            "runtime", begin, dispatch_tp);
     }
+    obs::Recorder::global().record(
+        count > 1 ? obs::EventKind::JobBatched : obs::EventKind::JobDispatched,
+        m.pending.handle->id(), job.trace_id, widx,
+        count > 1 ? static_cast<std::int64_t>(count) : 0, job.tag);
+    budget = std::max(budget, watchdog_budget(job));
   }
-
-  for (std::size_t i = 0; i < count; ++i)
-    obs::Recorder::global().record(obs::EventKind::JobBatched,
-                                   batch[i].handle->id(),
-                                   batch[i].job.trace_id, widx,
-                                   static_cast<std::int64_t>(count),
-                                   batch[i].job.tag);
-  // One watchdog slot guards the whole dispatch; the budget is the max
-  // per-job budget so a shared batch is never cancelled earlier than its
-  // most patient member would have been alone. A shared dispatch is
-  // attributed to its lead job; the JobBatched events above tie the rest
-  // of the batch to it.
-  double budget = 0;
-  for (const auto& p : batch)
-    budget = std::max(budget, watchdog_budget(p.job));
   const auto cancel =
-      begin_dispatch(widx, budget, batch.front().handle->id());
+      begin_dispatch(widx, budget, members.front().pending.handle->id());
   const double t0 = now();
-  std::vector<JobOutcome> outcomes(count);
-  execute_batch(batch, queue_wait, outcomes, cancel);
-  const auto done_tp = std::chrono::steady_clock::now();
-  double modeled = 0;
-  for (const auto& o : outcomes) modeled += o.trace.modeled_s;
-  end_dispatch(widx, now() - t0, modeled);
 
-  for (std::size_t i = 0; i < count; ++i) {
-    JobOutcome& outcome = outcomes[i];
-    PendingJob& p = batch[i];
-    const std::uint64_t tid = p.job.trace_id;
-    if (tid != 0 && obs::Tracer::global().enabled()) {
-      // One exec span per member over the shared dispatch window.
-      obs::Tracer::global().record_complete(tid, "worker.exec", "runtime",
-                                            dispatch_tp, done_tp);
+  // Admission: a member whose queue wait already spent its deadline
+  // expires unrun; a live FixedRank plan sheds power iterations to fit
+  // what is left. A member stays live while its status is Pending.
+  bool live = false;
+  for (Member& m : members) {
+    const Job& job = m.pending.job;
+    JobTrace& tr = m.outcome.trace;
+    double deadline = job.deadline_s;
+    if (deadline == 0) deadline = opts_.default_deadline_s;
+    if (deadline < 0) deadline = 0;
+    tr.deadline_s = deadline;
+    if (deadline > 0 && tr.queue_wait_s >= deadline) {
+      m.outcome.status = tr.status = JobStatus::Expired;
+      m.outcome.error = tr.error = "deadline exceeded while queued";
+      continue;
     }
-    outcome.trace.job_id = p.handle->id();
-    outcome.trace.trace_id = tid;
-    outcome.trace.tag = p.job.tag;
-    outcome.trace.kind = job_kind(p.job);
-    outcome.trace.submit_s = p.submit_s;
-    outcome.trace.queue_wait_s = queue_wait[i];
-    outcome.trace.worker = widx;
-    outcome.trace.batch_size = static_cast<int>(count);
-    if (outcome.trace.exec_s > 0) {
-      std::lock_guard<std::mutex> lk(calib_mu_);
-      exec_ema_s_ = exec_ema_s_ <= 0
-                        ? outcome.trace.exec_s
-                        : 0.8 * exec_ema_s_ + 0.2 * outcome.trace.exec_s;
+    live = true;
+    m.remaining_s = deadline > 0 ? deadline - tr.queue_wait_s : 0;
+    if (const auto* fj = std::get_if<FixedRankJob>(&job.payload)) {
+      m.plan = fj->opts;
+      tr.q_requested = fj->opts.q;
+      degrade_to_fit(m.plan, fj->a->rows(), fj->a->cols(), m.remaining_s, tr);
     }
-    telemetry_.record(outcome.trace);
-    p.handle->fulfill(std::move(outcome));
-    inflight_.fetch_sub(1);
   }
-  inflight_gauge().set(double(inflight_.load()));
-  {
-    std::lock_guard<std::mutex> lk(drain_mu_);  // pairs with drain()'s wait
-  }
-  drain_cv_.notify_all();
-}
 
-void Scheduler::execute_batch(std::vector<PendingJob>& batch,
-                              const std::vector<double>& queue_wait,
-                              std::vector<JobOutcome>& outcomes,
-                              const std::shared_ptr<std::atomic<bool>>& cancel) {
-  const std::size_t count = batch.size();
-
-  // Injected faults fire once per dispatch — a batch is one "launch",
-  // exactly like the solo path's single execute() call.
-  if (opts_.injector) {
-    if (opts_.injector->fire(fault::FaultKind::JobLatency)) {
+  // Injected faults fire once per dispatch (a batch is one launch), and
+  // only when a member will run. Latency just delays the dispatch. A
+  // hang spins until the watchdog cancels it, failing every live member
+  // with a watchdog error that clients treat as retryable, or until the
+  // hang cap lapses (so watchdog-less configurations cannot wedge) and
+  // the dispatch proceeds.
+  if (live && opts_.injector) {
+    if (opts_.injector->fire(fault::FaultKind::JobLatency))
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
           opts_.injector->config().latency_ms));
-    }
     if (opts_.injector->fire(fault::FaultKind::WorkerHang)) {
       const auto hang0 = std::chrono::steady_clock::now();
       const double cap_s = opts_.injector->config().hang_cap_s;
       for (;;) {
-        if (cancel && cancel->load(std::memory_order_acquire)) {
-          for (std::size_t i = 0; i < count; ++i) {
-            auto& o = outcomes[i];
-            o.status = o.trace.status = JobStatus::Failed;
-            o.error = o.trace.error =
+        if (cancel->load(std::memory_order_acquire)) {
+          const double hung = seconds_since(hang0);
+          for (Member& m : members) {
+            if (m.outcome.status != JobStatus::Pending) continue;
+            m.outcome.status = m.outcome.trace.status = JobStatus::Failed;
+            m.outcome.error = m.outcome.trace.error =
                 "watchdog: cancelled after exceeding execution budget";
-            o.trace.exec_s = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - hang0)
-                                 .count();
+            m.outcome.trace.exec_s = hung;
           }
-          return;
+          break;
         }
-        if (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          hang0)
-                .count() >= cap_s)
-          break;  // hang over; the batch proceeds normally
+        if (seconds_since(hang0) >= cap_s) break;
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     }
   }
 
-  // Per-job admission: deadline bookkeeping mirrors execute() exactly,
-  // then jobs classify into (a) the shared batched Step-1 or (b) the
-  // solo ladder (cache hits, shapes the batched kernel rejects).
-  struct Plan {
-    rsvd::FixedRankOptions opts;
-    std::size_t item = SIZE_MAX;  ///< index into the batched Step-1 items
-    bool done = false;            ///< expired before dispatch
-  };
-  std::vector<Plan> plans(count);
+  // One shared Step-1 for the live members that miss both caches, when
+  // there are two or more of them; a lone miss samples inside
+  // finish_fixed_rank exactly as a solo job does. Hits and shapes the
+  // batched kernel rejects take the solo ladder, which re-probes the
+  // caches and reports the precise error.
   std::vector<rsvd::SampleBatchItem> items;
-  std::vector<std::size_t> item_job;  // item index → job index
-
-  for (std::size_t i = 0; i < count; ++i) {
-    const Job& job = batch[i].job;
-    JobOutcome& outcome = outcomes[i];
-    JobTrace& tr = outcome.trace;
-    double deadline = job.deadline_s;
-    if (deadline == 0) deadline = opts_.default_deadline_s;
-    if (deadline < 0) deadline = 0;
-    tr.deadline_s = deadline;
-    if (deadline > 0 && queue_wait[i] >= deadline) {
-      outcome.status = tr.status = JobStatus::Expired;
-      outcome.error = tr.error = "deadline exceeded while queued";
-      plans[i].done = true;
+  std::vector<Member*> sampled;
+  for (Member& m : members) {
+    const auto* fj = std::get_if<FixedRankJob>(&m.pending.job.payload);
+    if (count < 2 || !fj || m.outcome.status != JobStatus::Pending) continue;
+    const rsvd::FixedRankOptions& o = m.plan;
+    const index_t l = o.k + o.p;
+    if (o.k <= 0 || o.p < 0 || o.q < 0 ||
+        l > std::min(fj->a->rows(), fj->a->cols()))
       continue;
-    }
-    const double remaining = deadline > 0 ? deadline - queue_wait[i] : 0;
-    const auto& fj = std::get<FixedRankJob>(job.payload);
-    plans[i].opts = fj.opts;
-    tr.q_requested = fj.opts.q;
-    degrade_to_fit(plans[i].opts, fj.a->rows(), fj.a->cols(), remaining, tr);
-
-    const auto& opts = plans[i].opts;
-    const index_t l = opts.k + opts.p;
-    const index_t mn = std::min(fj.a->rows(), fj.a->cols());
-    if (opts.k <= 0 || opts.p < 0 || opts.q < 0 || l > mn)
-      continue;  // solo ladder reports the precise error
-    const auto& fp = fj.a->fingerprint();
-    if (results_.get(make_result_key(fp, opts)))
-      continue;  // solo ladder re-hits the result cache for free
-    const auto sketch = sketches_.get(make_sketch_key(fp, opts));
-    if (sketch && sketch->b.rows() >= l)
-      continue;  // Steps 2–3 only; there is no Step-1 to batch
-
-    plans[i].item = items.size();
-    item_job.push_back(i);
+    const auto& fp = fj->a->fingerprint();
+    if (results_.get(make_result_key(fp, o))) continue;
+    const auto sketch = sketches_.get(make_sketch_key(fp, o));
+    if (sketch && sketch->b.rows() >= l) continue;
     rsvd::SampleBatchItem item;
-    item.a = fj.a->view();
-    item.opts = opts;
+    item.a = fj->a->view();
+    item.opts = o;
     items.push_back(std::move(item));
+    sampled.push_back(&m);
   }
-
-  // One shared Step-1 for every cache-missing member.
-  if (!items.empty()) {
+  if (items.size() > 1) {
     try {
       rsvd::compute_samples_batched(items.data(),
                                     static_cast<index_t>(items.size()));
+      for (std::size_t j = 0; j < items.size(); ++j) {
+        auto fresh = std::make_shared<SketchEntry>();
+        fresh->b = std::move(items[j].b);
+        fresh->phases = items[j].phases;  // flops-share of the batch time
+        fresh->flops = items[j].flops;
+        fresh->cholqr_fallbacks = items[j].cholqr_fallbacks;
+        sampled[j]->fresh = std::move(fresh);
+      }
     } catch (...) {
-      // Unreachable after the shape guards above, but never let a batch
-      // kernel refusal fail N jobs: fall back to the solo ladder each.
-      for (const std::size_t j : item_job) plans[j].item = SIZE_MAX;
+      // Unreachable after the shape guards above, but a batch kernel
+      // refusal must not fail N jobs: each member samples solo instead.
     }
   }
 
-  // Per-job Steps 2–3, caches, and the retry ladder — the solo
-  // machinery, with the batched sample injected as the first pass.
-  for (std::size_t i = 0; i < count; ++i) {
-    if (plans[i].done) continue;
-    JobOutcome& outcome = outcomes[i];
-    JobTrace& tr = outcome.trace;
-    const auto& fj = std::get<FixedRankJob>(batch[i].job.payload);
-    double step1_attr = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    try {
-      std::shared_ptr<SketchEntry> fresh;
-      if (plans[i].item != SIZE_MAX) {
-        auto& item = items[plans[i].item];
-        fresh = std::make_shared<SketchEntry>();
-        fresh->b = std::move(item.b);
-        fresh->phases = item.phases;  // flops-share attributed batch time
-        fresh->flops = item.flops;
-        fresh->cholqr_fallbacks = item.cholqr_fallbacks;
-        step1_attr = item.phases.total();
-      }
-      outcome = finish_fixed_rank(fj, plans[i].opts, tr, std::move(fresh));
-    } catch (const std::exception& e) {
-      outcome.status = tr.status = JobStatus::Failed;
-      outcome.error = tr.error = e.what();
-    }
-    // exec_s = this job's own finishing wall time plus its flops-share
-    // of the shared Step-1 wall — summed over the batch it matches the
-    // real dispatch time, so the EMA behind Retry-After stays honest.
-    outcome.trace.exec_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count() +
-        step1_attr;
-  }
+  for (Member& m : members)
+    if (m.outcome.status == JobStatus::Pending) execute(m);
+  double modeled = 0;
+  for (const Member& m : members) modeled += m.outcome.trace.modeled_s;
+  end_dispatch(widx, now() - t0, modeled);
+  for (Member& m : members)
+    complete(std::move(m.pending), std::move(m.outcome));
 }
 
 }  // namespace randla::runtime

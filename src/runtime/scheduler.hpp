@@ -3,9 +3,11 @@
 // A Scheduler owns a bounded admission queue and num_workers worker
 // threads, one per simulated device. Producers submit typed Jobs and
 // immediately get a JobHandle plus a reject-on-full backpressure
-// verdict; a worker pops a job and executes it inline on its own thread
-// (charging modeled K40c time to the worker's virtual clock), consulting
-// the two-level sketch/result cache for fixed-rank requests.
+// verdict. A worker pops a job, lets the batching collector add
+// compatible queued jobs behind it (a solo job is a batch of one), and
+// runs the whole dispatch inline on its own thread (charging modeled
+// K40c time to the worker's virtual clock), consulting the two-level
+// sketch/result cache for fixed-rank requests.
 //
 // Robustness policy per job:
 //   * deadline — a job whose queue wait already exceeds its deadline
@@ -23,10 +25,11 @@
 //     device dies finishes and is delivered once. Capacity rebalances
 //     because the remaining workers own the whole queue (DESIGN.md §10);
 //   * watchdog — an optional monitor thread cancels (cooperatively)
-//     jobs whose execution exceeds watchdog_multiple × their effective
-//     deadline, so an injected hang fails fast instead of wedging a
-//     worker forever.
-// Every decision lands in the job's telemetry trace.
+//     dispatches whose execution exceeds watchdog_multiple × their
+//     effective deadline, so an injected hang fails fast instead of
+//     wedging a worker forever.
+// Every job, run or not, finishes through one complete(): its trace is
+// recorded, its handle fulfilled, and drain() woken.
 #pragma once
 
 #include <atomic>
@@ -60,10 +63,11 @@ struct SchedulerOptions {
   // --- batching collector (DESIGN.md §12) -----------------------------
   /// A worker that pops a FixedRank job drains up to batch_max-1 more
   /// compatible queued jobs (FixedRank, Gaussian sampling, same
-  /// power-iteration scheme) and dispatches them as ONE batched Step-1
-  /// over the worker pool, amortizing pack/launch overhead. 1 disables
-  /// coalescing; per-job deadlines, caches, degradation, and the retry
-  /// ladder are enforced exactly as on the solo path either way.
+  /// power-iteration scheme) into one dispatch; two or more members that
+  /// miss both caches share ONE batched Step-1 over the worker pool,
+  /// amortizing pack/launch overhead. 1 disables coalescing, and every
+  /// dispatch holds one job. Per-job deadlines, caches, degradation, and
+  /// the retry ladder apply to every member alike.
   int batch_max = 1;
   /// Once a worker holds at least one job but fewer than batch_max, it
   /// lingers this long for stragglers before dispatching. Under a
@@ -219,6 +223,15 @@ class Scheduler {
     std::atomic<bool> failed{false};  ///< device dead: retire at next pickup
   };
 
+  /// One job of a dispatch, from admission to delivery.
+  struct Member {
+    PendingJob pending;
+    JobOutcome outcome;                  ///< status stays Pending while live
+    double remaining_s = 0;              ///< deadline budget left (0 = none)
+    rsvd::FixedRankOptions plan;         ///< FixedRank opts after degradation
+    std::shared_ptr<SketchEntry> fresh;  ///< shared Step-1 sample, if any
+  };
+
   void worker_loop(int widx);
   void watchdog_loop();
   /// Arm worker `widx`'s slot for one dispatch, then sleep out an
@@ -232,31 +245,29 @@ class Scheduler {
   void handoff(PendingJob pending, int widx);
   /// Fulfill a pending job as Failed without running it.
   void fail_pending(PendingJob pending, const std::string& why);
+  /// The one exit of every job: fill the trace's identity fields, feed
+  /// the exec EMA and telemetry, fulfill the handle, and wake drain().
+  void complete(PendingJob pending, JobOutcome outcome);
   void mark_device_failed(int widx);
   /// After the last worker retires: nothing will ever pop again, so
   /// fail whatever is still queued instead of deadlocking drain().
   void drain_queue_no_workers();
   double watchdog_budget(const Job& job) const;
-  JobOutcome execute(const Job& job, int widx, double queue_wait,
-                     const std::shared_ptr<std::atomic<bool>>& cancel);
-  JobOutcome run_fixed_rank(const FixedRankJob& fj, JobTrace& trace,
-                            double remaining_s);
+  // --- dispatch (DESIGN.md §7, §12) -----------------------------------
+  /// Drain compatible queued jobs behind `first` (size/linger window);
+  /// just `first` when batching is off or it cannot lead a batch.
+  std::vector<PendingJob> collect_batch(PendingJob first, int widx);
+  /// Run one dispatch on worker `widx`: admission (deadline, degradation)
+  /// per member, faults once, a shared Step-1 for ≥2 cache misses, then
+  /// execute() and complete() per member.
+  void dispatch(std::vector<PendingJob> batch, int widx);
+  /// Run one admitted member by job kind, under its trace id.
+  void execute(Member& m);
   /// RQRCP engine dispatch: fingerprint-keyed result cache, deadline
   /// degradation by truncating the block sweep, per-phase obs metrics.
   JobOutcome run_rqrcp(const RqrcpJob& rj, JobTrace& trace,
                        double remaining_s);
-  // --- batching collector (DESIGN.md §12) -----------------------------
-  /// Drain compatible queued jobs behind `first` (size/linger window).
-  std::vector<PendingJob> collect_batch(PendingJob first, int widx);
-  /// Dispatch a coalesced batch on worker `widx` and deliver every member.
-  void run_batch(std::vector<PendingJob> batch, int widx);
-  /// Batch body: per-job deadline/cache/degradation, one shared batched
-  /// Step-1, per-job Steps 2–3 + retry ladder.
-  void execute_batch(std::vector<PendingJob>& batch,
-                     const std::vector<double>& queue_wait,
-                     std::vector<JobOutcome>& outcomes,
-                     const std::shared_ptr<std::atomic<bool>>& cancel);
-  /// Shed power iterations to fit `remaining_s` (shared by both paths).
+  /// Shed power iterations to fit `remaining_s`.
   void degrade_to_fit(rsvd::FixedRankOptions& opts, index_t m, index_t n,
                       double remaining_s, JobTrace& trace) const;
   /// Cache-aware retry ladder on already-degraded options; `fresh`, when
@@ -301,7 +312,7 @@ class Scheduler {
   double calib_real_per_modeled_ = 1.0;
   double exec_ema_s_ = 0;
 
-  std::atomic<std::uint64_t> batches_{0};       ///< batched dispatches
+  std::atomic<std::uint64_t> batches_{0};       ///< dispatches of 2+ jobs
   std::atomic<std::uint64_t> batched_jobs_{0};  ///< jobs in those dispatches
 
   std::atomic<int> healthy_{0};

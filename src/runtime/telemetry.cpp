@@ -1,7 +1,5 @@
 #include "runtime/telemetry.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "obs/recorder.hpp"
@@ -134,14 +132,7 @@ std::string to_json(const JobTrace& t) {
   return out;
 }
 
-TelemetrySink::TelemetrySink()
-    : wait_hist_(local_.histogram("queue_wait_seconds", {},
-                                  "admission to worker pickup")),
-      exec_hist_(local_.histogram("exec_seconds", {},
-                                  "worker pickup to completion")),
-      exec_miss_hist_(local_.histogram("exec_seconds_miss")),
-      exec_sketch_hist_(local_.histogram("exec_seconds_sketch")),
-      exec_result_hist_(local_.histogram("exec_seconds_result")) {
+TelemetrySink::TelemetrySink() {
   auto& g = obs::Registry::global();
   for (std::size_t s = 0; s < by_status_.size(); ++s)
     by_status_[s] = g.counter(std::string("runtime_jobs_total{status=\"") +
@@ -205,20 +196,6 @@ void TelemetrySink::record(JobTrace trace) {
                  trace.tag);
   }
 
-  if (trace.status == JobStatus::Done) {
-    wait_hist_.observe(trace.queue_wait_s);
-    exec_hist_.observe(trace.exec_s);
-    switch (trace.cache) {
-      case CacheDisposition::Miss: exec_miss_hist_.observe(trace.exec_s); break;
-      case CacheDisposition::Sketch:
-        exec_sketch_hist_.observe(trace.exec_s);
-        break;
-      case CacheDisposition::Result:
-        exec_result_hist_.observe(trace.exec_s);
-        break;
-      case CacheDisposition::None: break;
-    }
-  }
   std::lock_guard<std::mutex> lk(mu_);
   traces_.push_back(std::move(trace));
 }
@@ -244,41 +221,34 @@ TelemetrySummary TelemetrySink::summarize() const {
   const auto all = traces();
   TelemetrySummary s;
   s.total = all.size();
+  // Latency distributions over Done jobs, exact from the traces.
+  std::vector<double> wait, exec;
+  std::array<double, std::size_t(CacheDisposition::Result) + 1> sum{};
+  std::array<std::size_t, std::size_t(CacheDisposition::Result) + 1> n{};
   for (const auto& t : all) {
     ++s.by_status[job_status_name(t.status)];
     ++s.by_cache[cache_disposition_name(t.cache)];
     s.retries += static_cast<std::uint64_t>(t.retries);
     if (t.degraded) ++s.degraded;
+    if (t.status != JobStatus::Done) continue;
+    wait.push_back(t.queue_wait_s);
+    exec.push_back(t.exec_s);
+    sum[std::size_t(t.cache)] += t.exec_s;
+    ++n[std::size_t(t.cache)];
   }
-  // Latency distributions come from the sink-local histograms, not a
-  // re-sort of raw samples (the histograms already hold every Done
-  // observation; quantiles interpolate within the containing bucket).
-  const obs::Snapshot snap = local_.scrape();
-  const obs::HistogramSnapshot* wait = nullptr;
-  const obs::HistogramSnapshot* exec = nullptr;
-  const obs::HistogramSnapshot* miss = nullptr;
-  const obs::HistogramSnapshot* sketch = nullptr;
-  const obs::HistogramSnapshot* result = nullptr;
-  for (const auto& h : snap.histograms) {
-    if (h.name == "queue_wait_seconds") wait = &h;
-    else if (h.name == "exec_seconds") exec = &h;
-    else if (h.name == "exec_seconds_miss") miss = &h;
-    else if (h.name == "exec_seconds_sketch") sketch = &h;
-    else if (h.name == "exec_seconds_result") result = &h;
-  }
-  if (wait) {
-    s.queue_wait_p50 = wait->quantile(0.50);
-    s.queue_wait_p90 = wait->quantile(0.90);
-    s.queue_wait_p99 = wait->quantile(0.99);
-  }
-  if (exec) {
-    s.exec_p50 = exec->quantile(0.50);
-    s.exec_p90 = exec->quantile(0.90);
-    s.exec_p99 = exec->quantile(0.99);
-  }
-  if (miss) s.exec_mean_miss = miss->mean();
-  if (sketch) s.exec_mean_sketch = sketch->mean();
-  if (result) s.exec_mean_result = result->mean();
+  s.queue_wait_p50 = util::percentile(wait, 50);
+  s.queue_wait_p90 = util::percentile(wait, 90);
+  s.queue_wait_p99 = util::percentile(wait, 99);
+  s.exec_p50 = util::percentile(exec, 50);
+  s.exec_p90 = util::percentile(exec, 90);
+  s.exec_p99 = util::percentile(exec, 99);
+  const auto mean = [&](CacheDisposition d) {
+    const std::size_t i = std::size_t(d);
+    return n[i] > 0 ? sum[i] / double(n[i]) : 0.0;
+  };
+  s.exec_mean_miss = mean(CacheDisposition::Miss);
+  s.exec_mean_sketch = mean(CacheDisposition::Sketch);
+  s.exec_mean_result = mean(CacheDisposition::Result);
   return s;
 }
 

@@ -87,8 +87,7 @@ struct TelemetrySummary {
   std::map<std::string, std::uint64_t> by_cache;   ///< disposition → count
   std::uint64_t retries = 0;
   std::uint64_t degraded = 0;
-  // Percentiles over completed (Done) jobs, read from the sink's
-  // obs histograms (log-bucket interpolation, ~41% resolution).
+  // Exact percentiles (util::percentile) over completed (Done) jobs.
   double queue_wait_p50 = 0, queue_wait_p90 = 0, queue_wait_p99 = 0;
   double exec_p50 = 0, exec_p90 = 0, exec_p99 = 0;
   /// Mean execution seconds per cache disposition — the cache-hit
@@ -100,9 +99,9 @@ struct TelemetrySummary {
 
 /// Thread-safe trace collector shared by the scheduler's workers.
 ///
-/// Latency distributions live in a sink-local obs::Registry (so each
-/// scheduler's summary is isolated); record() additionally bumps fleet
-/// counters in obs::Registry::global() for the metrics endpoint.
+/// summarize() reads only the traces it holds (so each scheduler's
+/// summary is isolated); record() additionally bumps fleet counters in
+/// obs::Registry::global() for the metrics endpoint.
 class TelemetrySink {
  public:
   TelemetrySink();
@@ -115,12 +114,6 @@ class TelemetrySink {
  private:
   mutable std::mutex mu_;
   std::vector<JobTrace> traces_;
-  mutable obs::Registry local_;  ///< scrape() drains shards (summarize const)
-  obs::Histogram wait_hist_;
-  obs::Histogram exec_hist_;
-  obs::Histogram exec_miss_hist_;
-  obs::Histogram exec_sketch_hist_;
-  obs::Histogram exec_result_hist_;
   // Fleet-wide per-job counters in the global registry, registered once
   // so record() indexes them instead of looking names up per job.
   std::array<obs::Counter, std::size_t(JobStatus::Expired) + 1> by_status_;

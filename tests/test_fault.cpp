@@ -300,6 +300,69 @@ TEST(SchedulerFault, WatchdogCancelsInjectedHang) {
   EXPECT_EQ(fs.healthy_workers, 1);  // a hang is not a device death
 }
 
+// A hang that lands on a coalesced dispatch: the watchdog fires once for
+// the whole dispatch, every member fails once with the watchdog error,
+// and every handle is fulfilled so drain() returns.
+TEST(SchedulerFault, WatchdogCancelsHangOnCoalescedDispatch) {
+  // Dispatch 1 (the blocker) pays the latency while the backlog queues;
+  // dispatch 2 (the coalesced backlog) hangs.
+  auto cfg = *parse_schedule("job_latency:1,worker_hang:2");
+  cfg.latency_ms = 200;
+  runtime::SchedulerOptions so;
+  so.num_workers = 1;
+  so.batch_max = 4;
+  so.injector = std::make_shared<FaultInjector>(cfg, 14);
+  so.watchdog_multiple = 2.0;  // budget = 2 × 0.25s grace ≪ 2s hang cap
+  runtime::Scheduler sched(so);
+
+  const auto input = runtime::make_input(
+      randla::testing::random_matrix<double>(64, 48, 14));
+  auto blocker = small_job(input, 400);
+  blocker.tag = "hangbatch/blocker";
+  auto b = sched.submit(std::move(blocker));
+  ASSERT_EQ(b.status, runtime::PushStatus::Ok);
+  bool dispatched = false;
+  for (int i = 0; i < 5000 && !dispatched; ++i) {
+    for (const auto& e : obs::Recorder::global().snapshot())
+      if (e.kind == obs::EventKind::JobDispatched &&
+          std::string("hangbatch/blocker") == e.tag)
+        dispatched = true;
+    if (!dispatched) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(dispatched);
+
+  constexpr int kMembers = 3;
+  std::vector<std::shared_ptr<runtime::JobHandle>> handles;
+  for (int i = 0; i < kMembers; ++i) {
+    auto job = small_job(input, 410 + std::uint64_t(i));
+    job.tag = "hangbatch/" + std::to_string(i);
+    auto sub = sched.submit(std::move(job));
+    ASSERT_EQ(sub.status, runtime::PushStatus::Ok);
+    handles.push_back(std::move(sub.handle));
+  }
+  sched.drain();  // returns only once every handle is fulfilled
+
+  EXPECT_EQ(b.handle->wait().status, runtime::JobStatus::Done)
+      << b.handle->wait().error;
+  for (const auto& h : handles) {
+    ASSERT_TRUE(h->done());
+    const auto& out = h->wait();
+    EXPECT_EQ(out.status, runtime::JobStatus::Failed);
+    EXPECT_EQ(out.error.rfind("watchdog:", 0), 0u) << out.error;
+    EXPECT_EQ(out.trace.batch_size, kMembers);
+  }
+  for (int i = 0; i < kMembers; ++i) {
+    int traces = 0;
+    for (const auto& t : sched.telemetry().traces())
+      if (t.tag == "hangbatch/" + std::to_string(i)) ++traces;
+    EXPECT_EQ(traces, 1) << "member " << i;
+  }
+  const auto fs = sched.fault_stats();
+  EXPECT_EQ(fs.watchdog_fired, 1u);
+  EXPECT_EQ(fs.healthy_workers, 1);
+  EXPECT_EQ(so.injector->injected(FaultKind::WorkerHang), 1u);
+}
+
 // device_stall@1 stalls every dispatch just before it runs: each job
 // pays the stall and still completes, and a stall is not a death.
 TEST(SchedulerFault, DeviceStallDelaysEveryDispatch) {

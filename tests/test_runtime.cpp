@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "fault/injector.hpp"
+#include "obs/recorder.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/fingerprint.hpp"
 #include "runtime/queue.hpp"
@@ -246,6 +248,132 @@ TEST(Scheduler, BatchingDisabledLeavesSoloPathUntouched) {
   EXPECT_EQ(bs.batched_jobs, 0u);
   for (const auto& tr : sched.telemetry().traces())
     EXPECT_EQ(tr.batch_size, 1);
+}
+
+/// Poll the flight recorder until the job tagged `tag` has been
+/// dispatched alone: the single worker is busy with it from then on, so
+/// later submissions queue behind it.
+bool wait_dispatched(const std::string& tag) {
+  for (int i = 0; i < 5000; ++i) {
+    for (const auto& e : obs::Recorder::global().snapshot())
+      if (e.kind == obs::EventKind::JobDispatched && tag == e.tag) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+// A member whose deadline lapsed in the queue expires inside its
+// coalesced dispatch without running, while the rest of the dispatch
+// shares one batched Step-1 and still answers bitwise like the library.
+TEST(Scheduler, ExpiredMemberOfCoalescedDispatchNeverRuns) {
+  auto cfg = *fault::parse_schedule("job_latency:1");
+  cfg.latency_ms = 400;  // holds the first dispatch while the backlog queues
+  SchedulerOptions so;
+  so.num_workers = 1;
+  so.batch_max = 4;
+  so.enable_cache = false;
+  so.injector = std::make_shared<fault::FaultInjector>(cfg, 21);
+  Scheduler sched(so);
+
+  const auto a = randla::testing::random_matrix<double>(120, 80, 31);
+  const auto input = make_input(Matrix<double>::copy_of(a.view()));
+  rsvd::FixedRankOptions base;
+  base.k = 8;
+  base.p = 4;
+  base.q = 1;
+  Job blocker;
+  blocker.payload = FixedRankJob{input, base};
+  blocker.tag = "xbatch/blocker";
+  auto b = sched.submit(std::move(blocker));
+  ASSERT_EQ(b.status, PushStatus::Ok);
+  ASSERT_TRUE(wait_dispatched("xbatch/blocker"));
+
+  constexpr int kMembers = 4;
+  constexpr int kExpired = 1;
+  std::vector<rsvd::FixedRankOptions> opts(kMembers, base);
+  std::vector<std::shared_ptr<JobHandle>> handles;
+  for (int i = 0; i < kMembers; ++i) {
+    opts[i].seed = 700 + i;
+    opts[i].q = i % 2;
+    Job job;
+    job.payload = FixedRankJob{input, opts[i]};
+    if (i == kExpired) job.deadline_s = 1e-3;  // ≪ the 400 ms it waits
+    auto sub = sched.submit(std::move(job));
+    ASSERT_EQ(sub.status, PushStatus::Ok);
+    handles.push_back(std::move(sub.handle));
+  }
+  sched.drain();
+
+  EXPECT_EQ(b.handle->wait().status, JobStatus::Done);
+  for (int i = 0; i < kMembers; ++i) {
+    const auto& out = handles[i]->wait();
+    EXPECT_EQ(out.trace.batch_size, kMembers) << "job " << i;
+    if (i == kExpired) {
+      EXPECT_EQ(out.status, JobStatus::Expired);
+      EXPECT_FALSE(out.fixed_rank);
+      EXPECT_EQ(out.trace.exec_s, 0.0);
+      EXPECT_EQ(out.trace.q_used, 0);
+      continue;
+    }
+    ASSERT_EQ(out.status, JobStatus::Done) << out.error;
+    ASSERT_TRUE(out.fixed_rank);
+    const auto ref =
+        rsvd::fixed_rank(ConstMatrixView<double>(a.view()), opts[i]);
+    EXPECT_TRUE(bitwise_equal(ConstMatrixView<double>(out.fixed_rank->q.view()),
+                              ConstMatrixView<double>(ref.q.view())))
+        << "job " << i;
+    EXPECT_TRUE(bitwise_equal(ConstMatrixView<double>(out.fixed_rank->r.view()),
+                              ConstMatrixView<double>(ref.r.view())))
+        << "job " << i;
+  }
+  const auto bs = sched.batch_stats();
+  EXPECT_EQ(bs.dispatches, 1u);
+  EXPECT_EQ(bs.batched_jobs, std::uint64_t(kMembers));
+}
+
+// summarize() derives every latency figure from the traces it holds:
+// its percentiles and means equal the exact values over the Done traces.
+TEST(Telemetry, SummaryIsComputedFromTheTraces) {
+  SchedulerOptions so;
+  so.num_workers = 2;
+  Scheduler sched(so);
+  const auto input =
+      make_input(randla::testing::random_matrix<double>(150, 90, 41));
+  std::vector<std::shared_ptr<JobHandle>> handles;
+  for (int i = 0; i < 12; ++i) {
+    rsvd::FixedRankOptions opts;
+    opts.k = 6 + (i % 3);
+    opts.p = 4;
+    opts.q = 1;
+    opts.seed = 900 + i % 6;  // each request twice: misses, then hits
+    Job job;
+    job.payload = FixedRankJob{input, opts};
+    handles.push_back(sched.submit(std::move(job)).handle);
+  }
+  sched.drain();
+
+  std::vector<double> wait, exec;
+  double miss_sum = 0;
+  int misses = 0;
+  for (const auto& t : sched.telemetry().traces()) {
+    if (t.status != JobStatus::Done) continue;
+    wait.push_back(t.queue_wait_s);
+    exec.push_back(t.exec_s);
+    if (t.cache == CacheDisposition::Miss) {
+      miss_sum += t.exec_s;
+      ++misses;
+    }
+  }
+  ASSERT_EQ(wait.size(), handles.size());
+  ASSERT_GT(misses, 0);
+  const auto s = sched.telemetry().summarize();
+  EXPECT_EQ(s.queue_wait_p50, util::percentile(wait, 50));
+  EXPECT_EQ(s.queue_wait_p90, util::percentile(wait, 90));
+  EXPECT_EQ(s.queue_wait_p99, util::percentile(wait, 99));
+  EXPECT_EQ(s.exec_p50, util::percentile(exec, 50));
+  EXPECT_EQ(s.exec_p90, util::percentile(exec, 90));
+  EXPECT_EQ(s.exec_p99, util::percentile(exec, 99));
+  EXPECT_DOUBLE_EQ(s.exec_mean_miss, miss_sum / misses);
 }
 
 // Cache-enabled answers must be bitwise-identical to direct library
