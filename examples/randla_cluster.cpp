@@ -12,8 +12,10 @@
 //     X × the single-shard figure. At every scale the router's merged
 //     Stats scrape is cross-checked against direct scrapes of each
 //     shard: every summable row (counters, histogram buckets) must equal
-//     the per-shard sum, every shard's labeled server_jobs_submitted must
-//     match its own, and cluster_stale_shards must be 0 (DESIGN.md §14).
+//     the per-shard sum, except the connection, frame and byte counts
+//     the scrapes and the router's probes themselves move; every shard's
+//     labeled net_jobs_submitted_total must match its own; and
+//     cluster_stale_shards must be 0 (DESIGN.md §14).
 //
 //     The workload is cache-affinity-bound by construction: --spread
 //     distinct matrices rotate round-robin against per-shard result
@@ -609,10 +611,20 @@ bool cross_check(const std::vector<Proc>& shards,
     ok = false;
   }
   // Per-shard direct scrapes: accumulate every mergeable row that the
-  // fan-out itself cannot have perturbed (the Stats frames it sends
-  // bump the shards' net_*/server_* frame counters between the two
-  // scrape instants; everything else is quiescent once the clients
-  // joined).
+  // scrapes themselves cannot have moved. Between the two scrape
+  // instants the fan-out's Stats frames, these direct Stats frames and
+  // the router's health probes add connections, frames and bytes on
+  // every shard, so net_connections_total, net_frames_in_total{...} and
+  // net_bytes_{in,out}_total are skipped. Everything else, the shards'
+  // job, Busy, error, batching, failover and cache counts included, is
+  // quiescent once the clients joined and must match exactly.
+  const auto moved_by_scrapes = [](const std::string& name) {
+    for (const char* prefix :
+         {"net_connections_total", "net_frames_in_total", "net_bytes_in_total",
+          "net_bytes_out_total"})
+      if (name.rfind(prefix, 0) == 0) return true;
+    return false;
+  };
   std::map<std::string, double> sums;
   double submitted = 0;
   for (std::size_t s = 0; s < shards.size(); ++s) {
@@ -625,17 +637,15 @@ bool cross_check(const std::vector<Proc>& shards,
       continue;
     }
     for (const auto& [name, v] : st->metrics) {
-      if (!cluster::mergeable_stat(name)) continue;
-      if (name.rfind("net_", 0) == 0 || name.rfind("server_", 0) == 0)
-        continue;
-      sums[name] += v;
+      if (cluster::mergeable_stat(name) && !moved_by_scrapes(name))
+        sums[name] += v;
     }
-    const double direct = st->value("server_jobs_submitted");
+    const double direct = st->value("net_jobs_submitted_total");
     submitted += direct;
     // The merged scrape must carry this shard's labeled row, equal in
     // name and value to the direct view.
     const std::string labeled = cluster::with_shard_label(
-        "server_jobs_submitted", static_cast<std::uint32_t>(s));
+        "net_jobs_submitted_total", static_cast<std::uint32_t>(s));
     if (merged.value(labeled) != direct) {
       std::fprintf(stderr, "FAIL: merged %s = %.0f, shard says %.0f\n",
                    labeled.c_str(), merged.value(labeled), direct);
@@ -643,9 +653,10 @@ bool cross_check(const std::vector<Proc>& shards,
     }
   }
   // Every mergeable series must appear in the merged scrape with the
-  // per-shard sum. Same-name rows can exist more than once (the router
-  // process's own registry rows precede the merge), so accept any exact
-  // name whose value matches within float-sum tolerance.
+  // per-shard sum. A process-wide registry row (slo_*, la_*) can exist
+  // more than once (the router process's own registry rows precede the
+  // merge), so accept any exact name whose value matches within
+  // float-sum tolerance.
   int rows_matched = 0;
   for (const auto& [name, want] : sums) {
     bool found = false;
@@ -792,8 +803,8 @@ RunResult run_scale(const Options& opt, int nshards, RunMode mode) {
     net::Client sc(loopback(router.port()));
     if (sc.connect()) {
       if (auto stats = sc.stats()) {
-        rr.stats_scrape_ok = stats->has("router_submits_routed") &&
-                             stats->has("cluster_membership_changes") &&
+        rr.stats_scrape_ok = stats->has("cluster_submits_routed_total") &&
+                             stats->has("cluster_membership_changes_total") &&
                              stats->has("cluster_shards_live");
         if (mode == RunMode::Sweep) {
           rr.merged_stats_ok = cross_check(
@@ -808,7 +819,7 @@ RunResult run_scale(const Options& opt, int nshards, RunMode mode) {
           // than name one).
           bool any_labeled = false;
           for (const auto& [name, v] : stats->metrics)
-            if (name.rfind("server_jobs_submitted{shard=", 0) == 0)
+            if (name.rfind("net_jobs_submitted_total{shard=", 0) == 0)
               any_labeled = true;
           rr.merged_stats_ok =
               stats->has("cluster_stale_shards") && any_labeled;
@@ -1106,7 +1117,7 @@ int run_router_chaos(const Options& opt, int argc, char** argv) {
     net::Client sc(loopback(rp.port));
     if (!sc.connect()) continue;
     if (const auto stats = sc.stats())
-      survivor_scrape_ok = stats->has("router_submits_routed") &&
+      survivor_scrape_ok = stats->has("cluster_submits_routed_total") &&
                            stats->has("cluster_shards_live");
     break;
   }

@@ -39,10 +39,15 @@
 //
 // At the end of a run the generator scrapes the server's live metrics
 // (Stats → StatsReply) and prints them next to its own accounting;
-// --check-stats makes the comparison strict (the server's submit/busy/
-// complete counters must exactly match what this client observed —
-// only meaningful against a dedicated, freshly started server), and
-// --json embeds the scraped label-free metrics in the report.
+// --check-stats makes the comparison strict: the server's own
+// net_busy_total must equal the Busy replies this client honored,
+// net_jobs_submitted_total its admitted jobs, net_jobs_completed_total
+// the submitted count, and net_decode_errors_total and
+// net_results_dropped_total must read 0. These rows are per server
+// instance, so the check holds exactly against a dedicated, freshly
+// started server. The batching line reads runtime_batches_total and
+// runtime_batched_jobs_total, and --json embeds the scraped label-free
+// metrics in the report.
 //
 // --spread N rotates requests through N distinct matrix seeds: small N
 // makes the scheduler's result cache absorb most of the load, large N
@@ -550,8 +555,8 @@ int run_chaos(const Options& opt) {
     bad = true;
   } else {
     // The fault/watchdog series must exist in the scrape even at value 0
-    // (they are registered eagerly); the injected counters must also
-    // agree with the injector's own accounting.
+    // (the scheduler exports its requeue, watchdog and unhealthy-device
+    // rows on every scrape; the injector registers its series eagerly).
     const char* required[] = {"fault_decisions_total",
                               "fault_job_requeued_total",
                               "fault_device_unhealthy", "watchdog_fired_total"};
@@ -772,15 +777,15 @@ int main(int argc, char** argv) {
   if (server_stats) {
     std::printf("server:      %.0f submitted, %.0f busy, %.0f completed, "
                 "%.0f protocol errors, %.0f dropped\n",
-                server_stats->value("server_jobs_submitted"),
-                server_stats->value("server_jobs_busy"),
-                server_stats->value("server_jobs_completed"),
-                server_stats->value("server_protocol_errors"),
-                server_stats->value("server_results_dropped"));
-    batches = server_stats->value("sched_batches");
-    bjobs = server_stats->value("sched_batched_jobs");
+                server_stats->value("net_jobs_submitted_total"),
+                server_stats->value("net_busy_total"),
+                server_stats->value("net_jobs_completed_total"),
+                server_stats->value("net_decode_errors_total"),
+                server_stats->value("net_results_dropped_total"));
+    batches = server_stats->value("runtime_batches_total");
+    bjobs = server_stats->value("runtime_batched_jobs_total");
     bmax = server_stats->value("sched_batch_max");
-    if (server_stats->has("sched_batches"))
+    if (server_stats->has("runtime_batches_total"))
       std::printf("batching:    batch_max %.0f, %.0f dispatches, %.0f jobs "
                   "coalesced, mean occupancy %.2f\n",
                   bmax, batches, bjobs, batches > 0 ? bjobs / batches : 0.0);
@@ -874,13 +879,13 @@ int main(int argc, char** argv) {
           bad = true;
         }
       };
-      expect("server_jobs_busy", double(busy_events));
-      expect("server_protocol_errors", 0);
-      expect("server_results_dropped", 0);
-      expect("server_jobs_completed",
-             server_stats->value("server_jobs_submitted"));
+      expect("net_busy_total", double(busy_events));
+      expect("net_decode_errors_total", 0);
+      expect("net_results_dropped_total", 0);
+      expect("net_jobs_completed_total",
+             server_stats->value("net_jobs_submitted_total"));
       if (failed == 0 && transport_failures.load() == 0)
-        expect("server_jobs_submitted", double(opt.jobs));
+        expect("net_jobs_submitted_total", double(opt.jobs));
     }
   }
   return bad ? 1 : 0;

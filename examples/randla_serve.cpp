@@ -26,8 +26,10 @@
 // recv timeout is derived from the same budget, so a server that dies
 // mid-run makes the replay exit nonzero instead of hanging.
 //
-// --metrics dumps the global obs registry as Prometheus text on exit
-// (and turns on kernel profiling so la_* series are populated);
+// --metrics writes Prometheus text on exit: the server's (with --tcp)
+// or the scheduler's own rows, the same ones a Stats scrape returns,
+// then the process-wide obs registry. It also turns on kernel profiling
+// so la_* series are populated;
 // --trace enables the span tracer and dumps Chrome trace_event JSON
 // (load it in Perfetto / chrome://tracing) on exit.
 //
@@ -47,7 +49,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -66,34 +70,52 @@ using namespace randla;
 
 namespace {
 
-/// Writes the observability dumps when the process is done, whatever
+/// Write `text` to `path`; false, with a message, when it cannot.
+bool write_text(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+  return true;
+}
+
+/// Writes the span trace (--trace) when the process is done, whatever
 /// path it exits through. Declared before the scheduler so workers are
 /// joined (all spans recorded) by the time this runs.
-struct ObsDump {
-  std::string metrics_path, trace_path;
-  ~ObsDump() {
-    if (!metrics_path.empty()) {
-      if (std::FILE* f = std::fopen(metrics_path.c_str(), "w")) {
-        const std::string text = obs::Registry::global().scrape().prometheus();
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
-        std::printf("wrote metrics to %s\n", metrics_path.c_str());
-      } else {
-        std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
-      }
+struct TraceDump {
+  std::string path;
+  ~TraceDump() {
+    const auto& tracer = obs::Tracer::global();
+    if (!path.empty() && write_text(path, tracer.chrome_json()))
+      std::printf("wrote %zu trace events to %s (%zu dropped)\n",
+                  tracer.events().size(), path.c_str(), tracer.dropped());
+  }
+};
+
+/// Writes the Prometheus dump (--metrics) when its scope ends, whatever
+/// path it exits through. Declared after the server (or, in-process,
+/// the scheduler) whose stats_rows() it reads, so those rows come from
+/// the live instance, the same rows a Stats scrape returns; the
+/// process-wide registry follows.
+struct MetricsDump {
+  std::string path;
+  std::function<obs::MetricRows()> rows;
+  ~MetricsDump() {
+    if (path.empty()) return;
+    // `_total` rows are counters, the rest point-in-time gauges.
+    obs::Snapshot own;
+    for (auto& [name, v] : rows()) {
+      const std::string_view base =
+          std::string_view(name).substr(0, name.find('{'));
+      (base.ends_with("_total") ? own.counters : own.gauges)
+          .emplace_back(std::move(name), v);
     }
-    if (!trace_path.empty()) {
-      if (std::FILE* f = std::fopen(trace_path.c_str(), "w")) {
-        const std::string json = obs::Tracer::global().chrome_json();
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("wrote %zu trace events to %s (%zu dropped)\n",
-                    obs::Tracer::global().events().size(), trace_path.c_str(),
-                    obs::Tracer::global().dropped());
-      } else {
-        std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-      }
-    }
+    if (write_text(path, own.prometheus() +
+                             obs::Registry::global().scrape().prometheus()))
+      std::printf("wrote metrics to %s\n", path.c_str());
   }
 };
 
@@ -202,11 +224,12 @@ double engine_residual(ConstMatrixView<double> a, const Permutation& perm,
 /// through it with `clients` concurrent blocking connections.
 int run_tcp(runtime::Scheduler& sched, const runtime::Workload& w,
             const runtime::WorkloadOptions& wo, int port, int clients,
-            bool linger) {
+            bool linger, const std::string& metrics_path) {
   net::ServerOptions sopts;
   sopts.port = static_cast<std::uint16_t>(port);
   sopts.allow_remote_shutdown = true;
   net::Server server(sched, sopts);
+  MetricsDump metrics{metrics_path, [&server] { return server.stats_rows(); }};
   if (!server.start()) return 1;
   std::printf("randla_serve: listening on 127.0.0.1:%u (%zu replay jobs, "
               "%d clients%s)\n",
@@ -369,9 +392,7 @@ int main(int argc, char** argv) {
   if (const char* crash = std::getenv("RANDLA_POSTMORTEM_PATH"))
     obs::Recorder::global().install_crash_handler(crash);
 
-  ObsDump dump;
-  dump.metrics_path = metrics_path;
-  dump.trace_path = trace_path;
+  TraceDump trace_dump{trace_path};
   if (!metrics_path.empty() || !trace_path.empty())
     obs::set_profiling_enabled(true);  // populate la_* kernel series
   if (!trace_path.empty()) obs::Tracer::global().enable();
@@ -389,7 +410,9 @@ int main(int argc, char** argv) {
   so.batch_max = std::max(1, batch);
   runtime::Scheduler sched(so);
 
-  if (tcp_port >= 0) return run_tcp(sched, w, wo, tcp_port, clients, linger);
+  if (tcp_port >= 0)
+    return run_tcp(sched, w, wo, tcp_port, clients, linger, metrics_path);
+  MetricsDump metrics{metrics_path, [&sched] { return sched.stats_rows(); }};
 
   std::printf("randla_serve: %d jobs, %d workers, queue high-water %d, "
               "burst %d%s\n",

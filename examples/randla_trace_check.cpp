@@ -10,9 +10,11 @@
 //   2. At least one trace id forms a full cross-layer chain: a
 //      net.submit, a queue.wait, a worker.exec, and at least one
 //      rsvd.* span all tagged with the same id.
-//   3. The metrics dump contains the serving counters CI cross-checks
-//      (net_*, runtime_*) and — since --metrics enables profiling —
-//      at least one la_* kernel series.
+//   3. The metrics dump contains the server's and scheduler's own rows
+//      (net_*_total counters, runtime_queue_depth, runtime_inflight,
+//      the batching and failover counters), each series once, and —
+//      since --metrics enables profiling — at least one la_* kernel
+//      series.
 //
 // The trace parser is deliberately line-oriented: chrome_json() emits
 // one event object per line, and depending on a JSON library for a CI
@@ -129,15 +131,30 @@ void check_metrics(const std::string& path) {
       "net_frames_in_total{type=\"submit\"}",
       "net_jobs_submitted_total",
       "net_jobs_completed_total",
+      "net_busy_total",
+      "net_decode_errors_total",
       "net_bytes_in_total",
       "net_bytes_out_total",
       "runtime_jobs_total",
       "runtime_queue_depth",
       "runtime_inflight",
+      "runtime_batches_total",
+      "fault_job_requeued_total",
+      "watchdog_fired_total",
   };
   for (const char* name : required)
     if (text.find(name) == std::string::npos)
       fail(std::string("metrics dump missing ") + name);
+  // Each serving event is exported once: a series written twice means
+  // a second copy of a count crept back in.
+  std::set<std::string> seen;
+  std::istringstream series_lines(text);
+  for (std::string line; std::getline(series_lines, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::string series = line.substr(0, line.rfind(' '));
+    if (!seen.insert(series).second)
+      fail("metrics dump writes " + series + " twice");
+  }
   // --metrics turns profiling on, so at least one kernel must have
   // reported (every job kind runs gemm somewhere).
   if (text.find("la_gemm_calls_total") == std::string::npos)

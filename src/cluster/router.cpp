@@ -74,15 +74,9 @@ struct Router::Impl {
   RouterStats stats;
   std::vector<ShardView> views_snapshot;  ///< refreshed by the loop
 
-  /// Fleet counters in the global obs registry (the per-instance
-  /// RouterStats mirror stays exact; these aggregate for /metrics).
-  struct ObsCounters {
-    obs::Counter routed, rerouted, forward_errors, probes_failed,
-        membership_changes, busy_relayed, hedges_fired, hedge_wins,
-        hedge_cancels, hedge_budget_exhausted;
-    obs::Gauge shards_live;
-    obs::Gauge slo_p99[obs::kNumSloKinds];  ///< hedge trigger inputs
-  } obs_;
+  /// Rolling p99 per job kind from the process-wide SLO windows: the
+  /// latency-hedge trigger's input.
+  obs::Gauge slo_p99[obs::kNumSloKinds];
 
   // --- downstream (client side) ---------------------------------------
   struct PendingSubmit {
@@ -199,31 +193,8 @@ struct Router::Impl {
       ring.add(static_cast<std::uint32_t>(i));
     }
     auto& g = obs::Registry::global();
-    obs_.routed =
-        g.counter("cluster_submits_routed_total", "submits placed on shards");
-    obs_.rerouted =
-        g.counter("cluster_rerouted_total", "exchanges moved to a new owner");
-    obs_.forward_errors = g.counter("cluster_forward_errors_total",
-                                    "upstream conns died mid-exchange");
-    obs_.probes_failed =
-        g.counter("cluster_probes_failed_total", "failed HealthCheck probes");
-    obs_.membership_changes = g.counter("cluster_membership_changes_total",
-                                        "ring evictions + readmissions");
-    obs_.busy_relayed =
-        g.counter("cluster_busy_relayed_total", "shard Busy hints forwarded");
-    obs_.shards_live = g.gauge("cluster_shards_live", "shards in the ring");
-    obs_.shards_live.set(double(shards.size()));
-    obs_.hedges_fired = g.counter("cluster_hedges_fired_total",
-                                  "replica + latency hedge legs launched");
-    obs_.hedge_wins = g.counter("cluster_hedge_wins_total",
-                                "hedged legs that delivered the result");
-    obs_.hedge_cancels = g.counter("cluster_hedge_cancels_total",
-                                   "losing hedge legs sent a Cancel");
-    obs_.hedge_budget_exhausted =
-        g.counter("cluster_hedge_budget_exhausted_total",
-                  "latency hedges suppressed by the token bucket");
     for (int k = 0; k < obs::kNumSloKinds; ++k)
-      obs_.slo_p99[k] = g.gauge(
+      slo_p99[k] = g.gauge(
           std::string("slo_p99_seconds{kind=\"") + obs::slo_kind_name(k) +
               "\"}",
           "rolling p99 latency per job kind");
@@ -672,27 +643,30 @@ net::StatsReply Router::Impl::local_stats() {
     std::lock_guard<std::mutex> lk(stats_mu);
     st = stats;
   }
-  m.emplace_back("router_conns_accepted", double(st.conns_accepted));
-  m.emplace_back("router_conns_refused", double(st.conns_refused));
-  m.emplace_back("router_frames_in", double(st.frames_in));
-  m.emplace_back("router_protocol_errors", double(st.protocol_errors));
-  m.emplace_back("router_submits_routed", double(st.submits_routed));
-  m.emplace_back("router_results_relayed", double(st.results_relayed));
-  m.emplace_back("router_busy_relayed", double(st.busy_relayed));
-  m.emplace_back("router_errors_relayed", double(st.errors_relayed));
-  m.emplace_back("router_forward_errors", double(st.forward_errors));
-  m.emplace_back("router_rerouted", double(st.rerouted));
-  m.emplace_back("router_clients_dropped", double(st.clients_dropped));
-  m.emplace_back("router_probes_ok", double(st.probes_ok));
-  m.emplace_back("router_probes_failed", double(st.probes_failed));
-  m.emplace_back("router_hedges_fired", double(st.hedges_fired));
-  m.emplace_back("router_hedge_wins", double(st.hedge_wins));
-  m.emplace_back("router_hedge_cancels", double(st.hedge_cancels));
-  m.emplace_back("router_hedge_budget_exhausted",
-                 double(st.hedge_budget_exhausted));
-  m.emplace_back("router_drains_completed", double(st.drains_completed));
-  m.emplace_back("router_handoff_entries", double(st.handoff_entries));
-  m.emplace_back("cluster_membership_changes", double(st.membership_changes));
+  // Each RouterStats event once, under its Prometheus `_total` name.
+  const std::pair<const char*, std::uint64_t> counts[] = {
+      {"cluster_conns_accepted_total", st.conns_accepted},
+      {"cluster_conns_refused_total", st.conns_refused},
+      {"cluster_frames_in_total", st.frames_in},
+      {"cluster_protocol_errors_total", st.protocol_errors},
+      {"cluster_submits_routed_total", st.submits_routed},
+      {"cluster_results_relayed_total", st.results_relayed},
+      {"cluster_busy_relayed_total", st.busy_relayed},
+      {"cluster_errors_relayed_total", st.errors_relayed},
+      {"cluster_forward_errors_total", st.forward_errors},
+      {"cluster_rerouted_total", st.rerouted},
+      {"cluster_clients_dropped_total", st.clients_dropped},
+      {"cluster_probes_ok_total", st.probes_ok},
+      {"cluster_probes_failed_total", st.probes_failed},
+      {"cluster_membership_changes_total", st.membership_changes},
+      {"cluster_hedges_fired_total", st.hedges_fired},
+      {"cluster_hedge_wins_total", st.hedge_wins},
+      {"cluster_hedge_cancels_total", st.hedge_cancels},
+      {"cluster_hedge_budget_exhausted_total", st.hedge_budget_exhausted},
+      {"cluster_drains_completed_total", st.drains_completed},
+      {"cluster_handoff_entries_total", st.handoff_entries},
+  };
+  for (const auto& [name, v] : counts) m.emplace_back(name, double(v));
   m.emplace_back("cluster_shards_total", double(shards.size()));
   m.emplace_back("cluster_shards_live", double(ring.size()));
   const double t = now();
@@ -705,7 +679,7 @@ net::StatsReply Router::Impl::local_stats() {
     m.emplace_back("cluster_shard_busy" + tag, double(shards[i].busy));
     m.emplace_back("cluster_shard_failures" + tag, double(shards[i].failures));
   }
-  // Global registry (router-process obs counters), capped at the wire
+  // Process-wide registry rows (SLO windows, kernels), capped at the wire
   // limit like the server's scrape.
   obs::slo_publish();
   for (const auto& [name, v] :
@@ -908,7 +882,6 @@ void Router::Impl::start_replica(std::uint64_t primary_xid,
   p.partner = xid;
   p.hedge_checked = true;  // a replicated pair never latency-hedges too
   bump(&RouterStats::hedges_fired);
-  obs_.hedges_fired.inc();
   obs::Recorder::global().record(
       obs::EventKind::HedgeFired, exchanges[primary_xid].request_id,
       exchanges[primary_xid].trace_id,
@@ -931,7 +904,6 @@ void Router::Impl::cancel_leg(std::uint64_t xid) {
     if (uit != ups.end()) uit->second.queue(net::encode_cancel(x.request_id));
   }
   bump(&RouterStats::hedge_cancels);
-  obs_.hedge_cancels.inc();
   obs::Recorder::global().record(obs::EventKind::HedgeCancelled, x.request_id,
                                  x.trace_id,
                                  static_cast<std::int64_t>(x.shard));
@@ -950,12 +922,11 @@ void Router::Impl::maybe_hedge(double t) {
       continue;
     const int kind = std::min<int>(x.kind, obs::kNumSloKinds - 1);
     const double trigger =
-        std::max(obs_.slo_p99[kind].value(), kHedgeFloorS);
+        std::max(slo_p99[kind].value(), kHedgeFloorS);
     if (t - x.started < trigger) continue;
     x.hedge_checked = true;
     if (hedge_tokens < 1.0) {
       bump(&RouterStats::hedge_budget_exhausted);
-      obs_.hedge_budget_exhausted.inc();
       continue;
     }
     hedge_tokens -= 1.0;
@@ -1023,7 +994,6 @@ bool Router::Impl::bind_to_shard(std::uint64_t xid, std::uint32_t shard) {
   u.queue(x.frame);
   shards[shard].submits += 1;
   bump(&RouterStats::submits_routed);
-  obs_.routed.inc();
   return true;
 }
 
@@ -1140,7 +1110,6 @@ bool Router::Impl::handle_up_frame(std::uint64_t uid,
     } else {
       // Draining (serving=false) or undecodable: stop routing there.
       bump(&RouterStats::probes_failed);
-      obs_.probes_failed.inc();
       shard_failure(shard);
     }
     return true;
@@ -1202,10 +1171,7 @@ bool Router::Impl::handle_up_frame(std::uint64_t uid,
       // observes a stats scrape missing it.
       if (x.down != 0) {
         bump(&RouterStats::results_relayed);
-        if (x.hedged_copy) {
-          bump(&RouterStats::hedge_wins);
-          obs_.hedge_wins.inc();
-        }
+        if (x.hedged_copy) bump(&RouterStats::hedge_wins);
         obs::slo_observe(std::min<int>(x.kind, obs::kNumSloKinds - 1),
                          now() - x.started, /*ok=*/true);
         relay_down(x.down, frame, frame_len);
@@ -1221,7 +1187,6 @@ bool Router::Impl::handle_up_frame(std::uint64_t uid,
       shards[u.shard].busy += 1;
       if (x.down != 0) {
         bump(&RouterStats::busy_relayed);
-        obs_.busy_relayed.inc();
         relay_down(x.down, frame, frame_len);
       }
       x.forwarded = true;
@@ -1297,7 +1262,6 @@ void Router::Impl::handle_one_up_failure(std::uint64_t uid) {
 
   if (was_probe) {
     bump(&RouterStats::probes_failed);
-    obs_.probes_failed.inc();
     shard_failure(shard);
     return;
   }
@@ -1320,7 +1284,6 @@ void Router::Impl::handle_one_up_failure(std::uint64_t uid) {
   Exchange& x = xit->second;
   x.up = 0;
   bump(&RouterStats::forward_errors);
-  obs_.forward_errors.inc();
   shard_failure(shard);
 
   if (x.partner != 0) {
@@ -1360,7 +1323,6 @@ void Router::Impl::handle_one_up_failure(std::uint64_t uid) {
     x.reroutes += 1;
     if (place(xid)) {
       bump(&RouterStats::rerouted);
-      obs_.rerouted.inc();
       return;
     }
   }
@@ -1390,8 +1352,6 @@ void Router::Impl::retire_shard(std::uint32_t shard) {
   ring.remove(shard);
   s.in_ring = false;
   bump(&RouterStats::membership_changes);
-  obs_.membership_changes.inc();
-  obs_.shards_live.set(double(ring.size()));
   obs::Recorder::global().record(obs::EventKind::ShardDrained, 0, 0, shard,
                                  static_cast<std::int64_t>(ring.size()));
   for (const std::uint64_t uid : std::vector<std::uint64_t>(s.idle))
@@ -1407,8 +1367,6 @@ void Router::Impl::shard_failure(std::uint32_t shard) {
     ring.remove(shard);
     s.in_ring = false;
     bump(&RouterStats::membership_changes);
-    obs_.membership_changes.inc();
-    obs_.shards_live.set(double(ring.size()));
     obs::Recorder::global().record(obs::EventKind::ShardDown, 0, 0, shard,
                                    static_cast<std::int64_t>(ring.size()));
     // Every conn still pointing at the evicted shard is now suspect;
@@ -1429,8 +1387,6 @@ void Router::Impl::probe_ok(std::uint32_t shard) {
     ring.add(shard);
     s.in_ring = true;
     bump(&RouterStats::membership_changes);
-    obs_.membership_changes.inc();
-    obs_.shards_live.set(double(ring.size()));
     obs::Recorder::global().record(obs::EventKind::ShardUp, 0, 0, shard,
                                    static_cast<std::int64_t>(ring.size()));
   }
@@ -1454,7 +1410,6 @@ void Router::Impl::maybe_probe(double t) {
     const std::uint64_t uid = take_upstream(static_cast<std::uint32_t>(i));
     if (uid == 0) {
       bump(&RouterStats::probes_failed);
-      obs_.probes_failed.inc();
       shard_failure(static_cast<std::uint32_t>(i));
       continue;
     }

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -248,6 +249,44 @@ bool install_handoff(runtime::Scheduler& sched, CacheHandoffEntry& e) {
   return false;
 }
 
+/// net_frames_in_total{type=…} label of each ServerStats::frames_by_type
+/// slot (slot = FrameType value; 0 = a type no client should send).
+constexpr const char* kFrameLabels[] = {
+    "other", "submit", "ping",   "shutdown", "stats",
+    "health", "dump", "cancel", "drain",    "cache_handoff"};
+static_assert(std::size(kFrameLabels) ==
+              std::tuple_size_v<decltype(ServerStats::frames_by_type)>);
+
+/// The Stats reply's per-instance rows: every ServerStats event once,
+/// under its Prometheus `_total` name, then the scheduler's own rows.
+obs::MetricRows instance_rows(const ServerStats& st,
+                              const runtime::Scheduler& sched) {
+  obs::MetricRows m = {
+      {"net_connections_total", double(st.conns_accepted)},
+      {"net_conns_refused_total", double(st.conns_refused)},
+      {"net_conns_idle_closed_total", double(st.conns_idle_closed)},
+      {"net_decode_errors_total", double(st.protocol_errors)},
+      {"net_jobs_submitted_total", double(st.jobs_submitted)},
+      {"net_busy_total", double(st.jobs_busy)},
+      {"net_jobs_completed_total", double(st.jobs_completed)},
+      {"net_results_dropped_total", double(st.results_dropped)},
+      {"net_jobs_cancelled_total", double(st.jobs_cancelled)},
+      {"net_drains_total", double(st.drains)},
+      {"net_handoff_entries_out_total", double(st.handoff_out)},
+      {"net_handoff_entries_in_total", double(st.handoff_in)},
+      {"net_bytes_in_total", double(st.bytes_in)},
+      {"net_bytes_out_total", double(st.bytes_out)},
+  };
+  for (std::size_t t = 0; t < std::size(kFrameLabels); ++t)
+    m.emplace_back(
+        std::string("net_frames_in_total{type=\"") + kFrameLabels[t] + "\"}",
+        double(st.frames_by_type[t]));
+  obs::MetricRows sr = sched.stats_rows();
+  m.insert(m.end(), std::make_move_iterator(sr.begin()),
+           std::make_move_iterator(sr.end()));
+  return m;
+}
+
 }  // namespace
 
 struct Server::Impl {
@@ -256,18 +295,6 @@ struct Server::Impl {
 
   mutable std::mutex stats_mu;
   ServerStats stats;
-
-  /// Fleet-wide counters mirroring ServerStats in the global obs
-  /// registry (ServerStats stays per-instance for exact per-server
-  /// accounting; these aggregate across servers for /metrics).
-  struct ObsCounters {
-    obs::Counter connections, frames_submit, frames_ping, frames_shutdown,
-        frames_stats, frames_health, frames_dump, frames_cancel,
-        frames_drain, frames_handoff, frames_other, busy,
-        bytes_in, bytes_out,
-        decode_errors, jobs_submitted, jobs_completed, results_dropped,
-        jobs_cancelled, handoff_in, handoff_out;
-  } obs_;
 
   struct Conn : FramedConn {
     std::uint64_t inflight = 0;
@@ -302,39 +329,7 @@ struct Server::Impl {
   LoopThread thread;  ///< last: destroying it stops the loop first
 
   Impl(runtime::Scheduler& s, ServerOptions o)
-      : sched(s), opts(std::move(o)) {
-    auto& g = obs::Registry::global();
-    obs_.connections = g.counter("net_connections_total", "accepted sockets");
-    obs_.frames_submit =
-        g.counter("net_frames_in_total{type=\"submit\"}", "frames by type");
-    obs_.frames_ping = g.counter("net_frames_in_total{type=\"ping\"}");
-    obs_.frames_shutdown = g.counter("net_frames_in_total{type=\"shutdown\"}");
-    obs_.frames_stats = g.counter("net_frames_in_total{type=\"stats\"}");
-    obs_.frames_health = g.counter("net_frames_in_total{type=\"health\"}");
-    obs_.frames_dump = g.counter("net_frames_in_total{type=\"dump\"}");
-    obs_.frames_cancel = g.counter("net_frames_in_total{type=\"cancel\"}");
-    obs_.frames_drain = g.counter("net_frames_in_total{type=\"drain\"}");
-    obs_.frames_handoff =
-        g.counter("net_frames_in_total{type=\"cache_handoff\"}");
-    obs_.frames_other = g.counter("net_frames_in_total{type=\"other\"}");
-    obs_.busy = g.counter("net_busy_total", "submits shed with Busy frames");
-    obs_.bytes_in = g.counter("net_bytes_in_total", "bytes read from peers");
-    obs_.bytes_out = g.counter("net_bytes_out_total", "bytes sent to peers");
-    obs_.decode_errors =
-        g.counter("net_decode_errors_total", "malformed frames/payloads");
-    obs_.jobs_submitted =
-        g.counter("net_jobs_submitted_total", "submits admitted to the queue");
-    obs_.jobs_completed =
-        g.counter("net_jobs_completed_total", "results delivered to peers");
-    obs_.results_dropped = g.counter("net_results_dropped_total",
-                                     "results finished after peer left");
-    obs_.jobs_cancelled = g.counter("net_jobs_cancelled_total",
-                                    "jobs answered Error(Cancelled)");
-    obs_.handoff_in = g.counter("net_handoff_entries_in_total",
-                                "cache entries installed from a peer");
-    obs_.handoff_out = g.counter("net_handoff_entries_out_total",
-                                 "cache entries streamed to a successor");
-  }
+      : sched(s), opts(std::move(o)) {}
 
   double now() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -344,6 +339,16 @@ struct Server::Impl {
   void bump(std::uint64_t ServerStats::* field, std::uint64_t by = 1) {
     std::lock_guard<std::mutex> lk(stats_mu);
     stats.*field += by;
+  }
+  ServerStats stats_snapshot() const {
+    std::lock_guard<std::mutex> lk(stats_mu);
+    return stats;
+  }
+  void count_frame(FrameType type) {
+    const auto slot = static_cast<std::size_t>(type);
+    std::lock_guard<std::mutex> lk(stats_mu);
+    stats.frames_in += 1;
+    stats.frames_by_type[slot < stats.frames_by_type.size() ? slot : 0] += 1;
   }
 
   void loop();
@@ -388,9 +393,10 @@ std::uint16_t Server::port() const { return impl_->thread.port; }
 
 bool Server::running() const { return impl_->thread.alive.load(); }
 
-ServerStats Server::stats() const {
-  std::lock_guard<std::mutex> lk(impl_->stats_mu);
-  return impl_->stats;
+ServerStats Server::stats() const { return impl_->stats_snapshot(); }
+
+obs::MetricRows Server::stats_rows() const {
+  return instance_rows(stats(), impl_->sched);
 }
 
 bool Server::start() {
@@ -481,7 +487,6 @@ void Server::Impl::accept_ready() {
         c.last_active = now();
         conns.emplace(next_conn_id++, std::move(c));
         bump(&ServerStats::conns_accepted);
-        obs_.connections.inc();
       });
   if (refused > 0) bump(&ServerStats::conns_refused, refused);
 }
@@ -492,7 +497,6 @@ void Server::Impl::read_ready(std::uint64_t cid) {
   if (r.bytes > 0) {
     c.last_active = now();
     bump(&ServerStats::bytes_in, r.bytes);
-    obs_.bytes_in.add(double(r.bytes));
   }
   process_input(cid);
   if (r.peer_gone) drop_conn(cid);
@@ -506,7 +510,6 @@ void Server::Impl::process_input(std::uint64_t cid) {
     if (hs != HeaderStatus::Ok) {
       if (hs != HeaderStatus::NeedMore) {
         bump(&ServerStats::protocol_errors);
-        obs_.decode_errors.inc();
         queue_frame(c, malformed_frame_error(hs));
       }
       if (!flush(c)) drop_conn(cid);
@@ -519,7 +522,7 @@ void Server::Impl::process_input(std::uint64_t cid) {
       drop_conn(cid);
       return;
     }
-    bump(&ServerStats::frames_in);
+    count_frame(f.hdr.type);
     dispatch(cid, f.hdr.type, f.payload(), f.hdr.payload_len);
   }
 }
@@ -529,11 +532,9 @@ void Server::Impl::dispatch(std::uint64_t cid, FrameType type,
   Conn& c = conns[cid];
   switch (type) {
     case FrameType::Submit:
-      obs_.frames_submit.inc();
       handle_submit(cid, payload, len);
       return;
     case FrameType::Ping: {
-      obs_.frames_ping.inc();
       if (auto nonce = decode_ping(payload, len)) {
         queue_frame(c, encode_pong(*nonce));
       } else {
@@ -542,7 +543,6 @@ void Server::Impl::dispatch(std::uint64_t cid, FrameType type,
       return;
     }
     case FrameType::Shutdown:
-      obs_.frames_shutdown.inc();
       if (opts.allow_remote_shutdown) {
         thread.stop_requested.store(true);
       } else {
@@ -551,32 +551,25 @@ void Server::Impl::dispatch(std::uint64_t cid, FrameType type,
       }
       return;
     case FrameType::Stats:
-      obs_.frames_stats.inc();
       handle_stats(cid, len);
       return;
     case FrameType::HealthCheck:
-      obs_.frames_health.inc();
       handle_health(cid, len);
       return;
     case FrameType::Dump:
-      obs_.frames_dump.inc();
       handle_dump(cid, len);
       return;
     case FrameType::Cancel:
-      obs_.frames_cancel.inc();
       handle_cancel(cid, payload, len);
       return;
     case FrameType::Drain:
-      obs_.frames_drain.inc();
       handle_drain(cid, payload, len);
       return;
     case FrameType::CacheHandoff:
-      obs_.frames_handoff.inc();
       handle_cache_handoff(cid, payload, len);
       return;
     default:
       // A server→client frame type from a client: confused peer.
-      obs_.frames_other.inc();
       reject(c, ErrorCode::BadFrame, "unexpected frame type", true);
       return;
   }
@@ -638,7 +631,6 @@ void Server::Impl::handle_submit(std::uint64_t cid, const std::uint8_t* payload,
     b.retry_after_ms = 50;
     queue_frame(c, encode_busy(b));
     bump(&ServerStats::jobs_busy);
-    obs_.busy.inc();
     return;
   }
   if (thread.stop_requested.load()) {
@@ -734,7 +726,6 @@ void Server::Impl::handle_submit(std::uint64_t cid, const std::uint8_t* payload,
       b.retry_after_ms = retry_after_ms();
       queue_frame(c, encode_busy(b));
       bump(&ServerStats::jobs_busy);
-      obs_.busy.inc();
     }
     return;
   }
@@ -743,7 +734,6 @@ void Server::Impl::handle_submit(std::uint64_t cid, const std::uint8_t* payload,
   inflight.push_back(
       Impl::InFlight{cid, req->request_id, req->trace_id, sub.handle});
   bump(&ServerStats::jobs_submitted);
-  obs_.jobs_submitted.inc();
 }
 
 void Server::Impl::handle_stats(std::uint64_t cid, std::size_t len) {
@@ -752,52 +742,11 @@ void Server::Impl::handle_stats(std::uint64_t cid, std::size_t len) {
     reject(c, ErrorCode::BadFrame, "stats frame carries a payload", true);
     return;
   }
+  // This server's and its scheduler's own counts first: these are what
+  // load generators cross-check their own accounting against.
   StatsReply s;
+  s.metrics = instance_rows(stats_snapshot(), sched);
   auto& m = s.metrics;
-  ServerStats st;
-  {
-    std::lock_guard<std::mutex> lk(stats_mu);
-    st = stats;
-  }
-  // Per-instance serving counters first: these are what load generators
-  // cross-check their own accounting against.
-  m.emplace_back("server_conns_accepted", double(st.conns_accepted));
-  m.emplace_back("server_conns_refused", double(st.conns_refused));
-  m.emplace_back("server_conns_idle_closed", double(st.conns_idle_closed));
-  m.emplace_back("server_frames_in", double(st.frames_in));
-  m.emplace_back("server_protocol_errors", double(st.protocol_errors));
-  m.emplace_back("server_jobs_submitted", double(st.jobs_submitted));
-  m.emplace_back("server_jobs_busy", double(st.jobs_busy));
-  m.emplace_back("server_jobs_completed", double(st.jobs_completed));
-  m.emplace_back("server_results_dropped", double(st.results_dropped));
-  m.emplace_back("server_jobs_cancelled", double(st.jobs_cancelled));
-  m.emplace_back("server_drains", double(st.drains));
-  m.emplace_back("server_handoff_out", double(st.handoff_out));
-  m.emplace_back("server_handoff_in", double(st.handoff_in));
-  m.emplace_back("server_bytes_in", double(st.bytes_in));
-  m.emplace_back("server_bytes_out", double(st.bytes_out));
-  // Scheduler + cache state behind this server.
-  m.emplace_back("sched_queue_depth", double(sched.queue_depth()));
-  m.emplace_back("sched_queue_capacity", double(sched.queue_capacity()));
-  m.emplace_back("sched_inflight", double(sched.inflight()));
-  m.emplace_back("sched_num_workers", double(sched.num_workers()));
-  m.emplace_back("sched_recent_exec_s", sched.recent_exec_s());
-  const auto bs = sched.batch_stats();
-  m.emplace_back("sched_batches", double(bs.dispatches));
-  m.emplace_back("sched_batched_jobs", double(bs.batched_jobs));
-  m.emplace_back("sched_batch_max", double(sched.options().batch_max));
-  const auto sk = sched.sketch_cache_stats();
-  m.emplace_back("sketch_cache_hits", double(sk.hits));
-  m.emplace_back("sketch_cache_misses", double(sk.misses));
-  m.emplace_back("sketch_cache_evictions", double(sk.evictions));
-  const auto rc = sched.result_cache_stats();
-  m.emplace_back("result_cache_hits", double(rc.hits));
-  m.emplace_back("result_cache_misses", double(rc.misses));
-  m.emplace_back("result_cache_evictions", double(rc.evictions));
-  const auto qc = sched.rqrcp_cache_stats();
-  m.emplace_back("rqrcp_cache_hits", double(qc.hits));
-  m.emplace_back("rqrcp_cache_misses", double(qc.misses));
-  m.emplace_back("rqrcp_cache_evictions", double(qc.evictions));
   // Global registry (layer instrumentation), capped at the wire limit.
   // Refresh the SLO percentile/burn gauges first so scrapers see values
   // consistent with the histograms in the same reply, and include the
@@ -861,7 +810,6 @@ void Server::Impl::handle_cancel(std::uint64_t cid,
     if (f.conn_id == cid && f.request_id == *id && !f.cancelled) {
       f.cancelled = true;
       bump(&ServerStats::jobs_cancelled);
-      obs_.jobs_cancelled.inc();
       return;
     }
   }
@@ -893,7 +841,6 @@ void Server::Impl::handle_drain(std::uint64_t cid,
   DrainSummary sum = stream_handoff(*d);
   sum.inflight = static_cast<std::uint32_t>(inflight.size());
   bump(&ServerStats::handoff_out, sum.entries);
-  obs_.handoff_out.add(double(sum.entries));
   obs::Recorder::global().record(obs::EventKind::ShardDrained, 0, 0,
                                  static_cast<std::int64_t>(d->port),
                                  static_cast<std::int64_t>(sum.entries));
@@ -965,7 +912,6 @@ void Server::Impl::handle_cache_handoff(std::uint64_t cid,
     return;
   }
   bump(&ServerStats::handoff_in);
-  obs_.handoff_in.inc();
   // No reply frame: the sender's Ping barrier is the synchronization.
 }
 
@@ -979,7 +925,6 @@ void Server::Impl::deliver_completions() {
     auto cit = conns.find(it->conn_id);
     if (cit == conns.end()) {
       bump(&ServerStats::results_dropped);
-      obs_.results_dropped.inc();
     } else if (it->cancelled) {
       // Hedged-pair loser: a typed terminal frame instead of the result
       // stream keeps the connection frame-aligned for its next exchange.
@@ -994,7 +939,6 @@ void Server::Impl::deliver_completions() {
       send_result(cit->second, it->request_id, outcome);
       cit->second.inflight -= 1;
       bump(&ServerStats::jobs_completed);
-      obs_.jobs_completed.inc();
       if (!flush(cit->second)) drop_conn(it->conn_id);
     }
     it = inflight.erase(it);
@@ -1075,7 +1019,6 @@ void Server::Impl::send_result(Conn& c, std::uint64_t request_id,
 void Server::Impl::reject(Conn& c, ErrorCode code, const char* what,
                           bool poison) {
   bump(&ServerStats::protocol_errors);
-  obs_.decode_errors.inc();
   queue_frame(c, encode_error(ErrorReply{0, code, what}));
   if (poison) c.close_after_flush = true;
 }
@@ -1110,10 +1053,7 @@ bool Server::Impl::flush(Conn& c) {
         opts.injector->config().write_delay_ms));
   }
   const IoResult r = c.flush();
-  if (r.bytes > 0) {
-    bump(&ServerStats::bytes_out, r.bytes);
-    obs_.bytes_out.add(double(r.bytes));
-  }
+  if (r.bytes > 0) bump(&ServerStats::bytes_out, r.bytes);
   return !r.peer_gone;
 }
 

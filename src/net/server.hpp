@@ -20,11 +20,13 @@
 // allow_remote_shutdown is set (loopback smoke tests use this).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 
 #include "fault/injector.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/scheduler.hpp"
 
 namespace randla::net {
@@ -44,11 +46,16 @@ struct ServerOptions {
   fault::InjectorPtr injector;
 };
 
+/// Per-instance serving counters: each event is counted here once and
+/// exported once by Server::stats_rows (DESIGN.md §9).
 struct ServerStats {
   std::uint64_t conns_accepted = 0;
   std::uint64_t conns_refused = 0;     ///< over max_connections
   std::uint64_t conns_idle_closed = 0;
   std::uint64_t frames_in = 0;
+  /// frames_in by type: slot = the FrameType value of a client→server
+  /// type (Submit = 1 … CacheHandoff = 9); slot 0 counts any other type.
+  std::array<std::uint64_t, 10> frames_by_type{};
   std::uint64_t protocol_errors = 0;   ///< malformed frames / requests
   std::uint64_t jobs_submitted = 0;
   std::uint64_t jobs_busy = 0;         ///< shed with a Busy frame
@@ -81,6 +88,12 @@ class Server {
   void wait();
   bool running() const;
   ServerStats stats() const;
+  /// This server's Stats rows: every ServerStats count under its
+  /// Prometheus name (`net_jobs_submitted_total`, `net_busy_total`,
+  /// `net_frames_in_total{type="submit"}`, …), then the scheduler's
+  /// Scheduler::stats_rows. The Stats reply sends these ahead of the
+  /// process-wide registry rows.
+  obs::MetricRows stats_rows() const;
 
  private:
   struct Impl;

@@ -494,9 +494,8 @@ double Snapshot::value(std::string_view name) const {
   return 0;
 }
 
-std::vector<std::pair<std::string, double>> Snapshot::flatten(
-    bool include_buckets) const {
-  std::vector<std::pair<std::string, double>> out;
+MetricRows Snapshot::flatten(bool include_buckets) const {
+  MetricRows out;
   out.reserve(counters.size() + gauges.size() + 2 * histograms.size());
   out.insert(out.end(), counters.begin(), counters.end());
   out.insert(out.end(), gauges.begin(), gauges.end());

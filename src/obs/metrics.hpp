@@ -24,6 +24,10 @@ namespace randla::obs {
 
 class Registry;
 
+/// Flat (name, value) metric rows: the Stats wire frame's payload and
+/// what Snapshot::flatten and the per-instance scrapes produce.
+using MetricRows = std::vector<std::pair<std::string, double>>;
+
 /// Monotonic counter (double-valued so flop counts fit). Handles are
 /// small value types; default-constructed handles are no-ops.
 class Counter {
@@ -115,8 +119,7 @@ struct Snapshot {
   /// labels are formatted with a fixed "%.10g" so two processes sharing
   /// a HistogramSpec emit byte-identical names, and a cluster router
   /// can merge shard histograms bucket-by-bucket exactly.
-  std::vector<std::pair<std::string, double>> flatten(
-      bool include_buckets = false) const;
+  MetricRows flatten(bool include_buckets = false) const;
 };
 
 class Registry {

@@ -59,6 +59,14 @@ class LruCache {
     return it->second->second;
   }
 
+  /// Look up without counting a hit or miss or touching recency: for
+  /// planning a dispatch whose members then get() the same keys.
+  std::shared_ptr<const V> peek(const K& key) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = index_.find(key);
+    return it == index_.end() ? nullptr : it->second->second;
+  }
+
   void put(const K& key, std::shared_ptr<const V> value) {
     if (capacity_ == 0) return;
     std::lock_guard<std::mutex> lk(mu_);

@@ -13,54 +13,6 @@ namespace randla::runtime {
 
 namespace {
 
-obs::Gauge queue_depth_gauge() {
-  static obs::Gauge g = obs::Registry::global().gauge(
-      "runtime_queue_depth", "jobs waiting in the admission queue");
-  return g;
-}
-
-obs::Gauge inflight_gauge() {
-  static obs::Gauge g = obs::Registry::global().gauge(
-      "runtime_inflight", "jobs admitted but not yet fulfilled");
-  return g;
-}
-
-obs::Counter requeued_counter() {
-  static obs::Counter c = obs::Registry::global().counter(
-      "fault_job_requeued_total", "jobs handed off from a failed device");
-  return c;
-}
-
-obs::Gauge unhealthy_gauge() {
-  static obs::Gauge g = obs::Registry::global().gauge(
-      "fault_device_unhealthy", "devices currently marked failed");
-  return g;
-}
-
-obs::Counter watchdog_counter() {
-  static obs::Counter c = obs::Registry::global().counter(
-      "watchdog_fired_total", "jobs cancelled for exceeding their budget");
-  return c;
-}
-
-obs::Counter batches_counter() {
-  static obs::Counter c = obs::Registry::global().counter(
-      "runtime_batches_total", "coalesced dispatches (2+ jobs)");
-  return c;
-}
-
-obs::Counter batched_jobs_counter() {
-  static obs::Counter c = obs::Registry::global().counter(
-      "runtime_batched_jobs_total", "jobs that rode a coalesced dispatch");
-  return c;
-}
-
-obs::Gauge batch_occupancy_gauge() {
-  static obs::Gauge g = obs::Registry::global().gauge(
-      "runtime_batch_occupancy", "last dispatch size / batch_max");
-  return g;
-}
-
 /// RQRCP engine metrics (fleet-wide, one counter per algorithm phase).
 struct QrcpMetrics {
   obs::Counter sketch, panel, update, downdate, resketches, degraded;
@@ -109,14 +61,6 @@ Scheduler::Scheduler(SchedulerOptions opts)
       start_(std::chrono::steady_clock::now()) {
   const int n = std::max(1, opts_.num_workers);
   healthy_.store(n);
-  unhealthy_gauge().set(0);
-  // Touch the fault/watchdog series so a Stats scrape carries them even
-  // before the first failure (chaos CI asserts their presence).
-  requeued_counter();
-  watchdog_counter();
-  batches_counter();
-  batched_jobs_counter();
-  batch_occupancy_gauge();
   slots_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) slots_.push_back(std::make_unique<ExecSlot>());
   workers_.reserve(static_cast<std::size_t>(n));
@@ -164,6 +108,34 @@ FaultStats Scheduler::fault_stats() const {
   return fs;
 }
 
+obs::MetricRows Scheduler::stats_rows() const {
+  const BatchStats bs = batch_stats();
+  const FaultStats fs = fault_stats();
+  obs::MetricRows m = {
+      {"runtime_queue_depth", double(queue_depth())},
+      {"sched_queue_capacity", double(queue_capacity())},
+      {"runtime_inflight", double(inflight())},
+      {"sched_num_workers", double(num_workers())},
+      {"sched_recent_exec_s", recent_exec_s()},
+      {"sched_batch_max", double(opts_.batch_max)},
+      {"runtime_batches_total", double(bs.dispatches)},
+      {"runtime_batched_jobs_total", double(bs.batched_jobs)},
+      {"fault_job_requeued_total", double(fs.jobs_requeued)},
+      {"watchdog_fired_total", double(fs.watchdog_fired)},
+      {"fault_device_unhealthy", double(num_workers() - fs.healthy_workers)},
+  };
+  const std::pair<const char*, CacheStats> caches[] = {
+      {"sketch_cache", sketch_cache_stats()},
+      {"result_cache", result_cache_stats()},
+      {"rqrcp_cache", rqrcp_cache_stats()}};
+  for (const auto& [cache, cs] : caches) {
+    m.emplace_back(std::string(cache) + "_hits", double(cs.hits));
+    m.emplace_back(std::string(cache) + "_misses", double(cs.misses));
+    m.emplace_back(std::string(cache) + "_evictions", double(cs.evictions));
+  }
+  return m;
+}
+
 std::vector<DeviceHealthInfo> Scheduler::device_health() const {
   std::vector<DeviceHealthInfo> out;
   for (int i = 0; i < num_workers(); ++i) {
@@ -178,8 +150,7 @@ std::vector<DeviceHealthInfo> Scheduler::device_health() const {
 void Scheduler::mark_device_failed(int widx) {
   if (slots_[static_cast<std::size_t>(widx)]->failed.exchange(true)) return;
   device_failures_.fetch_add(1);
-  const int left = healthy_.fetch_sub(1) - 1;
-  unhealthy_gauge().set(double(num_workers() - left));
+  healthy_.fetch_sub(1);
 }
 
 void Scheduler::fail_device(int device) {
@@ -195,7 +166,6 @@ void Scheduler::fail_device(int device) {
 void Scheduler::drain_queue_no_workers() {
   while (auto pending = queue_.try_pop())
     fail_pending(std::move(*pending), "no healthy devices");
-  queue_depth_gauge().set(double(queue_.size()));
 }
 
 void Scheduler::fail_pending(PendingJob pending, const std::string& why) {
@@ -221,7 +191,6 @@ void Scheduler::complete(PendingJob pending, JobOutcome outcome) {
   telemetry_.record(tr);
   pending.handle->fulfill(std::move(outcome));
   inflight_.fetch_sub(1);
-  inflight_gauge().set(double(inflight_.load()));
   {
     std::lock_guard<std::mutex> lk(drain_mu_);  // pairs with drain()'s wait
   }
@@ -262,10 +231,8 @@ void Scheduler::handoff(PendingJob pending, int widx) {
     return;
   }
   jobs_requeued_.fetch_add(1);
-  requeued_counter().inc();
   obs::Recorder::global().record(obs::EventKind::JobRequeued, requeued_id,
                                  requeued_trace, widx, resubmits, tag);
-  queue_depth_gauge().set(double(queue_.size()));
 }
 
 double Scheduler::calibration() const {
@@ -312,8 +279,6 @@ SubmitResult Scheduler::submit(Job job) {
     obs::Recorder::global().record(obs::EventKind::JobAccepted, handle->id(),
                                    trace_id, static_cast<std::int64_t>(kind),
                                    0, tag);
-  queue_depth_gauge().set(double(queue_.size()));
-  inflight_gauge().set(double(inflight_.load()));
   if (st != PushStatus::Ok) {
     // Shed at the door (try_push left `pending` intact): fulfill now so
     // callers can wait() on every handle uniformly.
@@ -338,7 +303,6 @@ void Scheduler::worker_loop(int widx) {
   for (;;) {
     auto pending = queue_.pop();
     if (!pending) return;
-    queue_depth_gauge().set(double(queue_.size()));
 
     // --- failover seam (DESIGN.md §10) --------------------------------
     // Injected device death is decided at job pickup, and never fires
@@ -389,7 +353,6 @@ void Scheduler::watchdog_loop() {
         slot.cancel->store(true);
         slot.fired = true;
         watchdog_fired_.fetch_add(1);
-        watchdog_counter().inc();
         obs::Recorder::global().record(obs::EventKind::WatchdogFired,
                                        slot.job_id, 0,
                                        static_cast<std::int64_t>(&sp -
@@ -737,7 +700,6 @@ std::vector<Scheduler::PendingJob> Scheduler::collect_batch(PendingJob first,
     if (seconds_since(t0) >= opts_.batch_linger_s) break;
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
-  queue_depth_gauge().set(double(queue_.size()));
   return batch;
 }
 
@@ -746,9 +708,6 @@ void Scheduler::dispatch(std::vector<PendingJob> batch, int widx) {
   if (count > 1) {
     batches_.fetch_add(1);
     batched_jobs_.fetch_add(count);
-    batches_counter().inc();
-    batched_jobs_counter().add(double(count));
-    batch_occupancy_gauge().set(double(count) / double(opts_.batch_max));
   }
 
   // Queue wait ends here for every member (it includes the collector's
@@ -846,8 +805,9 @@ void Scheduler::dispatch(std::vector<PendingJob> batch, int widx) {
   // One shared Step-1 for the live members that miss both caches, when
   // there are two or more of them; a lone miss samples inside
   // finish_fixed_rank exactly as a solo job does. Hits and shapes the
-  // batched kernel rejects take the solo ladder, which re-probes the
-  // caches and reports the precise error.
+  // batched kernel rejects take the solo ladder, which reports the
+  // precise error. The planning probes peek, so each member's own pass
+  // counts its one cache lookup.
   std::vector<rsvd::SampleBatchItem> items;
   std::vector<Member*> sampled;
   for (Member& m : members) {
@@ -859,8 +819,8 @@ void Scheduler::dispatch(std::vector<PendingJob> batch, int widx) {
         l > std::min(fj->a->rows(), fj->a->cols()))
       continue;
     const auto& fp = fj->a->fingerprint();
-    if (results_.get(make_result_key(fp, o))) continue;
-    const auto sketch = sketches_.get(make_sketch_key(fp, o));
+    if (results_.peek(make_result_key(fp, o))) continue;
+    const auto sketch = sketches_.peek(make_sketch_key(fp, o));
     if (sketch && sketch->b.rows() >= l) continue;
     rsvd::SampleBatchItem item;
     item.a = fj->a->view();

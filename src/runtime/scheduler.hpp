@@ -43,6 +43,7 @@
 
 #include "fault/injector.hpp"
 #include "model/perfmodel.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/arena.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/job.hpp"
@@ -197,6 +198,12 @@ class Scheduler {
   int healthy_workers() const { return healthy_.load(); }
   FaultStats fault_stats() const;
   std::vector<DeviceHealthInfo> device_health() const;
+
+  /// This scheduler's Stats/Prometheus rows, read from its own counters:
+  /// queue depth and in-flight, batching, failover, watchdog and cache
+  /// counts. Each event is counted once, here, and exported once under
+  /// its `_total` name (DESIGN.md §9).
+  obs::MetricRows stats_rows() const;
 
  private:
   struct PendingJob {

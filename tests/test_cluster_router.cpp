@@ -480,8 +480,8 @@ TEST(ClusterRouter, ServesStatsHealthAndPing) {
 
   const auto stats = client.stats();
   ASSERT_TRUE(stats.has_value());
-  EXPECT_TRUE(stats->has("router_submits_routed"));
-  EXPECT_EQ(stats->value("router_submits_routed"), 1.0);
+  EXPECT_TRUE(stats->has("cluster_submits_routed_total"));
+  EXPECT_EQ(stats->value("cluster_submits_routed_total"), 1.0);
   ASSERT_TRUE(stats->has("cluster_shards_live"));
   EXPECT_EQ(stats->value("cluster_shards_live"), 2.0);
   EXPECT_TRUE(stats->has("cluster_shard_up{shard=\"0\"}"));
@@ -729,10 +729,10 @@ TEST(ClusterRouter, StatsFanOutMergesShardsWithLabels) {
   EXPECT_EQ(stats->value("cluster_stale_shards"), 0.0);
   // Every shard reappears with a shard label, and the labeled submit
   // counters partition the one routed job.
-  ASSERT_TRUE(stats->has("server_jobs_submitted{shard=\"0\"}"));
-  ASSERT_TRUE(stats->has("server_jobs_submitted{shard=\"1\"}"));
-  EXPECT_EQ(stats->value("server_jobs_submitted{shard=\"0\"}") +
-                stats->value("server_jobs_submitted{shard=\"1\"}"),
+  ASSERT_TRUE(stats->has("net_jobs_submitted_total{shard=\"0\"}"));
+  ASSERT_TRUE(stats->has("net_jobs_submitted_total{shard=\"1\"}"));
+  EXPECT_EQ(stats->value("net_jobs_submitted_total{shard=\"0\"}") +
+                stats->value("net_jobs_submitted_total{shard=\"1\"}"),
             1.0);
   // Histogram buckets ride the fan-out per shard on the shared SLO
   // ladder (both shards live in this process, so kind fixed_rank has
@@ -745,6 +745,59 @@ TEST(ClusterRouter, StatsFanOutMergesShardsWithLabels) {
   for (const auto& [n, v] : stats->metrics)
     if (n == "slo_requests_total{kind=\"fixed_rank\"}") ++same_name;
   EXPECT_GE(same_name, 2);
+
+  router.stop();
+  shard_a.stop();
+  shard_b.stop();
+}
+
+// Two servers and a router in one process: every serving count is the
+// instance's own, so an idle shard reads 0 and the router's merge sums
+// each event exactly once.
+TEST(ClusterRouter, StatsRowsArePerInstanceAndMergeOnce) {
+  runtime::Scheduler sched_a(small_sched()), sched_b(small_sched());
+  net::Server shard_a(sched_a, shard_opts()), shard_b(sched_b, shard_opts());
+  ASSERT_TRUE(shard_a.start());
+  ASSERT_TRUE(shard_b.start());
+  Router router(router_over({&shard_a, &shard_b}));
+  ASSERT_TRUE(router.start());
+
+  // One key, so every submit lands on the same shard.
+  constexpr int kJobs = 5;
+  net::Client client(client_for(router));
+  ASSERT_TRUE(client.connect());
+  for (int id = 1; id <= kJobs; ++id)
+    ASSERT_EQ(client.call(lowrank_fixed_request(id, 7)).status,
+              net::CallStatus::Ok);
+  const bool a_busy = shard_a.stats().jobs_submitted > 0;
+  const net::Server& busy = a_busy ? shard_a : shard_b;
+  const net::Server& idle = a_busy ? shard_b : shard_a;
+  ASSERT_EQ(busy.stats().jobs_submitted, std::uint64_t(kJobs));
+  ASSERT_EQ(idle.stats().jobs_submitted, 0u);
+
+  net::ClientOptions idle_opt;
+  idle_opt.port = idle.port();
+  net::Client direct(idle_opt);
+  ASSERT_TRUE(direct.connect());
+  const auto idle_stats = direct.stats();
+  ASSERT_TRUE(idle_stats.has_value());
+  EXPECT_EQ(idle_stats->value("net_jobs_submitted_total"), 0.0);
+  EXPECT_EQ(idle_stats->value("net_jobs_completed_total"), 0.0);
+
+  const auto stats = client.stats();
+  ASSERT_TRUE(stats.has_value());
+  int submitted_rows = 0, live_rows = 0;
+  for (const auto& [name, v] : stats->metrics) {
+    if (name == "net_jobs_submitted_total") {
+      ++submitted_rows;
+      EXPECT_EQ(v, double(kJobs));
+    }
+    if (name == "cluster_shards_live") ++live_rows;
+  }
+  EXPECT_EQ(submitted_rows, 1);
+  EXPECT_EQ(live_rows, 1);
+  EXPECT_EQ(stats->value("cluster_shards_live"), 2.0);
+  EXPECT_EQ(stats->value("cluster_submits_routed_total"), double(kJobs));
 
   router.stop();
   shard_a.stop();
@@ -768,8 +821,8 @@ TEST(ClusterRouter, ScrapeTimeoutDegradesToStaleCountWithoutEvicting) {
   // Degraded, not failed: the reply arrives with the router's own rows
   // and an honest staleness count instead of blocking or erroring.
   EXPECT_EQ(stats->value("cluster_stale_shards"), 2.0);
-  EXPECT_TRUE(stats->has("router_submits_routed"));
-  EXPECT_FALSE(stats->has("server_jobs_submitted{shard=\"0\"}"));
+  EXPECT_TRUE(stats->has("cluster_submits_routed_total"));
+  EXPECT_FALSE(stats->has("net_jobs_submitted_total{shard=\"0\"}"));
   // A scrape hiccup never charges the membership breaker: both shards
   // stay in the ring and keep serving.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));

@@ -1,6 +1,5 @@
 // Tests for the paper's §11 extension features: TSQR (CA-QR),
-// mixed-precision CholQR, tournament-pivoting CAQP3, and the threaded
-// BLAS-3 path.
+// tournament-pivoting CAQP3, and the threaded BLAS-3 path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +8,6 @@
 #include "la/householder.hpp"
 #include "la/parallel.hpp"
 #include "la/svd_jacobi.hpp"
-#include "ortho/mixed_cholqr.hpp"
 #include "ortho/tsqr.hpp"
 #include "qrcp/caqp3.hpp"
 #include "test_util.hpp"
@@ -95,70 +93,6 @@ TEST(TsqrRows, RowOrthonormalizes) {
   for (index_t j = 0; j < l; ++j)
     for (index_t i = 0; i < l; ++i)
       EXPECT_NEAR(g(i, j), i == j ? 1.0 : 0.0, 1e-12);
-}
-
-// -------------------------------------------------- mixed-precision CholQR
-
-TEST(MixedCholQr, MatchesPlainOnWellConditioned) {
-  const index_t m = 200, n = 16;
-  Matrix<float> a(m, n);
-  rng::fill_gaussian(a.view(), 77);
-  auto a0 = Matrix<float>::copy_of(a.view());
-  Matrix<float> r(n, n);
-  auto rep = ortho::cholqr_mixed_columns(a.view(), r.view());
-  EXPECT_FALSE(rep.fallback_used);
-  EXPECT_LT(ortho_defect<float>(a.view()), 1e-5f);
-  Matrix<float> rec(m, n);
-  blas::gemm<float>(Op::NoTrans, Op::NoTrans, 1.f, a.view(), r.view(), 0.f,
-                    rec.view());
-  EXPECT_LT(rel_diff<float>(rec.view(), a0.view()), 1e-5f);
-}
-
-TEST(MixedCholQr, SurvivesConditioningThatBreaksFloatCholQR) {
-  // κ(A) ≈ 3e5: Gram has κ ≈ 9e10 ≫ 1/eps_float ≈ 1.7e7, so the float
-  // Gram matrix is numerically indefinite and plain float CholQR must
-  // fall back; the double-precision Gram handles it directly.
-  const index_t m = 500, n = 8;
-  Matrix<float> base(m, n);
-  rng::fill_gaussian(base.view(), 78);
-  for (index_t j = 0; j < n; ++j) {
-    const float s = std::pow(10.f, -0.8f * float(j));
-    for (index_t i = 0; i < m; ++i) base(i, j) *= s;
-  }
-  auto a_plain = Matrix<float>::copy_of(base.view());
-  auto a_mixed = Matrix<float>::copy_of(base.view());
-
-  auto rep_plain =
-      ortho::orthonormalize_columns<float>(ortho::Scheme::CholQR, a_plain.view());
-  auto rep_mixed = ortho::cholqr_mixed_columns(a_mixed.view());
-
-  EXPECT_FALSE(rep_mixed.fallback_used);
-  EXPECT_LT(ortho_defect<float>(a_mixed.view()), 5e-4f);
-  // Either plain float CholQR broke down, or it kept going with
-  // measurably worse orthogonality.
-  if (!rep_plain.fallback_used) {
-    EXPECT_GT(ortho_defect<float>(a_plain.view()),
-              ortho_defect<float>(a_mixed.view()));
-  }
-}
-
-TEST(MixedCholQr, RowVariant) {
-  const index_t l = 10, n = 120;
-  Matrix<float> b(l, n);
-  rng::fill_gaussian(b.view(), 79);
-  ortho::cholqr_mixed_rows(b.view());
-  Matrix<float> g(l, l);
-  blas::gemm<float>(Op::NoTrans, Op::Trans, 1.f, b.view(), b.view(), 0.f,
-                    g.view());
-  for (index_t j = 0; j < l; ++j)
-    for (index_t i = 0; i < l; ++i)
-      EXPECT_NEAR(g(i, j), i == j ? 1.f : 0.f, 1e-4f);
-}
-
-TEST(MixedCholQr, ShapeValidation) {
-  Matrix<float> wide(3, 8), tall(8, 3);
-  EXPECT_THROW(ortho::cholqr_mixed_columns(wide.view()), std::invalid_argument);
-  EXPECT_THROW(ortho::cholqr_mixed_rows(tall.view()), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- CAQP3

@@ -458,8 +458,8 @@ TEST(NetProtocol, StatsRequestIsEmptyFrame) {
 
 TEST(NetProtocol, StatsReplyRoundTrip) {
   StatsReply s;
-  s.metrics.emplace_back("server_jobs_submitted", 200.0);
-  s.metrics.emplace_back("server_jobs_busy", 13.0);
+  s.metrics.emplace_back("net_jobs_submitted_total", 200.0);
+  s.metrics.emplace_back("net_busy_total", 13.0);
   s.metrics.emplace_back("net_frames_in_total{type=\"submit\"}", 213.0);
   s.metrics.emplace_back("sched_recent_exec_s", 0.0125);
   const auto frame = encode_stats_reply(s);
@@ -468,12 +468,12 @@ TEST(NetProtocol, StatsReplyRoundTrip) {
   const auto dec = decode_stats_reply(p.payload, p.len);
   ASSERT_TRUE(dec.has_value());
   ASSERT_EQ(dec->metrics.size(), 4u);
-  EXPECT_EQ(dec->metrics[0].first, "server_jobs_submitted");
-  EXPECT_EQ(dec->value("server_jobs_submitted"), 200.0);
-  EXPECT_EQ(dec->value("server_jobs_busy"), 13.0);
+  EXPECT_EQ(dec->metrics[0].first, "net_jobs_submitted_total");
+  EXPECT_EQ(dec->value("net_jobs_submitted_total"), 200.0);
+  EXPECT_EQ(dec->value("net_busy_total"), 13.0);
   EXPECT_EQ(dec->value("net_frames_in_total{type=\"submit\"}"), 213.0);
   EXPECT_DOUBLE_EQ(dec->value("sched_recent_exec_s"), 0.0125);
-  EXPECT_TRUE(dec->has("server_jobs_busy"));
+  EXPECT_TRUE(dec->has("net_busy_total"));
   EXPECT_FALSE(dec->has("no_such_metric"));
   EXPECT_EQ(dec->value("no_such_metric"), 0.0);
 }

@@ -16,6 +16,8 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -474,29 +476,46 @@ TEST(NetServer, StatsFrameRoundTripLiveServer) {
   Client client(client_for(server));
   ASSERT_TRUE(client.connect());
 
+  double sent = double(encode_stats_request().size());
   for (std::uint64_t id = 1; id <= 3; ++id) {
-    const CallResult res = client.call(lowrank_fixed_request(id, id + 30));
+    const JobRequest req = lowrank_fixed_request(id, id + 30);
+    sent += double(encode_submit(req).size());
+    const CallResult res = client.call(req);
     ASSERT_EQ(res.status, CallStatus::Ok) << res.detail;
   }
 
   const auto stats = client.stats();
   ASSERT_TRUE(stats.has_value()) << client.last_error();
-  // Per-server counters are exact: this server saw exactly these jobs.
-  EXPECT_EQ(stats->value("server_jobs_submitted"), 3.0);
-  EXPECT_EQ(stats->value("server_jobs_completed"), 3.0);
-  EXPECT_EQ(stats->value("server_jobs_busy"), 0.0);
-  EXPECT_EQ(stats->value("server_protocol_errors"), 0.0);
-  EXPECT_EQ(stats->value("server_results_dropped"), 0.0);
-  EXPECT_GT(stats->value("server_bytes_in"), 0.0);
-  EXPECT_GT(stats->value("server_bytes_out"), 0.0);
-  // Scheduler gauges ride along.
+  // The server's rows are its own counts, exact even though other tests
+  // in this binary ran servers in the same process.
+  EXPECT_EQ(stats->value("net_connections_total"), 1.0);
+  EXPECT_EQ(stats->value("net_jobs_submitted_total"), 3.0);
+  EXPECT_EQ(stats->value("net_jobs_completed_total"), 3.0);
+  EXPECT_EQ(stats->value("net_busy_total"), 0.0);
+  EXPECT_EQ(stats->value("net_decode_errors_total"), 0.0);
+  EXPECT_EQ(stats->value("net_results_dropped_total"), 0.0);
+  EXPECT_EQ(stats->value("net_frames_in_total{type=\"submit\"}"), 3.0);
+  EXPECT_EQ(stats->value("net_frames_in_total{type=\"stats\"}"), 1.0);
+  EXPECT_EQ(stats->value("net_frames_in_total{type=\"ping\"}"), 0.0);
+  EXPECT_EQ(stats->value("net_bytes_in_total"), sent);
+  EXPECT_GT(stats->value("net_bytes_out_total"), 0.0);
+  // The scheduler's rows ride along, also per instance.
   EXPECT_EQ(stats->value("sched_num_workers"), 2.0);
   EXPECT_EQ(stats->value("sched_queue_capacity"), 16.0);
-  // Process-global registry series are appended after the server block
-  // (values accumulate across tests in this binary, so presence only).
-  EXPECT_TRUE(stats->has("net_frames_in_total{type=\"submit\"}"));
-  EXPECT_TRUE(stats->has("net_jobs_completed_total"));
+  EXPECT_EQ(stats->value("runtime_queue_depth"), 0.0);
+  // A worker decrements in-flight just after fulfilling the handle the
+  // server streams from, so the last job may still count here.
+  EXPECT_TRUE(stats->has("runtime_inflight"));
+  EXPECT_EQ(stats->value("fault_job_requeued_total"), 0.0);
+  EXPECT_EQ(stats->value("fault_device_unhealthy"), 0.0);
+  // Each event is exported once: no row name repeats.
+  std::set<std::string> names;
+  for (const auto& [name, v] : stats->metrics)
+    EXPECT_TRUE(names.insert(name).second) << "duplicate row " << name;
   server.stop();
+  // After the reply went out the in-process snapshot agrees with it.
+  EXPECT_EQ(double(server.stats().bytes_in), sent);
+  EXPECT_EQ(server.stats().frames_in, 4u);
 }
 
 TEST(NetServer, TraceIdPropagatesThroughAllLayers) {

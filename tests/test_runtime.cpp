@@ -331,6 +331,66 @@ TEST(Scheduler, ExpiredMemberOfCoalescedDispatchNeverRuns) {
   EXPECT_EQ(bs.batched_jobs, std::uint64_t(kMembers));
 }
 
+// Two repeats of a cached request coalesced into one dispatch count one
+// result-cache hit each: the dispatch plans with a non-counting peek, and
+// each member's own pass makes the one counted lookup.
+TEST(Scheduler, CoalescedCacheHitsCountOnce) {
+  // The second dispatch (the blocker, after the warm-up) is held while
+  // the repeats queue behind it.
+  auto cfg = *fault::parse_schedule("job_latency:2");
+  cfg.latency_ms = 200;
+  SchedulerOptions so;
+  so.num_workers = 1;
+  so.batch_max = 4;
+  so.injector = std::make_shared<fault::FaultInjector>(cfg, 22);
+  Scheduler sched(so);
+
+  const auto a = randla::testing::random_matrix<double>(120, 80, 37);
+  const auto input = make_input(Matrix<double>::copy_of(a.view()));
+  rsvd::FixedRankOptions cached;
+  cached.k = 8;
+  cached.p = 4;
+  cached.q = 1;
+  cached.seed = 900;
+  Job warm;
+  warm.payload = FixedRankJob{input, cached};
+  ASSERT_EQ(sched.submit(std::move(warm)).handle->wait().status,
+            JobStatus::Done);
+  const CacheStats r0 = sched.result_cache_stats();
+  const CacheStats s0 = sched.sketch_cache_stats();
+
+  rsvd::FixedRankOptions other = cached;
+  other.seed = 901;
+  Job blocker;
+  blocker.payload = FixedRankJob{input, other};
+  blocker.tag = "xcache/blocker";
+  auto b = sched.submit(std::move(blocker));
+  ASSERT_EQ(b.status, PushStatus::Ok);
+  ASSERT_TRUE(wait_dispatched("xcache/blocker"));
+  std::vector<std::shared_ptr<JobHandle>> repeats;
+  for (int i = 0; i < 2; ++i) {
+    Job job;
+    job.payload = FixedRankJob{input, cached};
+    auto sub = sched.submit(std::move(job));
+    ASSERT_EQ(sub.status, PushStatus::Ok);
+    repeats.push_back(std::move(sub.handle));
+  }
+  sched.drain();
+
+  for (const auto& h : repeats) {
+    const auto& out = h->wait();
+    ASSERT_EQ(out.status, JobStatus::Done) << out.error;
+    EXPECT_EQ(out.trace.batch_size, 2);
+    EXPECT_EQ(out.trace.cache, CacheDisposition::Result);
+  }
+  const CacheStats r1 = sched.result_cache_stats();
+  const CacheStats s1 = sched.sketch_cache_stats();
+  EXPECT_EQ(r1.hits - r0.hits, 2u);      // the two repeats
+  EXPECT_EQ(r1.misses - r0.misses, 1u);  // the blocker
+  EXPECT_EQ(s1.hits - s0.hits, 0u);
+  EXPECT_EQ(s1.misses - s0.misses, 1u);  // the blocker
+}
+
 // summarize() derives every latency figure from the traces it holds:
 // its percentiles and means equal the exact values over the Done traces.
 TEST(Telemetry, SummaryIsComputedFromTheTraces) {
