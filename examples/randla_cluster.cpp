@@ -652,27 +652,27 @@ bool cross_check(const std::vector<Proc>& shards,
       ok = false;
     }
   }
-  // Every mergeable series must appear in the merged scrape with the
-  // per-shard sum. A process-wide registry row (slo_*, la_*) can exist
-  // more than once (the router process's own registry rows precede the
-  // merge), so accept any exact name whose value matches within
-  // float-sum tolerance.
+  // Every mergeable series must appear in the merged scrape exactly
+  // once, with the per-shard sum (within float-sum tolerance: seconds
+  // totals add in a different order). The router's own rows never share
+  // a name with a shard's.
   int rows_matched = 0;
   for (const auto& [name, want] : sums) {
-    bool found = false;
+    int copies = 0;
+    double got = 0;
     for (const auto& [mname, mv] : merged.metrics)
-      if (mname == name &&
-          std::abs(mv - want) <= 1e-6 * std::max(1.0, std::abs(want))) {
-        found = true;
-        break;
+      if (mname == name) {
+        ++copies;
+        got = mv;
       }
-    if (found) {
+    if (copies == 1 &&
+        std::abs(got - want) <= 1e-6 * std::max(1.0, std::abs(want))) {
       ++rows_matched;
     } else {
       std::fprintf(stderr,
-                   "FAIL: merged scrape disagrees with per-shard sum %.10g "
-                   "for %s\n",
-                   want, name.c_str());
+                   "FAIL: merged scrape has %d row(s) for %s (last %.10g), "
+                   "want one equal to the per-shard sum %.10g\n",
+                   copies, name.c_str(), got, want);
       ok = false;
     }
   }

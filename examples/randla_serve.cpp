@@ -50,6 +50,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -103,11 +104,18 @@ struct TraceDump {
 struct MetricsDump {
   std::string path;
   std::function<obs::MetricRows()> rows;
+  const runtime::TelemetrySink& jobs;
   ~MetricsDump() {
     if (path.empty()) return;
-    // `_total` rows are counters, the rest point-in-time gauges.
-    obs::Snapshot own;
+    // The telemetry sink's rows keep their types (slo_latency_seconds is
+    // a histogram); of the rest, `_total` rows are counters and the
+    // others point-in-time gauges.
+    obs::Snapshot own = jobs.metrics();
+    std::set<std::string> typed;
+    for (auto& row : own.flatten(/*include_buckets=*/true))
+      typed.insert(std::move(row.first));
     for (auto& [name, v] : rows()) {
+      if (typed.count(name)) continue;
       const std::string_view base =
           std::string_view(name).substr(0, name.find('{'));
       (base.ends_with("_total") ? own.counters : own.gauges)
@@ -229,7 +237,8 @@ int run_tcp(runtime::Scheduler& sched, const runtime::Workload& w,
   sopts.port = static_cast<std::uint16_t>(port);
   sopts.allow_remote_shutdown = true;
   net::Server server(sched, sopts);
-  MetricsDump metrics{metrics_path, [&server] { return server.stats_rows(); }};
+  MetricsDump metrics{metrics_path, [&server] { return server.stats_rows(); },
+                      sched.telemetry()};
   if (!server.start()) return 1;
   std::printf("randla_serve: listening on 127.0.0.1:%u (%zu replay jobs, "
               "%d clients%s)\n",
@@ -412,7 +421,8 @@ int main(int argc, char** argv) {
 
   if (tcp_port >= 0)
     return run_tcp(sched, w, wo, tcp_port, clients, linger, metrics_path);
-  MetricsDump metrics{metrics_path, [&sched] { return sched.stats_rows(); }};
+  MetricsDump metrics{metrics_path, [&sched] { return sched.stats_rows(); },
+                      sched.telemetry()};
 
   std::printf("randla_serve: %d jobs, %d workers, queue high-water %d, "
               "burst %d%s\n",

@@ -12,9 +12,10 @@
 //      rsvd.* span all tagged with the same id.
 //   3. The metrics dump contains the server's and scheduler's own rows
 //      (net_*_total counters, runtime_queue_depth, runtime_inflight,
-//      the batching and failover counters), each series once, and —
-//      since --metrics enables profiling — at least one la_* kernel
-//      series.
+//      the batching, failover, cache and arena counters, the SLO
+//      latency buckets), each series once and each family typed once,
+//      and — since --metrics enables profiling — at least one la_*
+//      kernel series.
 //
 // The trace parser is deliberately line-oriented: chrome_json() emits
 // one event object per line, and depending on a JSON library for a CI
@@ -141,15 +142,26 @@ void check_metrics(const std::string& path) {
       "runtime_batches_total",
       "fault_job_requeued_total",
       "watchdog_fired_total",
+      "# TYPE slo_latency_seconds histogram",
+      "slo_latency_seconds_bucket",
+      "runtime_cache_total",
+      "runtime_arena_alloc_total",
   };
   for (const char* name : required)
     if (text.find(name) == std::string::npos)
       fail(std::string("metrics dump missing ") + name);
   // Each serving event is exported once: a series written twice means
   // a second copy of a count crept back in.
-  std::set<std::string> seen;
+  // Likewise each family carries one TYPE line, as the text format
+  // requires.
+  std::set<std::string> seen, typed;
   std::istringstream series_lines(text);
   for (std::string line; std::getline(series_lines, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      const std::string family = line.substr(7, line.find(' ', 7) - 7);
+      if (!typed.insert(family).second)
+        fail("metrics dump types family " + family + " twice");
+    }
     if (line.empty() || line[0] == '#') continue;
     const std::string series = line.substr(0, line.rfind(' '));
     if (!seen.insert(series).second)

@@ -62,9 +62,6 @@ constexpr double kHedgeFloorS = 0.05;
 /// Idle upstream sockets kept pooled per shard.
 constexpr std::size_t kMaxPoolIdle = 4;
 
-/// Cadence of slo_publish() refreshes feeding the hedge p99 trigger.
-constexpr double kSloRefreshS = 0.2;
-
 }  // namespace
 
 struct Router::Impl {
@@ -74,9 +71,10 @@ struct Router::Impl {
   RouterStats stats;
   std::vector<ShardView> views_snapshot;  ///< refreshed by the loop
 
-  /// Rolling p99 per job kind from the process-wide SLO windows: the
-  /// latency-hedge trigger's input.
-  obs::Gauge slo_p99[obs::kNumSloKinds];
+  /// This router's SLO window (submit to relayed ResultEnd/Error per
+  /// job kind): exported as cluster_slo_*, and its p99 is the
+  /// latency-hedge trigger. Loop thread only.
+  obs::SloBook slo;
 
   // --- downstream (client side) ---------------------------------------
   struct PendingSubmit {
@@ -171,7 +169,6 @@ struct Router::Impl {
 
   /// Hedge budget: credited per routed submit, debited per hedge fired.
   double hedge_tokens = 0;
-  double last_slo_refresh = 0;
 
   /// Shards whose planned drain finished (DrainReply read by the control
   /// thread); the loop consumes this and re-points the keyshare.
@@ -192,12 +189,6 @@ struct Router::Impl {
       shards.push_back(std::move(s));
       ring.add(static_cast<std::uint32_t>(i));
     }
-    auto& g = obs::Registry::global();
-    for (int k = 0; k < obs::kNumSloKinds; ++k)
-      slo_p99[k] = g.gauge(
-          std::string("slo_p99_seconds{kind=\"") + obs::slo_kind_name(k) +
-              "\"}",
-          "rolling p99 latency per job kind");
     snapshot_views();
   }
 
@@ -431,13 +422,7 @@ void Router::Impl::loop() {
 
     const double t = now();
     if (!draining) maybe_probe(t);
-    if (!draining && opts.hedge) {
-      if (t - last_slo_refresh > kSloRefreshS) {
-        obs::slo_publish();  // refresh the p99 gauges the trigger reads
-        last_slo_refresh = t;
-      }
-      maybe_hedge(t);
-    }
+    if (!draining && opts.hedge) maybe_hedge(t);
     check_fanouts(t);
 
     // Close flushed-poisoned and idle downstream conns.
@@ -679,15 +664,9 @@ net::StatsReply Router::Impl::local_stats() {
     m.emplace_back("cluster_shard_busy" + tag, double(shards[i].busy));
     m.emplace_back("cluster_shard_failures" + tag, double(shards[i].failures));
   }
-  // Process-wide registry rows (SLO windows, kernels), capped at the wire
-  // limit like the server's scrape.
-  obs::slo_publish();
-  for (const auto& [name, v] :
-       obs::Registry::global().scrape().flatten(/*include_buckets=*/true)) {
-    if (m.size() >= net::kMaxStatsEntries) break;
-    if (name.size() > net::kMaxStatsNameBytes) continue;
-    m.emplace_back(name, v);
-  }
+  // The router's own SLO window, named apart from the shards' slo_* rows.
+  for (auto& row : slo.snapshot("cluster_slo_").flatten(/*buckets=*/true))
+    m.push_back(std::move(row));
   return s;
 }
 
@@ -921,8 +900,7 @@ void Router::Impl::maybe_hedge(double t) {
         x.hedge_checked || x.forwarded)
       continue;
     const int kind = std::min<int>(x.kind, obs::kNumSloKinds - 1);
-    const double trigger =
-        std::max(slo_p99[kind].value(), kHedgeFloorS);
+    const double trigger = std::max(slo.p99(kind), kHedgeFloorS);
     if (t - x.started < trigger) continue;
     x.hedge_checked = true;
     if (hedge_tokens < 1.0) {
@@ -1172,8 +1150,8 @@ bool Router::Impl::handle_up_frame(std::uint64_t uid,
       if (x.down != 0) {
         bump(&RouterStats::results_relayed);
         if (x.hedged_copy) bump(&RouterStats::hedge_wins);
-        obs::slo_observe(std::min<int>(x.kind, obs::kNumSloKinds - 1),
-                         now() - x.started, /*ok=*/true);
+        slo.observe(std::min<int>(x.kind, obs::kNumSloKinds - 1),
+                    now() - x.started, /*ok=*/true);
         relay_down(x.down, frame, frame_len);
       }
       x.forwarded = true;
@@ -1195,8 +1173,8 @@ bool Router::Impl::handle_up_frame(std::uint64_t uid,
     case net::FrameType::Error:
       if (x.down != 0) {
         bump(&RouterStats::errors_relayed);
-        obs::slo_observe(std::min<int>(x.kind, obs::kNumSloKinds - 1),
-                         now() - x.started, /*ok=*/false);
+        slo.observe(std::min<int>(x.kind, obs::kNumSloKinds - 1),
+                    now() - x.started, /*ok=*/false);
         relay_down(x.down, frame, frame_len);
       }
       x.forwarded = true;

@@ -44,10 +44,10 @@
 //    replicas compute bit-identical factors, so whichever answers first
 //    is *the* answer.
 //  - Latency hedging: a non-replicated exchange whose owner has been
-//    silent past the kind's observed p99 (the router's own slo_*
-//    gauges) fires one hedge to the successor, bounded by a token
-//    bucket refilled at 0.05 per routed submit so hedges never exceed
-//    that fraction of traffic.
+//    silent past the kind's p99 in the router's own SLO window
+//    (exported as cluster_slo_*) fires one hedge to the successor,
+//    bounded by a token bucket refilled at 0.05 per routed submit so
+//    hedges never exceed that fraction of traffic.
 //  - Planned drain: Router::drain() orders a shard to stream its cache
 //    warmth to its ring successor (CacheHandoff frames), waits for the
 //    DrainReply, and only then re-points the keyshare — zero jobs and

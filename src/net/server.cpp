@@ -17,7 +17,6 @@
 #include "net/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 
 namespace randla::net {
@@ -747,11 +746,8 @@ void Server::Impl::handle_stats(std::uint64_t cid, std::size_t len) {
   StatsReply s;
   s.metrics = instance_rows(stats_snapshot(), sched);
   auto& m = s.metrics;
-  // Global registry (layer instrumentation), capped at the wire limit.
-  // Refresh the SLO percentile/burn gauges first so scrapers see values
-  // consistent with the histograms in the same reply, and include the
-  // cumulative bucket rows so a cluster router can merge them exactly.
-  obs::slo_publish();
+  // Global registry (kernel hooks, fault injector), capped at the wire
+  // limit.
   for (const auto& [name, v] :
        obs::Registry::global().scrape().flatten(/*include_buckets=*/true)) {
     if (m.size() >= kMaxStatsEntries) break;

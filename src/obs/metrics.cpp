@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -220,6 +221,17 @@ Gauge Registry::gauge(std::string_view name, std::string_view help) {
   return Gauge(this, impl_->metrics.back().idx);
 }
 
+std::vector<double> HistogramSpec::upper_bounds() const {
+  std::vector<double> upper(buckets);
+  double u = first_upper;
+  for (std::uint32_t i = 0; i + 1 < buckets; ++i) {
+    upper[i] = u;
+    u *= growth;
+  }
+  upper[buckets - 1] = std::numeric_limits<double>::infinity();
+  return upper;
+}
+
 Histogram Registry::histogram(std::string_view name, HistogramSpec spec,
                               std::string_view help) {
   if (spec.buckets < 2 || spec.first_upper <= 0 || spec.growth <= 1.0)
@@ -239,13 +251,7 @@ Histogram Registry::histogram(std::string_view name, HistogramSpec spec,
     throw std::logic_error("obs: registry slot capacity exceeded");
   HistogramDef hdef;
   hdef.spec = spec;
-  hdef.upper.resize(spec.buckets);
-  double u = spec.first_upper;
-  for (std::uint32_t i = 0; i + 1 < spec.buckets; ++i) {
-    hdef.upper[i] = u;
-    u *= spec.growth;
-  }
-  hdef.upper[spec.buckets - 1] = std::numeric_limits<double>::infinity();
+  hdef.upper = spec.upper_bounds();
   MetricDef def;
   def.name = std::string(name);
   def.help = std::string(help);
@@ -367,6 +373,35 @@ void Registry::reset() {
   for (auto& g : impl_->gauges) g.store(0.0, std::memory_order_relaxed);
 }
 
+namespace {
+
+const std::string& row_name(const std::pair<std::string, double>& row) {
+  return row.first;
+}
+const std::string& row_name(const HistogramSnapshot& h) { return h.name; }
+
+// Row indices with each family's rows moved up behind its first row,
+// families in first-seen order: the text format allows one TYPE line per
+// family, and labeled families often arrive interleaved.
+template <class Rows>
+std::vector<std::size_t> family_order(const Rows& rows) {
+  std::vector<std::string_view> family(rows.size());
+  std::unordered_map<std::string_view, std::size_t> first;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::string_view labels;
+    split_labels(row_name(rows[i]), family[i], labels);
+    first.emplace(family[i], i);
+  }
+  std::vector<std::size_t> order(rows.size());
+  std::iota(order.begin(), order.end(), std::size_t(0));
+  std::stable_sort(order.begin(), order.end(), [&](auto x, auto y) {
+    return first[family[x]] < first[family[y]];
+  });
+  return order;
+}
+
+}  // namespace
+
 std::string Snapshot::prometheus() const {
   std::string out;
   auto emit_header = [&out](std::string_view base, std::string_view help,
@@ -387,7 +422,8 @@ std::string Snapshot::prometheus() const {
     out += '\n';
   };
   std::string last;
-  for (const auto& [name, value] : counters) {
+  for (const std::size_t i : family_order(counters)) {
+    const auto& [name, value] = counters[i];
     std::string_view base, labels;
     split_labels(name, base, labels);
     emit_header(base, {}, "counter", last);
@@ -396,7 +432,8 @@ std::string Snapshot::prometheus() const {
     out += fmt_double(value);
     out += '\n';
   }
-  for (const auto& [name, value] : gauges) {
+  for (const std::size_t i : family_order(gauges)) {
+    const auto& [name, value] = gauges[i];
     std::string_view base, labels;
     split_labels(name, base, labels);
     emit_header(base, {}, "gauge", last);
@@ -405,7 +442,8 @@ std::string Snapshot::prometheus() const {
     out += fmt_double(value);
     out += '\n';
   }
-  for (const HistogramSnapshot& h : histograms) {
+  for (const std::size_t hi : family_order(histograms)) {
+    const HistogramSnapshot& h = histograms[hi];
     std::string_view base, labels;
     split_labels(h.name, base, labels);
     emit_header(base, h.help, "histogram", last);

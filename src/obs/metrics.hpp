@@ -71,6 +71,11 @@ struct HistogramSpec {
   double first_upper = 1e-6;
   double growth = 1.4142135623730951;  // sqrt(2)
   std::uint32_t buckets = 64;          // including the +Inf bucket
+
+  /// The bucket upper bounds (size `buckets`, last +Inf). Every
+  /// histogram on a spec takes its bounds from here, so two instances
+  /// sharing a spec emit byte-identical `le` labels.
+  std::vector<double> upper_bounds() const;
 };
 
 class Histogram {

@@ -1,7 +1,6 @@
 #include "obs/slo.hpp"
 
-#include <atomic>
-#include <cstdlib>
+#include <algorithm>
 #include <string>
 
 namespace randla::obs {
@@ -13,58 +12,8 @@ constexpr const char* kKindNames[kNumSloKinds] = {
     "fixed_rank", "adaptive", "qrcp", "rqrcp", "rqrcp_adaptive",
 };
 
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const double d = std::strtod(v, &end);
-  return end != v && d > 0 ? d : fallback;
-}
-
-std::atomic<double>& target_s_atom() {
-  static std::atomic<double> v{env_double("RANDLA_SLO_TARGET_S", 1.0)};
-  return v;
-}
-
-std::atomic<double>& objective_atom() {
-  static std::atomic<double> v{env_double("RANDLA_SLO_OBJECTIVE", 0.99)};
-  return v;
-}
-
-struct KindSeries {
-  Histogram latency;
-  Counter requests, violations;
-  Gauge p50, p99, burn;
-};
-
-struct Series {
-  KindSeries kinds[kNumSloKinds];
-};
-
-std::string labeled(const char* base, int kind) {
-  return std::string(base) + "{kind=\"" + kKindNames[kind] + "\"}";
-}
-
-Series& series() {
-  static Series s = [] {
-    Series out;
-    auto& g = Registry::global();
-    for (int k = 0; k < kNumSloKinds; ++k) {
-      auto& ks = out.kinds[k];
-      ks.latency = g.histogram(labeled("slo_latency_seconds", k),
-                               slo_latency_spec(),
-                               "end-to-end job latency (wait + exec)");
-      ks.requests = g.counter(labeled("slo_requests_total", k));
-      ks.violations = g.counter(labeled("slo_violations_total", k),
-                                "jobs failed or slower than the target");
-      ks.p50 = g.gauge(labeled("slo_p50_seconds", k));
-      ks.p99 = g.gauge(labeled("slo_p99_seconds", k));
-      ks.burn = g.gauge(labeled("slo_burn_rate", k),
-                        "violation rate / allowed rate; >1 burns budget");
-    }
-    return out;
-  }();
-  return s;
+std::string labeled(std::string_view prefix, const char* family, int kind) {
+  return std::string(prefix) + family + "{kind=\"" + kKindNames[kind] + "\"}";
 }
 
 }  // namespace
@@ -81,57 +30,46 @@ HistogramSpec slo_latency_spec() {
   return spec;
 }
 
-void slo_observe(int kind, double latency_s, bool ok) {
-  if (kind < 0 || kind >= kNumSloKinds) return;
-  auto& ks = series().kinds[kind];
-  ks.latency.observe(latency_s);
-  ks.requests.inc();
-  if (!ok || latency_s > target_s_atom().load(std::memory_order_relaxed))
-    ks.violations.inc();
-}
-
-void slo_publish() {
-  auto& s = series();
-  const double objective = objective_atom().load(std::memory_order_relaxed);
-  const double allowed = 1.0 - objective;
-  // Publish the target itself so the burn-rate math is reconstructible
-  // from any scrape (gauges are never summed cluster-wide, only
-  // shard-labeled, which is what you want for a config value).
-  auto& g = Registry::global();
-  g.gauge("slo_target_seconds", "per-job latency target")
-      .set(target_s_atom().load(std::memory_order_relaxed));
-  g.gauge("slo_objective_ratio", "fraction of jobs that must meet it")
-      .set(objective);
-  const auto snap = Registry::global().scrape();
-  for (int k = 0; k < kNumSloKinds; ++k) {
-    auto& ks = s.kinds[k];
-    const std::string name = labeled("slo_latency_seconds", k);
-    for (const HistogramSnapshot& h : snap.histograms) {
-      if (h.name != name) continue;
-      ks.p50.set(h.quantile(0.50));
-      ks.p99.set(h.quantile(0.99));
-      break;
-    }
-    const double total = snap.value(labeled("slo_requests_total", k));
-    const double bad = snap.value(labeled("slo_violations_total", k));
-    const double rate = total > 0 ? bad / total : 0.0;
-    ks.burn.set(allowed > 0 ? rate / allowed : 0.0);
+SloBook::SloBook() {
+  const HistogramSpec spec = slo_latency_spec();
+  for (HistogramSnapshot& h : latency_) {
+    h.upper = spec.upper_bounds();
+    h.count.assign(spec.buckets, 0.0);
   }
 }
 
-void set_slo_target(double target_s, double objective) {
-  if (target_s > 0)
-    target_s_atom().store(target_s, std::memory_order_relaxed);
-  if (objective > 0 && objective < 1)
-    objective_atom().store(objective, std::memory_order_relaxed);
+void SloBook::observe(int kind, double latency_s, bool ok) {
+  if (kind < 0 || kind >= kNumSloKinds) return;
+  HistogramSnapshot& h = latency_[kind];
+  const auto it = std::lower_bound(h.upper.begin(), h.upper.end(), latency_s);
+  h.count[std::min<std::size_t>(it - h.upper.begin(), h.upper.size() - 1)] += 1;
+  h.sum += latency_s;
+  h.total += 1;
+  if (!ok || latency_s > kSloTargetS) violations_[kind] += 1;
 }
 
-double slo_target_s() {
-  return target_s_atom().load(std::memory_order_relaxed);
+double SloBook::p99(int kind) const {
+  return kind >= 0 && kind < kNumSloKinds ? latency_[kind].quantile(0.99)
+                                          : 0.0;
 }
 
-double slo_objective() {
-  return objective_atom().load(std::memory_order_relaxed);
+Snapshot SloBook::snapshot(std::string_view prefix) const {
+  Snapshot s;
+  for (int k = 0; k < kNumSloKinds; ++k) {
+    const HistogramSnapshot& h = latency_[k];
+    s.counters.emplace_back(labeled(prefix, "requests_total", k), h.total);
+    s.counters.emplace_back(labeled(prefix, "violations_total", k),
+                            violations_[k]);
+    s.gauges.emplace_back(labeled(prefix, "p50_seconds", k), h.quantile(0.50));
+    s.gauges.emplace_back(labeled(prefix, "p99_seconds", k), h.quantile(0.99));
+    const double rate = h.total > 0 ? violations_[k] / h.total : 0.0;
+    s.gauges.emplace_back(labeled(prefix, "burn_rate", k),
+                          rate / (1.0 - kSloObjective));
+    s.histograms.push_back(h);
+    s.histograms.back().name = labeled(prefix, "latency_seconds", k);
+    s.histograms.back().help = "end-to-end job latency";
+  }
+  return s;
 }
 
 }  // namespace randla::obs

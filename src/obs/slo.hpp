@@ -1,5 +1,4 @@
-// slo.hpp — first-class SLO latency histograms per job kind
-// (DESIGN.md §14).
+// slo.hpp — per-instance SLO windows per job kind (DESIGN.md §14).
 //
 // One histogram per served job kind, all on ONE fixed bucket ladder
 // (slo_latency_spec) whose bounds are compile-time constants — every
@@ -7,15 +6,16 @@
 // merging shard scrapes can sum buckets by exact name and the merged
 // histogram is exact, not an approximation.
 //
-// slo_observe() is called once per completed job (runtime telemetry);
-// slo_publish() precomputes p50/p99 gauges and the error-budget
-// burn-rate per kind so scrapers get decision-ready signals without
-// re-deriving quantiles. Burn rate = (violating fraction)/(1-objective):
+// Each instance that sees jobs finish owns one SloBook: a scheduler's
+// telemetry sink (wait + exec per job) and a router (submit to relayed
+// reply). snapshot() derives p50/p99 and the error-budget burn rate per
+// kind when it is taken. Burn rate = (violating fraction)/(1-objective):
 // 1.0 means the error budget is being consumed exactly at the allowed
-// rate; >1 means the budget will be exhausted early. The latency target
-// and objective default to 1s @ 99% and can be overridden via
-// RANDLA_SLO_TARGET_S / RANDLA_SLO_OBJECTIVE or set_slo_target().
+// rate; >1 means the budget will be exhausted early.
 #pragma once
+
+#include <array>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 
@@ -26,22 +26,37 @@ namespace randla::obs {
 inline constexpr int kNumSloKinds = 5;
 const char* slo_kind_name(int kind);  ///< "fixed_rank", ... ; "?" if out of range
 
+/// Per-job latency target and the fraction of jobs that must meet it.
+inline constexpr double kSloTargetS = 1.0;
+inline constexpr double kSloObjective = 0.99;
+
 /// The shared bucket ladder: 100µs first bound, sqrt(2) growth, 40
 /// buckets (last +Inf) — ~100µs .. ~80s at ~41% resolution.
 HistogramSpec slo_latency_spec();
 
-/// Record one finished job: latency into the kind's histogram, and a
-/// violation when the job failed or exceeded the latency target.
-void slo_observe(int kind, double latency_s, bool ok);
+/// One instance's SLO window. Not synchronized: the owner serializes
+/// observe() against p99() and snapshot().
+class SloBook {
+ public:
+  SloBook();
 
-/// Recompute slo_p50_seconds / slo_p99_seconds / slo_burn_rate gauges
-/// from the current histograms. Called before every Stats scrape.
-void slo_publish();
+  /// Record one finished job: latency into the kind's histogram, and a
+  /// violation when the job failed or exceeded kSloTargetS. Kinds out
+  /// of range are ignored.
+  void observe(int kind, double latency_s, bool ok);
 
-/// Override the latency target (seconds) and availability objective
-/// (fraction, e.g. 0.99). Applies to subsequent observations.
-void set_slo_target(double target_s, double objective);
-double slo_target_s();
-double slo_objective();
+  /// The kind's p99 latency in seconds; 0 while its window is empty.
+  double p99(int kind) const;
+
+  /// Per kind: the `<prefix>latency_seconds` histogram, the
+  /// `<prefix>requests_total` / `<prefix>violations_total` counters, and
+  /// the `<prefix>p50_seconds`, `<prefix>p99_seconds`, `<prefix>burn_rate`
+  /// gauges computed now, every name labeled `{kind="…"}`.
+  Snapshot snapshot(std::string_view prefix = "slo_") const;
+
+ private:
+  std::array<HistogramSnapshot, kNumSloKinds> latency_;
+  std::array<double, kNumSloKinds> violations_{};
+};
 
 }  // namespace randla::obs

@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/metrics.hpp"
-
 namespace randla::runtime {
 
 namespace {
@@ -22,18 +20,6 @@ std::size_t bucket_bytes(std::size_t count) {
   std::size_t b = kMinBucket;
   while (b < want) b <<= 1;
   return b;
-}
-
-obs::Counter arena_alloc_counter() {
-  static obs::Counter c = obs::Registry::global().counter(
-      "runtime_arena_alloc_total", "fresh aligned arena allocations");
-  return c;
-}
-
-obs::Counter arena_reuse_counter() {
-  static obs::Counter c = obs::Registry::global().counter(
-      "runtime_arena_reuse_total", "arena leases served from a free list");
-  return c;
 }
 
 void* aligned_alloc_block(std::size_t bytes) {
@@ -98,12 +84,7 @@ std::shared_ptr<double> Arena::lease(std::size_t count) {
     ++state_->outstanding;
     state_->leased_bytes += bytes;
   }
-  if (p == nullptr) {
-    p = aligned_alloc_block(bytes);
-    arena_alloc_counter().inc();
-  } else {
-    arena_reuse_counter().inc();
-  }
+  if (p == nullptr) p = aligned_alloc_block(bytes);
   // The deleter co-owns the state, so leases may outlive the Arena.
   std::shared_ptr<State> state = state_;
   return std::shared_ptr<double>(static_cast<double*>(p),

@@ -13,25 +13,6 @@ namespace randla::runtime {
 
 namespace {
 
-/// RQRCP engine metrics (fleet-wide, one counter per algorithm phase).
-struct QrcpMetrics {
-  obs::Counter sketch, panel, update, downdate, resketches, degraded;
-};
-QrcpMetrics& qrcp_metrics() {
-  static QrcpMetrics m = [] {
-    auto& g = obs::Registry::global();
-    return QrcpMetrics{
-        g.counter("qrcp_sketch_seconds_total", "RQRCP sketch B = ΩA"),
-        g.counter("qrcp_panel_seconds_total", "RQRCP sketch QRCP + panel QR"),
-        g.counter("qrcp_update_seconds_total", "RQRCP trailing updates"),
-        g.counter("qrcp_downdate_seconds_total", "RQRCP sample downdates"),
-        g.counter("qrcp_resketch_total", "downdate safeguard resketches"),
-        g.counter("qrcp_degraded_total", "block sweeps truncated at deadline"),
-    };
-  }();
-  return m;
-}
-
 /// Next stabler power-iteration orthogonalization after a breakdown.
 ortho::Scheme escalate(ortho::Scheme s) {
   switch (s) {
@@ -111,6 +92,7 @@ FaultStats Scheduler::fault_stats() const {
 obs::MetricRows Scheduler::stats_rows() const {
   const BatchStats bs = batch_stats();
   const FaultStats fs = fault_stats();
+  const Arena::Stats as = arena_.stats();
   obs::MetricRows m = {
       {"runtime_queue_depth", double(queue_depth())},
       {"sched_queue_capacity", double(queue_capacity())},
@@ -123,6 +105,14 @@ obs::MetricRows Scheduler::stats_rows() const {
       {"fault_job_requeued_total", double(fs.jobs_requeued)},
       {"watchdog_fired_total", double(fs.watchdog_fired)},
       {"fault_device_unhealthy", double(num_workers() - fs.healthy_workers)},
+      {"qrcp_sketch_seconds_total", qrcp_.sketch_s.load()},
+      {"qrcp_panel_seconds_total", qrcp_.panel_s.load()},
+      {"qrcp_update_seconds_total", qrcp_.update_s.load()},
+      {"qrcp_downdate_seconds_total", qrcp_.downdate_s.load()},
+      {"qrcp_resketch_total", double(qrcp_.resketches.load())},
+      {"qrcp_degraded_total", double(qrcp_.degraded.load())},
+      {"runtime_arena_alloc_total", double(as.allocs)},
+      {"runtime_arena_reuse_total", double(as.reuses)},
   };
   const std::pair<const char*, CacheStats> caches[] = {
       {"sketch_cache", sketch_cache_stats()},
@@ -133,6 +123,8 @@ obs::MetricRows Scheduler::stats_rows() const {
     m.emplace_back(std::string(cache) + "_misses", double(cs.misses));
     m.emplace_back(std::string(cache) + "_evictions", double(cs.evictions));
   }
+  for (auto& row : telemetry_.metrics().flatten(/*include_buckets=*/true))
+    m.push_back(std::move(row));
   return m;
 }
 
@@ -515,13 +507,12 @@ JobOutcome Scheduler::run_rqrcp(const RqrcpJob& rj, JobTrace& trace,
                      .total();
   observe_calibration(st.total_s(), tr.modeled_s);
 
-  auto& qm = qrcp_metrics();
-  qm.sketch.add(st.sketch_s);
-  qm.panel.add(st.panel_s);
-  qm.update.add(st.update_s);
-  qm.downdate.add(st.downdate_s);
-  if (st.resketches > 0) qm.resketches.add(double(st.resketches));
-  if (tr.degraded) qm.degraded.inc();
+  qrcp_.sketch_s.fetch_add(st.sketch_s);
+  qrcp_.panel_s.fetch_add(st.panel_s);
+  qrcp_.update_s.fetch_add(st.update_s);
+  qrcp_.downdate_s.fetch_add(st.downdate_s);
+  qrcp_.resketches.fetch_add(static_cast<std::uint64_t>(st.resketches));
+  if (tr.degraded) qrcp_.degraded.fetch_add(1);
 
   tr.cache =
       opts_.enable_cache ? CacheDisposition::Miss : CacheDisposition::None;

@@ -200,9 +200,10 @@ class Scheduler {
   std::vector<DeviceHealthInfo> device_health() const;
 
   /// This scheduler's Stats/Prometheus rows, read from its own counters:
-  /// queue depth and in-flight, batching, failover, watchdog and cache
-  /// counts. Each event is counted once, here, and exported once under
-  /// its `_total` name (DESIGN.md §9).
+  /// queue depth and in-flight, batching, failover, watchdog, cache,
+  /// RQRCP-phase and arena counts, then its telemetry's per-job counts
+  /// and SLO window. Each event is counted once, here, and exported once
+  /// under its `_total` name (DESIGN.md §9).
   obs::MetricRows stats_rows() const;
 
  private:
@@ -318,6 +319,13 @@ class Scheduler {
   mutable std::mutex calib_mu_;
   double calib_real_per_modeled_ = 1.0;
   double exec_ema_s_ = 0;
+
+  /// RQRCP engine totals: seconds per algorithm phase, downdate
+  /// safeguard resketches, and block sweeps truncated at a deadline.
+  struct QrcpTotals {
+    std::atomic<double> sketch_s{0}, panel_s{0}, update_s{0}, downdate_s{0};
+    std::atomic<std::uint64_t> resketches{0}, degraded{0};
+  } qrcp_;
 
   std::atomic<std::uint64_t> batches_{0};       ///< dispatches of 2+ jobs
   std::atomic<std::uint64_t> batched_jobs_{0};  ///< jobs in those dispatches

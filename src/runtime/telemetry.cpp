@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "obs/recorder.hpp"
-#include "obs/slo.hpp"
 
 namespace randla::runtime {
 
@@ -132,36 +131,7 @@ std::string to_json(const JobTrace& t) {
   return out;
 }
 
-TelemetrySink::TelemetrySink() {
-  auto& g = obs::Registry::global();
-  for (std::size_t s = 0; s < by_status_.size(); ++s)
-    by_status_[s] = g.counter(std::string("runtime_jobs_total{status=\"") +
-                                  job_status_name(JobStatus(s)) + "\"}",
-                              "jobs by terminal status");
-  for (std::size_t d = 0; d < by_cache_.size(); ++d)
-    by_cache_[d] =
-        g.counter(std::string("runtime_cache_total{disposition=\"") +
-                      cache_disposition_name(CacheDisposition(d)) + "\"}",
-                  "jobs by cache disposition");
-  retries_ = g.counter("runtime_retries_total", "CholQR escalation re-runs");
-  degraded_ = g.counter("runtime_degraded_total",
-                        "jobs with q lowered to fit deadline");
-}
-
 void TelemetrySink::record(JobTrace trace) {
-  // Fleet-wide counters for the metrics endpoint (labels by terminal
-  // status / cache disposition).
-  by_status_[std::size_t(trace.status)].inc();
-  by_cache_[std::size_t(trace.cache)].inc();
-  if (trace.retries > 0) retries_.add(trace.retries);
-  if (trace.degraded) degraded_.inc();
-
-  // SLO accounting: end-to-end latency (wait + exec) per job kind.
-  // JobKind wire values match the obs SLO kind indices by construction.
-  obs::slo_observe(static_cast<int>(trace.kind),
-                   trace.queue_wait_s + trace.exec_s,
-                   trace.status == JobStatus::Done);
-
   // Flight-recorder terminal events. The recorder is the postmortem
   // source of truth, so every job leaves exactly one terminal event
   // here plus the cache/degradation annotations that explain it.
@@ -197,7 +167,31 @@ void TelemetrySink::record(JobTrace trace) {
   }
 
   std::lock_guard<std::mutex> lk(mu_);
+  ++by_status_[std::size_t(trace.status)];
+  ++by_cache_[std::size_t(trace.cache)];
+  retries_ += static_cast<std::uint64_t>(trace.retries);
+  if (trace.degraded) ++degraded_;
+  // JobKind wire values match the obs SLO kind indices by construction.
+  slo_.observe(static_cast<int>(trace.kind), trace.queue_wait_s + trace.exec_s,
+               trace.status == JobStatus::Done);
   traces_.push_back(std::move(trace));
+}
+
+obs::Snapshot TelemetrySink::metrics() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  obs::Snapshot s = slo_.snapshot();
+  auto& c = s.counters;
+  for (std::size_t i = 0; i < by_status_.size(); ++i)
+    c.emplace_back(std::string("runtime_jobs_total{status=\"") +
+                       job_status_name(JobStatus(i)) + "\"}",
+                   double(by_status_[i]));
+  for (std::size_t i = 0; i < by_cache_.size(); ++i)
+    c.emplace_back(std::string("runtime_cache_total{disposition=\"") +
+                       cache_disposition_name(CacheDisposition(i)) + "\"}",
+                   double(by_cache_[i]));
+  c.emplace_back("runtime_retries_total", double(retries_));
+  c.emplace_back("runtime_degraded_total", double(degraded_));
+  return s;
 }
 
 std::vector<JobTrace> TelemetrySink::traces() const {

@@ -17,6 +17,7 @@
 
 #include "la/matrix.hpp"
 #include "obs/metrics.hpp"
+#include "obs/slo.hpp"
 #include "rsvd/phases.hpp"
 #include "util/stats.hpp"
 
@@ -99,28 +100,31 @@ struct TelemetrySummary {
 
 /// Thread-safe trace collector shared by the scheduler's workers.
 ///
-/// summarize() reads only the traces it holds (so each scheduler's
-/// summary is isolated); record() additionally bumps fleet counters in
-/// obs::Registry::global() for the metrics endpoint.
+/// Besides the traces, record() keeps this sink's own per-job counts
+/// and SLO window under the same mutex; summarize() and metrics() read
+/// only this sink, so schedulers sharing a process never see each
+/// other's jobs.
 class TelemetrySink {
  public:
-  TelemetrySink();
   void record(JobTrace trace);
   std::vector<JobTrace> traces() const;
   TelemetrySummary summarize() const;
   /// All traces as a JSON array, one object per line.
   std::string traces_json() const;
+  /// runtime_jobs_total{status}, runtime_cache_total{disposition},
+  /// runtime_retries_total, runtime_degraded_total, and the slo_*
+  /// window of end-to-end latency (wait + exec) per job kind.
+  obs::Snapshot metrics() const;
 
  private:
   mutable std::mutex mu_;
   std::vector<JobTrace> traces_;
-  // Fleet-wide per-job counters in the global registry, registered once
-  // so record() indexes them instead of looking names up per job.
-  std::array<obs::Counter, std::size_t(JobStatus::Expired) + 1> by_status_;
-  std::array<obs::Counter, std::size_t(CacheDisposition::Result) + 1>
-      by_cache_;
-  obs::Counter retries_;
-  obs::Counter degraded_;
+  std::array<std::uint64_t, std::size_t(JobStatus::Expired) + 1> by_status_{};
+  std::array<std::uint64_t, std::size_t(CacheDisposition::Result) + 1>
+      by_cache_{};
+  std::uint64_t retries_ = 0;
+  std::uint64_t degraded_ = 0;
+  obs::SloBook slo_;
 };
 
 /// Shared percentile helper (see util/stats.hpp); re-exported here

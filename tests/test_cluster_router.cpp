@@ -15,6 +15,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -739,12 +740,20 @@ TEST(ClusterRouter, StatsFanOutMergesShardsWithLabels) {
   // observations in both replies).
   EXPECT_TRUE(stats->has("slo_latency_seconds_bucket{shard=\"0\","
                          "kind=\"fixed_rank\",le=\"+Inf\"}"));
-  // And the merged (unlabeled) sum block exists alongside the router's
-  // own registry rows of the same name.
+  // The merged (unlabeled) shard sum appears once; the router's own
+  // window rides beside it under cluster_slo_*, and no row name repeats.
   int same_name = 0;
-  for (const auto& [n, v] : stats->metrics)
+  std::set<std::string> names;
+  for (const auto& [n, v] : stats->metrics) {
     if (n == "slo_requests_total{kind=\"fixed_rank\"}") ++same_name;
-  EXPECT_GE(same_name, 2);
+    EXPECT_TRUE(names.insert(n).second) << n << " appears twice";
+  }
+  EXPECT_EQ(same_name, 1);
+  EXPECT_EQ(stats->value("slo_requests_total{kind=\"fixed_rank\"}"), 1.0);
+  EXPECT_EQ(stats->value("cluster_slo_requests_total{kind=\"fixed_rank\"}"),
+            1.0);
+  EXPECT_TRUE(stats->has("cluster_slo_latency_seconds_bucket{"
+                         "kind=\"fixed_rank\",le=\"+Inf\"}"));
 
   router.stop();
   shard_a.stop();
@@ -962,6 +971,76 @@ TEST(ClusterRouter, HedgedPairDeliversOneResultAndCancelsLoser) {
   }
   EXPECT_TRUE(saw_fired);
   EXPECT_TRUE(saw_cancelled);
+
+  router.stop();
+  shard_a.stop();
+  shard_b.stop();
+}
+
+// Latency hedging: with `hedge` armed, an exchange whose owner stays
+// silent past the kind's p99 in the router's own SLO window (here the
+// 50 ms floor: the warm-up jobs are cache hits) gets one duplicate on
+// the successor, paid for from the token bucket that each routed submit
+// refills by 0.05.
+TEST(ClusterRouter, LatencyHedgeFiresPastOwnP99) {
+  fault::FaultConfig cfg;
+  cfg.probability[static_cast<int>(fault::FaultKind::JobLatency)] = 1.0;
+  cfg.latency_ms = 800;  // every job on shard 0 sits far past the trigger
+  runtime::SchedulerOptions slow = small_sched();
+  slow.injector = std::make_shared<fault::FaultInjector>(cfg, 1);
+  runtime::Scheduler sched_a(slow), sched_b(small_sched());
+  net::Server shard_a(sched_a, shard_opts()), shard_b(sched_b, shard_opts());
+  ASSERT_TRUE(shard_a.start());
+  ASSERT_TRUE(shard_b.start());
+  RouterOptions ro = router_over({&shard_a, &shard_b});
+  ro.hedge = true;
+  Router router(ro);
+  ASSERT_TRUE(router.start());
+
+  // Warm shard 1's result cache directly (no routed submit, no token),
+  // so the routed warm-ups below are fast hits.
+  const std::uint64_t fast_seed = seed_owned_by(1, ro.vnodes);
+  net::ClientOptions direct_opt;
+  direct_opt.port = shard_b.port();
+  net::Client direct(direct_opt);
+  ASSERT_TRUE(direct.connect());
+  ASSERT_EQ(direct.call(lowrank_fixed_request(1, fast_seed)).status,
+            net::CallStatus::Ok);
+
+  // The bucket first holds a whole token at the 20th routed submit, so
+  // none of these 19 warm-ups can hedge, and the slow job can.
+  constexpr int kWarm = 19;
+  net::Client client(client_for(router));
+  ASSERT_TRUE(client.connect());
+  for (int id = 1; id <= kWarm; ++id)
+    ASSERT_EQ(client.call(lowrank_fixed_request(id, fast_seed)).status,
+              net::CallStatus::Ok);
+  const RouterStats warm = router.stats();
+  EXPECT_EQ(warm.hedges_fired, 0u);
+
+  const net::JobRequest req =
+      lowrank_fixed_request(1000, seed_owned_by(0, ro.vnodes));
+  const net::CallResult res = client.call(req);
+  ASSERT_EQ(res.status, net::CallStatus::Ok) << res.detail;
+  ASSERT_EQ(res.header.status, runtime::JobStatus::Done) << res.header.error;
+  EXPECT_LT(fixed_rank_residual(req, res), 1e-8);
+
+  RouterStats stats = router.stats();
+  EXPECT_EQ(stats.hedges_fired, 1u);
+  EXPECT_EQ(stats.hedge_wins, 1u);     // the fast successor answered
+  EXPECT_EQ(stats.hedge_cancels, 1u);  // the slow owner's leg cancelled
+  EXPECT_EQ(stats.results_relayed, std::uint64_t(kWarm + 1));
+  EXPECT_EQ(stats.hedge_budget_exhausted, warm.hedge_budget_exhausted);
+  EXPECT_EQ(stats.forward_errors, 0u);
+
+  // The hedge spent the token: the next slow job is not hedged.
+  net::JobRequest again = req;
+  again.request_id = 1001;
+  ASSERT_EQ(client.call(again).status, net::CallStatus::Ok);
+  stats = router.stats();
+  EXPECT_EQ(stats.hedges_fired, 1u);
+  EXPECT_EQ(stats.hedge_budget_exhausted, warm.hedge_budget_exhausted + 1);
+  EXPECT_EQ(stats.results_relayed, std::uint64_t(kWarm + 2));
 
   router.stop();
   shard_a.stop();

@@ -19,6 +19,7 @@
 #include "obs/recorder.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
+#include "runtime/telemetry.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -192,6 +193,42 @@ TEST(ObsSnapshot, PrometheusGroupsLabeledFamilies) {
   EXPECT_NE(text.find("frames_total{type=\"ping\"} 1"), std::string::npos);
   EXPECT_NE(text.find("# TYPE depth gauge"), std::string::npos);
   EXPECT_NE(text.find("depth 2"), std::string::npos);
+
+  // Interleaved labeled families (one row per kind of each) still get
+  // one TYPE line each, with every row of a family under it.
+  obs::Snapshot mixed;
+  mixed.counters = {{"req_total{kind=\"a\"}", 1},
+                    {"bad_total{kind=\"a\"}", 2},
+                    {"req_total{kind=\"b\"}", 3},
+                    {"bad_total{kind=\"b\"}", 4}};
+  mixed.gauges = {{"p99{kind=\"a\"}", 5}, {"burn{kind=\"a\"}", 6},
+                  {"p99{kind=\"b\"}", 7}};
+  obs::Registry hreg;
+  hreg.histogram("lat_seconds{kind=\"a\"}").observe(0.1);
+  hreg.histogram("wait_seconds{kind=\"a\"}").observe(0.1);
+  hreg.histogram("lat_seconds{kind=\"b\"}").observe(0.2);
+  mixed.histograms = hreg.scrape().histograms;
+  const std::string grouped = mixed.prometheus();
+  auto count = [&grouped](const std::string& needle) {
+    std::size_t n = 0;
+    for (auto at = grouped.find(needle); at != std::string::npos;
+         at = grouped.find(needle, at + 1))
+      ++n;
+    return n;
+  };
+  EXPECT_EQ(count("# TYPE req_total counter\n"), 1u);
+  EXPECT_EQ(count("# TYPE bad_total counter\n"), 1u);
+  EXPECT_EQ(count("# TYPE p99 gauge\n"), 1u);
+  EXPECT_EQ(count("# TYPE burn gauge\n"), 1u);
+  EXPECT_EQ(count("# TYPE lat_seconds histogram\n"), 1u);
+  EXPECT_EQ(count("# TYPE wait_seconds histogram\n"), 1u);
+  EXPECT_NE(grouped.find("# TYPE req_total counter\n"
+                         "req_total{kind=\"a\"} 1\n"
+                         "req_total{kind=\"b\"} 3\n"),
+            std::string::npos);
+  EXPECT_NE(grouped.find("lat_seconds_count{kind=\"a\"} 1\n"
+                         "lat_seconds_bucket{kind=\"b\""),
+            std::string::npos);
 }
 
 TEST(ObsSnapshot, FlattenCarriesHistogramCountAndSum) {
@@ -549,49 +586,88 @@ TEST(ObsSlo, SpecAndKindNamesAreTheClusterContract) {
   EXPECT_STREQ(obs::slo_kind_name(99), "?");
 }
 
-TEST(ObsSlo, ObservePublishesQuantilesAndBurnRate) {
-  const double target_was = obs::slo_target_s();
-  const double objective_was = obs::slo_objective();
-  obs::Registry::global().reset();
-  obs::set_slo_target(/*target_s=*/0.01, /*objective=*/0.9);
+double row(const obs::MetricRows& rows, const std::string& name) {
+  for (const auto& [n, v] : rows)
+    if (n == name) return v;
+  ADD_FAILURE() << "missing " << name;
+  return -1;
+}
 
-  // Kind 1 (adaptive): 8 fast successes, 2 over-target successes.
-  // Violating fraction 0.2 against a 0.1 budget → burn rate 2.
-  for (int i = 0; i < 8; ++i) obs::slo_observe(1, 0.001, true);
-  obs::slo_observe(1, 0.5, true);
-  obs::slo_observe(1, 0.5, true);
+TEST(ObsSlo, SnapshotComputesQuantilesAndBurnRateAgainstTheTarget) {
+  obs::SloBook book;
+  // Kind 1 (adaptive): 8 fast successes, 2 successes past the 1 s
+  // target. Violating fraction 0.2 against a 0.01 budget → burn rate 20.
+  for (int i = 0; i < 8; ++i) book.observe(1, 0.001, true);
+  book.observe(1, 1.5, true);
+  book.observe(1, 1.5, true);
   // A failure counts as a violation regardless of latency.
-  obs::slo_observe(0, 0.0001, false);
-  obs::slo_publish();
+  book.observe(0, 0.0001, false);
+  book.observe(obs::kNumSloKinds, 0.5, true);  // out of range: ignored
 
-  const auto flat = obs::Registry::global().scrape().flatten(true);
-  auto get = [&](const std::string& name) -> double {
-    for (const auto& [n, v] : flat)
-      if (n == name) return v;
-    ADD_FAILURE() << "missing " << name;
-    return -1;
-  };
+  const obs::MetricRows flat = book.snapshot().flatten(true);
+  auto get = [&](const std::string& name) { return row(flat, name); };
   EXPECT_EQ(get("slo_requests_total{kind=\"adaptive\"}"), 10.0);
   EXPECT_EQ(get("slo_violations_total{kind=\"adaptive\"}"), 2.0);
-  EXPECT_DOUBLE_EQ(get("slo_burn_rate{kind=\"adaptive\"}"), 2.0);
+  EXPECT_NEAR(get("slo_burn_rate{kind=\"adaptive\"}"), 20.0, 1e-9);
   EXPECT_EQ(get("slo_requests_total{kind=\"fixed_rank\"}"), 1.0);
   EXPECT_EQ(get("slo_violations_total{kind=\"fixed_rank\"}"), 1.0);
-  // The target itself is published so burn-rate math is reconstructible
-  // from a scrape alone.
-  EXPECT_DOUBLE_EQ(get("slo_target_seconds"), 0.01);
-  EXPECT_DOUBLE_EQ(get("slo_objective_ratio"), 0.9);
+  EXPECT_NEAR(get("slo_burn_rate{kind=\"fixed_rank\"}"), 100.0, 1e-9);
+  EXPECT_EQ(get("slo_burn_rate{kind=\"qrcp\"}"), 0.0);  // empty window
   // p50 near 1ms (log-bucket resolution), p99 in the over-target tail.
   const double p50 = get("slo_p50_seconds{kind=\"adaptive\"}");
   const double p99 = get("slo_p99_seconds{kind=\"adaptive\"}");
   EXPECT_GT(p50, 0.0);
   EXPECT_LT(p50, 0.01);
-  EXPECT_GT(p99, 0.1);
-  EXPECT_LE(p50, p99);
-  // The latency observations also land in the shared-ladder histogram.
+  EXPECT_GT(p99, obs::kSloTargetS);
+  EXPECT_EQ(book.p99(1), p99);
+  EXPECT_EQ(book.p99(2), 0.0);
   EXPECT_EQ(get("slo_latency_seconds_count{kind=\"adaptive\"}"), 10.0);
 
-  obs::set_slo_target(target_was, objective_was);
-  obs::Registry::global().reset();
+  // The book's bucket rows are byte-for-byte what a registry histogram
+  // on the same ladder writes, so shard and router rows merge exactly.
+  obs::Registry reg;
+  auto h = reg.histogram("slo_latency_seconds{kind=\"adaptive\"}",
+                         obs::slo_latency_spec());
+  for (int i = 0; i < 8; ++i) h.observe(0.001);
+  h.observe(1.5);
+  h.observe(1.5);
+  std::size_t buckets = 0;
+  for (const auto& [name, v] : reg.scrape().flatten(true)) {
+    EXPECT_EQ(get(name), v) << name;
+    buckets += name.find("_bucket{") != std::string::npos;
+  }
+  EXPECT_EQ(buckets, std::size_t(obs::slo_latency_spec().buckets));
+}
+
+TEST(ObsSlo, RouterAndSchedulerWindowsStayIndependent) {
+  // Two schedulers' telemetry sinks and a router's book in one process:
+  // each window holds only the jobs its own instance saw finish.
+  runtime::TelemetrySink sched_a, sched_b;
+  obs::SloBook router;
+  runtime::JobTrace t;
+  t.kind = runtime::JobKind::FixedRank;
+  t.status = runtime::JobStatus::Done;
+  t.queue_wait_s = 0.001;
+  t.exec_s = 0.002;
+  sched_a.record(t);
+  router.observe(0, 0.004, true);
+  router.observe(0, 0.004, false);
+
+  const obs::MetricRows a = sched_a.metrics().flatten(true);
+  const obs::MetricRows b = sched_b.metrics().flatten(true);
+  const obs::MetricRows r = router.snapshot("cluster_slo_").flatten(true);
+  EXPECT_EQ(row(a, "slo_requests_total{kind=\"fixed_rank\"}"), 1.0);
+  EXPECT_EQ(row(a, "slo_violations_total{kind=\"fixed_rank\"}"), 0.0);
+  EXPECT_EQ(row(a, "runtime_jobs_total{status=\"done\"}"), 1.0);
+  EXPECT_DOUBLE_EQ(row(a, "slo_latency_seconds_sum{kind=\"fixed_rank\"}"),
+                   0.003);
+  EXPECT_EQ(row(b, "slo_requests_total{kind=\"fixed_rank\"}"), 0.0);
+  EXPECT_EQ(row(b, "runtime_jobs_total{status=\"done\"}"), 0.0);
+  EXPECT_EQ(row(r, "cluster_slo_requests_total{kind=\"fixed_rank\"}"), 2.0);
+  EXPECT_EQ(row(r, "cluster_slo_violations_total{kind=\"fixed_rank\"}"),
+            1.0);
+  // The router's rows never share a name with a scheduler's.
+  for (const auto& [name, v] : r) EXPECT_EQ(name.rfind("cluster_slo_", 0), 0u);
 }
 
 TEST(ObsKernelHooks, DisabledProfilingRecordsNothing) {

@@ -436,6 +436,48 @@ TEST(Telemetry, SummaryIsComputedFromTheTraces) {
   EXPECT_DOUBLE_EQ(s.exec_mean_miss, miss_sum / misses);
 }
 
+// Two schedulers in one process: each one's job, cache, SLO and arena
+// rows count only its own work, so an idle scheduler reads zero.
+TEST(Scheduler, StatsRowsCountOnlyThisInstancesJobs) {
+  SchedulerOptions so;
+  so.num_workers = 1;  // in order: one miss, then two result hits
+  Scheduler busy(so), idle(so);
+  const auto input =
+      make_input(randla::testing::random_matrix<double>(60, 40, 43));
+  for (int i = 0; i < 3; ++i) {
+    rsvd::FixedRankOptions opts;
+    opts.k = 5;
+    opts.p = 3;
+    opts.seed = 77;
+    Job job;
+    job.payload = FixedRankJob{input, opts};
+    busy.submit(std::move(job));
+  }
+  busy.drain();
+  { auto lease = busy.arena().lease(100); }
+  { auto lease = busy.arena().lease(100); }  // parked block reused
+
+  auto get = [](const obs::MetricRows& rows, const std::string& name) {
+    for (const auto& [n, v] : rows)
+      if (n == name) return v;
+    ADD_FAILURE() << "missing " << name;
+    return -1.0;
+  };
+  const obs::MetricRows b = busy.stats_rows(), i = idle.stats_rows();
+  for (const auto& [name, want] :
+       std::vector<std::pair<std::string, double>>{
+           {"runtime_jobs_total{status=\"done\"}", 3},
+           {"runtime_cache_total{disposition=\"miss\"}", 1},
+           {"runtime_cache_total{disposition=\"result\"}", 2},
+           {"slo_requests_total{kind=\"fixed_rank\"}", 3},
+           {"slo_latency_seconds_count{kind=\"fixed_rank\"}", 3},
+           {"runtime_arena_alloc_total", 1},
+           {"runtime_arena_reuse_total", 1}}) {
+    EXPECT_EQ(get(b, name), want) << name;
+    EXPECT_EQ(get(i, name), 0.0) << name;
+  }
+}
+
 // Cache-enabled answers must be bitwise-identical to direct library
 // calls in all three dispositions: miss (first sight), result hit
 // (verbatim repeat), and sketch hit (rank refinement at the same ℓ).
