@@ -1,7 +1,10 @@
 #!/bin/sh
 # ci.sh — the checks a change must pass before merging.
 #
-#   1. tier-1: default (Release) build + the full ctest suite;
+#   1. tier-1: default (Release) build + the full ctest suite, and a
+#      check that no `Registry` appears in src/ or examples/ outside
+#      comments (every metric is counted by the instance that sees it,
+#      DESIGN.md §9; a process-wide registry sums in-process instances);
 #   2. kernel smoke: bench_kernels_gbench in JSON mode (the GEMM rows
 #      plus the tall CholQR2 and syrk rows), failing on missing/zero/NaN
 #      flop rates (catches a microkernel that compiles but silently
@@ -94,6 +97,13 @@ echo "== tier-1: default config, full test suite =="
 cmake --preset default
 cmake --build --preset default -j "$JOBS"
 ctest --preset default -j "$JOBS"
+# Comments may name the retired registry; code may not. The sed drops
+# each line's `//` comment before the second grep looks for the word.
+if grep -rn --include='*.cpp' --include='*.hpp' Registry src examples |
+    sed 's|//.*||' | grep Registry; then
+  echo "tier-1 FAILED: a metrics Registry is back in src/ or examples/"
+  exit 1
+fi
 
 echo "== kernel smoke: flop rates finite and nonzero =="
 SMOKE_JSON=build/kernel_smoke.json

@@ -27,9 +27,9 @@
 // mid-run makes the replay exit nonzero instead of hanging.
 //
 // --metrics writes Prometheus text on exit: the server's (with --tcp)
-// or the scheduler's own rows, the same ones a Stats scrape returns,
-// then the process-wide obs registry. It also turns on kernel profiling
-// so la_* series are populated;
+// or the scheduler's own rows, the same ones a Stats scrape returns.
+// It also turns on kernel profiling, so the scheduler's la_* kernel
+// rows are populated;
 // --trace enables the span tracer and dumps Chrome trace_event JSON
 // (load it in Perfetto / chrome://tracing) on exit.
 //
@@ -99,8 +99,8 @@ struct TraceDump {
 /// Writes the Prometheus dump (--metrics) when its scope ends, whatever
 /// path it exits through. Declared after the server (or, in-process,
 /// the scheduler) whose stats_rows() it reads, so those rows come from
-/// the live instance, the same rows a Stats scrape returns; the
-/// process-wide registry follows.
+/// the live instance, the same rows a Stats scrape returns (the `la_*`
+/// kernel rows among them).
 struct MetricsDump {
   std::string path;
   std::function<obs::MetricRows()> rows;
@@ -121,8 +121,7 @@ struct MetricsDump {
       (base.ends_with("_total") ? own.counters : own.gauges)
           .emplace_back(std::move(name), v);
     }
-    if (write_text(path, own.prometheus() +
-                             obs::Registry::global().scrape().prometheus()))
+    if (write_text(path, own.prometheus()))
       std::printf("wrote metrics to %s\n", path.c_str());
   }
 };

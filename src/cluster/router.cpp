@@ -168,7 +168,8 @@ struct Router::Impl {
   std::deque<std::uint64_t> failed_ups;  ///< worklist (no recursion)
 
   /// Hedge budget: credited per routed submit, debited per hedge fired.
-  double hedge_tokens = 0;
+  /// Starts full, so a fresh router can hedge its first slow submits.
+  double hedge_tokens = kHedgeBurstCap;
 
   /// Shards whose planned drain finished (DrainReply read by the control
   /// thread); the loop consumes this and re-points the keyshare.

@@ -106,16 +106,7 @@ std::optional<FaultConfig> parse_schedule(std::string_view dsl,
 }
 
 FaultInjector::FaultInjector(FaultConfig cfg, std::uint64_t seed)
-    : cfg_(std::move(cfg)), seed_(seed) {
-  auto& g = obs::Registry::global();
-  for (int i = 0; i < kNumFaultKinds; ++i)
-    injected_counter_[static_cast<std::size_t>(i)] =
-        g.counter(std::string("fault_injected_total{kind=\"") + kKindNames[i] +
-                      "\"}",
-                  "fault injections fired, by kind");
-  decisions_counter_ =
-      g.counter("fault_decisions_total", "injection sites consulted");
-}
+    : cfg_(std::move(cfg)), seed_(seed) {}
 
 bool FaultInjector::fire(FaultKind k) {
   const auto ki = static_cast<std::size_t>(k);
@@ -123,7 +114,6 @@ bool FaultInjector::fire(FaultKind k) {
   // sequence stays aligned across enable/disable cycles.
   const std::uint64_t n =
       decisions_[ki].fetch_add(1, std::memory_order_relaxed) + 1;
-  decisions_counter_.inc();
   if (!enabled_.load(std::memory_order_relaxed)) return false;
 
   bool hit = false;
@@ -133,7 +123,6 @@ bool FaultInjector::fire(FaultKind k) {
     hit = std::binary_search(cfg_.steps[ki].begin(), cfg_.steps[ki].end(), n);
   if (hit) {
     injected_[ki].fetch_add(1, std::memory_order_relaxed);
-    injected_counter_[ki].inc();
     obs::Recorder::global().record(obs::EventKind::FaultInjected, 0, 0,
                                    static_cast<std::int64_t>(ki),
                                    static_cast<std::int64_t>(n),
@@ -157,6 +146,17 @@ std::uint64_t FaultInjector::injected_total() const {
   for (const auto& c : injected_)
     total += c.load(std::memory_order_relaxed);
   return total;
+}
+
+obs::MetricRows FaultInjector::stats_rows() const {
+  std::uint64_t decided = 0;
+  for (const auto& c : decisions_) decided += c.load(std::memory_order_relaxed);
+  obs::MetricRows rows = {{"fault_decisions_total", double(decided)}};
+  for (int i = 0; i < kNumFaultKinds; ++i)
+    rows.emplace_back(
+        std::string("fault_injected_total{kind=\"") + kKindNames[i] + "\"}",
+        double(injected(static_cast<FaultKind>(i))));
+  return rows;
 }
 
 InjectorPtr make_injector(std::string_view dsl, std::uint64_t seed,

@@ -19,10 +19,12 @@
 //
 //   e.g.  "device_fail@0.05,conn_reset@0.02"  or  "device_fail:3:10"
 //
-// Every fired injection bumps a `fault_injected_total{kind="…"}`
-// counter in the global obs registry; the counters are registered
-// eagerly at construction so a chaos run's Stats scrape always carries
-// the full fault.* series even before the first injection.
+// Each injector counts its own decisions and fired injections, and
+// stats_rows() exports them as `fault_decisions_total` and one
+// `fault_injected_total{kind="…"}` row per kind, every row on every
+// call, so a chaos run's Stats scrape carries the full fault series
+// even before the first injection. A Stats reply carries each injector
+// once, however many of the server's layers share it.
 #pragma once
 
 #include <array>
@@ -94,14 +96,16 @@ class FaultInjector {
   std::uint64_t injected(FaultKind k) const;
   std::uint64_t injected_total() const;
 
+  /// `fault_decisions_total` and all kNumFaultKinds
+  /// `fault_injected_total{kind="…"}` rows, from this injector's counts.
+  obs::MetricRows stats_rows() const;
+
  private:
   FaultConfig cfg_;
   std::uint64_t seed_;
   std::atomic<bool> enabled_{true};
   std::array<std::atomic<std::uint64_t>, kNumFaultKinds> decisions_{};
   std::array<std::atomic<std::uint64_t>, kNumFaultKinds> injected_{};
-  std::array<obs::Counter, kNumFaultKinds> injected_counter_;
-  obs::Counter decisions_counter_;
 };
 
 using InjectorPtr = std::shared_ptr<FaultInjector>;

@@ -387,7 +387,8 @@ void gemm(Op opa, Op opb, Real alpha, ConstMatrixView<Real> a,
   const index_t m = c.rows();
   const index_t n = c.cols();
   const index_t k = (opa == Op::NoTrans) ? a.cols() : a.rows();
-  la_prof::KernelScope prof("gemm", 2.0 * double(m) * double(n) * double(k),
+  la_prof::KernelScope prof(la_prof::Kernel::Gemm,
+                            2.0 * double(m) * double(n) * double(k),
                             std::min({m, n, k}), std::max({m, n, k}));
   // 2D (row×column) tiling over independent blocks of C, sized by
   // gemm_parallel_grid so the library's dominant sampling shapes —
@@ -456,7 +457,7 @@ void gemm_batched(const GemmProblem<Real>* problems, index_t count) {
     total_flops +=
         2.0 * double(p.c.rows()) * double(p.c.cols()) * double(k);
   }
-  la_prof::KernelScope prof("gemm_batched", total_flops);
+  la_prof::KernelScope prof(la_prof::Kernel::GemmBatched, total_flops);
 
   // Flatten every problem's tile grid into one work list. Large
   // problems contribute their usual row×col grid; small problems (below
@@ -573,7 +574,8 @@ void syrk(Uplo uplo, Op op, Real alpha, ConstMatrixView<Real> a, Real beta,
   assert(c.cols() == n);
   const index_t k = (op == Op::NoTrans) ? a.cols() : a.rows();
   assert(((op == Op::NoTrans) ? a.rows() : a.cols()) == n);
-  la_prof::KernelScope prof("syrk", double(n) * double(n) * double(k));
+  la_prof::KernelScope prof(la_prof::Kernel::Syrk,
+                            double(n) * double(n) * double(k));
   if (n > 0 && k > kSyrkChunk && n <= kSyrkChunk / 8) {
     syrk_tall(uplo, op, alpha, a, beta, c);
     return;
@@ -792,7 +794,8 @@ void tri_apply(bool solve, Side side, Uplo uplo, Op op, Diag diag, Real alpha,
   const index_t dim = t.rows();
   const index_t len = (side == Side::Left) ? n : m;
   const double work = double(dim) * double(dim) * double(len);
-  la_prof::KernelScope prof(solve ? "trsm" : "trmm", work);
+  la_prof::KernelScope prof(
+      solve ? la_prof::Kernel::Trsm : la_prof::Kernel::Trmm, work);
   if (m == 0 || n == 0) return;
   const index_t panel = std::max<index_t>(
       kTriMinPanel,

@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "la/profile_hooks.hpp"
+
 namespace randla {
 
 namespace {
@@ -32,6 +34,7 @@ thread_local bool t_in_pool_task = false;
 // [begin + c·per, min(end, begin + (c+1)·per)).
 struct Batch {
   const std::function<void(index_t, index_t)>* fn = nullptr;
+  la_prof::Context prof;            // the caller's, installed per chunk
   index_t total = 0;
   index_t per = 0;
   index_t count = 0;
@@ -56,6 +59,7 @@ class WorkerPool {
 
     auto batch = std::make_shared<Batch>();
     batch->fn = &fn;
+    batch->prof = la_prof::current_context();
     batch->total = total;
     batch->per = (total + chunks - 1) / chunks;
     batch->count = chunks;
@@ -157,6 +161,9 @@ class WorkerPool {
     const index_t b = c * batch.per;
     const index_t e = std::min(batch.total, b + batch.per);
     if (b < e) {
+      // A chunk is part of the caller's work: kernels inside it nest
+      // under the caller's kernel, or record into the caller's table.
+      la_prof::ScopedContext prof(batch.prof);
       const bool prev = t_in_pool_task;
       t_in_pool_task = true;
       (*batch.fn)(b, e);

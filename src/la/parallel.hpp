@@ -17,6 +17,9 @@
 //  * Nested calls (a chunk body that itself reaches parallel_ranges,
 //    e.g. a GEMM inside a parallel TSQR subtree) degrade to serial
 //    execution instead of deadlocking.
+//  * Each chunk runs under the caller's kernel-profiling context
+//    (la/profile_hooks.hpp), so a kernel inside a chunk counts as
+//    nested in the caller's kernel, on whichever lane it runs.
 //  * The pool holds blas_num_threads()-1 workers (the caller is the
 //    n-th lane) and is rebuilt lazily when the knob changes. Pinning
 //    the knob to 1 gives strictly serial, bitwise-reproducible runs.

@@ -257,9 +257,13 @@ static_assert(std::size(kFrameLabels) ==
               std::tuple_size_v<decltype(ServerStats::frames_by_type)>);
 
 /// The Stats reply's per-instance rows: every ServerStats event once,
-/// under its Prometheus `_total` name, then the scheduler's own rows.
+/// under its Prometheus `_total` name, then the scheduler's own rows,
+/// which carry the scheduler's fault injector. The server's injector is
+/// usually that same one; one of its own is folded into the same rows,
+/// so each `fault_*` row still appears once.
 obs::MetricRows instance_rows(const ServerStats& st,
-                              const runtime::Scheduler& sched) {
+                              const runtime::Scheduler& sched,
+                              const fault::FaultInjector* injector) {
   obs::MetricRows m = {
       {"net_connections_total", double(st.conns_accepted)},
       {"net_conns_refused_total", double(st.conns_refused)},
@@ -283,6 +287,16 @@ obs::MetricRows instance_rows(const ServerStats& st,
   obs::MetricRows sr = sched.stats_rows();
   m.insert(m.end(), std::make_move_iterator(sr.begin()),
            std::make_move_iterator(sr.end()));
+  if (injector && injector != sched.options().injector.get()) {
+    for (auto& [name, v] : injector->stats_rows()) {
+      auto it = std::find_if(m.begin(), m.end(),
+                             [&](const auto& row) { return row.first == name; });
+      if (it != m.end())
+        it->second += v;
+      else
+        m.emplace_back(std::move(name), v);
+    }
+  }
   return m;
 }
 
@@ -395,7 +409,7 @@ bool Server::running() const { return impl_->thread.alive.load(); }
 ServerStats Server::stats() const { return impl_->stats_snapshot(); }
 
 obs::MetricRows Server::stats_rows() const {
-  return instance_rows(stats(), impl_->sched);
+  return instance_rows(stats(), impl_->sched, impl_->opts.injector.get());
 }
 
 bool Server::start() {
@@ -741,19 +755,10 @@ void Server::Impl::handle_stats(std::uint64_t cid, std::size_t len) {
     reject(c, ErrorCode::BadFrame, "stats frame carries a payload", true);
     return;
   }
-  // This server's and its scheduler's own counts first: these are what
-  // load generators cross-check their own accounting against.
+  // This server's and its scheduler's own counts: what load generators
+  // cross-check their own accounting against.
   StatsReply s;
-  s.metrics = instance_rows(stats_snapshot(), sched);
-  auto& m = s.metrics;
-  // Global registry (kernel hooks, fault injector), capped at the wire
-  // limit.
-  for (const auto& [name, v] :
-       obs::Registry::global().scrape().flatten(/*include_buckets=*/true)) {
-    if (m.size() >= kMaxStatsEntries) break;
-    if (name.size() > kMaxStatsNameBytes) continue;
-    m.emplace_back(name, v);
-  }
+  s.metrics = instance_rows(stats_snapshot(), sched, opts.injector.get());
   queue_frame(c, encode_stats_reply(s));
 }
 

@@ -91,8 +91,9 @@ class Server {
   /// This server's Stats rows: every ServerStats count under its
   /// Prometheus name (`net_jobs_submitted_total`, `net_busy_total`,
   /// `net_frames_in_total{type="submit"}`, …), then the scheduler's
-  /// Scheduler::stats_rows. The Stats reply sends these ahead of the
-  /// process-wide registry rows.
+  /// Scheduler::stats_rows (kernel and fault rows included). Each fault
+  /// injector's rows appear once, even when the server and scheduler
+  /// share it. A Stats reply sends exactly these rows.
   obs::MetricRows stats_rows() const;
 
  private:

@@ -5,53 +5,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <numeric>
-#include <stdexcept>
 #include <unordered_map>
 
 namespace randla::obs {
 namespace {
-
-// Fixed shard capacity so a shard's cell array never reallocates while
-// another thread is scraping it. 4096 doubles = 32 KiB per thread per
-// registry; registration past the cap throws (it means a metric is
-// being minted per-request, which is a bug, not a workload).
-constexpr std::uint32_t kMaxSlots = 4096;
-
-struct Shard {
-  std::atomic<double> cells[kMaxSlots];
-  std::atomic<bool> retired{false};
-  Shard() {
-    for (auto& c : cells) c.store(0.0, std::memory_order_relaxed);
-  }
-};
-
-// Single-writer relaxed accumulate: each cell is written only by the
-// owning thread, so a plain load+store pair is race-free and avoids the
-// CAS loop std::atomic<double>::fetch_add would compile to.
-inline void bump(std::atomic<double>& cell, double v) {
-  cell.store(cell.load(std::memory_order_relaxed) + v,
-             std::memory_order_relaxed);
-}
-
-enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
-
-struct MetricDef {
-  std::string name;
-  std::string help;
-  Kind kind;
-  std::uint32_t slot = 0;  // first shard slot (counters, histograms)
-  std::uint32_t idx = 0;   // gauge index / histogram def index
-};
-
-struct HistogramDef {
-  HistogramSpec spec;
-  std::vector<double> upper;  // size == spec.buckets; last is +Inf
-};
 
 std::string fmt_double(double v) {
   char buf[40];
@@ -94,133 +53,6 @@ void split_labels(std::string_view name, std::string_view& base,
 
 }  // namespace
 
-struct Registry::Impl {
-  std::mutex mu;
-  std::uint64_t id = 0;
-  std::vector<MetricDef> metrics;  // registration order drives exposition
-  std::unordered_map<std::string, std::size_t> index;
-  std::uint32_t next_slot = 0;
-  std::vector<double> base;  // drained totals from retired shards
-  std::vector<std::shared_ptr<Shard>> shards;
-  std::deque<std::atomic<double>> gauges;  // deque: grows without moving
-  std::deque<HistogramDef> hists;  // deque: observe() reads without mu
-
-  // Sum of base plus every shard (caller holds mu).
-  double slot_total(std::uint32_t slot) const {
-    double v = slot < base.size() ? base[slot] : 0.0;
-    for (const auto& s : shards)
-      v += s->cells[slot].load(std::memory_order_relaxed);
-    return v;
-  }
-
-  void drain_retired() {  // caller holds mu
-    auto it = shards.begin();
-    while (it != shards.end()) {
-      if ((*it)->retired.load(std::memory_order_acquire)) {
-        if (base.size() < next_slot) base.resize(next_slot, 0.0);
-        for (std::uint32_t s = 0; s < next_slot; ++s)
-          base[s] += (*it)->cells[s].load(std::memory_order_relaxed);
-        it = shards.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-};
-
-namespace {
-
-std::uint64_t next_registry_id() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-// Per-thread shard directory. On thread exit the destructor marks each
-// shard retired; the shard itself stays alive via the shared_ptr until
-// the registry drains it on the next scrape, so no value is ever lost
-// and a dying registry never has to chase other threads' thread_locals.
-struct ThreadEntry {
-  std::uint64_t reg_id;
-  Shard* shard;
-  std::shared_ptr<Shard> owner;
-};
-
-struct ThreadShards {
-  std::vector<ThreadEntry> entries;
-  ~ThreadShards() {
-    for (auto& e : entries)
-      e.owner->retired.store(true, std::memory_order_release);
-  }
-};
-
-thread_local ThreadShards t_shards;
-
-Shard* local_shard(Registry::Impl* impl) {
-  for (auto& e : t_shards.entries)
-    if (e.reg_id == impl->id) return e.shard;
-  auto sp = std::make_shared<Shard>();
-  {
-    std::lock_guard<std::mutex> lock(impl->mu);
-    impl->shards.push_back(sp);
-  }
-  t_shards.entries.push_back({impl->id, sp.get(), sp});
-  return t_shards.entries.back().shard;
-}
-
-}  // namespace
-
-Registry::Registry() : impl_(new Impl) { impl_->id = next_registry_id(); }
-
-Registry::~Registry() { delete impl_; }
-
-Registry& Registry::global() {
-  static Registry reg;
-  return reg;
-}
-
-Counter Registry::counter(std::string_view name, std::string_view help) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto it = impl_->index.find(std::string(name));
-  if (it != impl_->index.end()) {
-    const MetricDef& def = impl_->metrics[it->second];
-    if (def.kind != Kind::kCounter)
-      throw std::logic_error("obs: metric kind mismatch for " +
-                             std::string(name));
-    return Counter(this, def.slot);
-  }
-  if (impl_->next_slot + 1 > kMaxSlots)
-    throw std::logic_error("obs: registry slot capacity exceeded");
-  MetricDef def;
-  def.name = std::string(name);
-  def.help = std::string(help);
-  def.kind = Kind::kCounter;
-  def.slot = impl_->next_slot++;
-  impl_->index.emplace(def.name, impl_->metrics.size());
-  impl_->metrics.push_back(std::move(def));
-  return Counter(this, impl_->metrics.back().slot);
-}
-
-Gauge Registry::gauge(std::string_view name, std::string_view help) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto it = impl_->index.find(std::string(name));
-  if (it != impl_->index.end()) {
-    const MetricDef& def = impl_->metrics[it->second];
-    if (def.kind != Kind::kGauge)
-      throw std::logic_error("obs: metric kind mismatch for " +
-                             std::string(name));
-    return Gauge(this, def.idx);
-  }
-  MetricDef def;
-  def.name = std::string(name);
-  def.help = std::string(help);
-  def.kind = Kind::kGauge;
-  def.idx = static_cast<std::uint32_t>(impl_->gauges.size());
-  impl_->gauges.emplace_back(0.0);
-  impl_->index.emplace(def.name, impl_->metrics.size());
-  impl_->metrics.push_back(std::move(def));
-  return Gauge(this, impl_->metrics.back().idx);
-}
-
 std::vector<double> HistogramSpec::upper_bounds() const {
   std::vector<double> upper(buckets);
   double u = first_upper;
@@ -232,82 +64,17 @@ std::vector<double> HistogramSpec::upper_bounds() const {
   return upper;
 }
 
-Histogram Registry::histogram(std::string_view name, HistogramSpec spec,
-                              std::string_view help) {
-  if (spec.buckets < 2 || spec.first_upper <= 0 || spec.growth <= 1.0)
-    throw std::logic_error("obs: invalid histogram spec for " +
-                           std::string(name));
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto it = impl_->index.find(std::string(name));
-  if (it != impl_->index.end()) {
-    const MetricDef& def = impl_->metrics[it->second];
-    if (def.kind != Kind::kHistogram)
-      throw std::logic_error("obs: metric kind mismatch for " +
-                             std::string(name));
-    return Histogram(this, def.slot, def.idx);
-  }
-  const std::uint32_t slots = spec.buckets + 2;  // buckets, sum, count
-  if (impl_->next_slot + slots > kMaxSlots)
-    throw std::logic_error("obs: registry slot capacity exceeded");
-  HistogramDef hdef;
-  hdef.spec = spec;
-  hdef.upper = spec.upper_bounds();
-  MetricDef def;
-  def.name = std::string(name);
-  def.help = std::string(help);
-  def.kind = Kind::kHistogram;
-  def.slot = impl_->next_slot;
-  def.idx = static_cast<std::uint32_t>(impl_->hists.size());
-  impl_->next_slot += slots;
-  impl_->hists.push_back(std::move(hdef));
-  impl_->index.emplace(def.name, impl_->metrics.size());
-  impl_->metrics.push_back(std::move(def));
-  return Histogram(this, impl_->metrics.back().slot,
-                   impl_->metrics.back().idx);
-}
+HistogramSnapshot::HistogramSnapshot(const HistogramSpec& spec,
+                                     std::string hist_name)
+    : name(std::move(hist_name)),
+      upper(spec.upper_bounds()),
+      count(spec.buckets, 0.0) {}
 
-void Counter::add(double v) {
-  if (!reg_) return;
-  bump(local_shard(reg_->impl_)->cells[slot_], v);
-}
-
-double Counter::value() const {
-  if (!reg_) return 0;
-  std::lock_guard<std::mutex> lock(reg_->impl_->mu);
-  return reg_->impl_->slot_total(slot_);
-}
-
-void Gauge::set(double v) {
-  if (!reg_) return;
-  reg_->impl_->gauges[idx_].store(v, std::memory_order_relaxed);
-}
-
-void Gauge::add(double v) {
-  if (!reg_) return;
-  auto& cell = reg_->impl_->gauges[idx_];
-  double cur = cell.load(std::memory_order_relaxed);
-  while (!cell.compare_exchange_weak(cur, cur + v,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-double Gauge::value() const {
-  if (!reg_) return 0;
-  return reg_->impl_->gauges[idx_].load(std::memory_order_relaxed);
-}
-
-void Histogram::observe(double v) {
-  if (!reg_) return;
-  Registry::Impl* impl = reg_->impl_;
-  Shard* shard = local_shard(impl);
-  // The def's bound array is immutable after registration, so reading
-  // it without the registry mutex is safe.
-  const HistogramDef& def = impl->hists[def_];
-  const auto it = std::lower_bound(def.upper.begin(), def.upper.end(), v);
-  const auto bucket = static_cast<std::uint32_t>(it - def.upper.begin());
-  bump(shard->cells[slot_ + std::min(bucket, def.spec.buckets - 1)], 1.0);
-  bump(shard->cells[slot_ + def.spec.buckets], v);       // sum
-  bump(shard->cells[slot_ + def.spec.buckets + 1], 1.0); // count
+void HistogramSnapshot::observe(double v) {
+  const auto it = std::lower_bound(upper.begin(), upper.end(), v);
+  count[std::min<std::size_t>(it - upper.begin(), upper.size() - 1)] += 1;
+  sum += v;
+  total += 1;
 }
 
 double HistogramSnapshot::quantile(double q) const {
@@ -329,48 +96,6 @@ double HistogramSnapshot::quantile(double q) const {
   for (std::size_t i = upper.size(); i-- > 0;)
     if (std::isfinite(upper[i])) return upper[i];
   return 0;
-}
-
-Snapshot Registry::scrape() {
-  Snapshot snap;
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->drain_retired();
-  for (const MetricDef& def : impl_->metrics) {
-    switch (def.kind) {
-      case Kind::kCounter:
-        snap.counters.emplace_back(def.name, impl_->slot_total(def.slot));
-        break;
-      case Kind::kGauge:
-        snap.gauges.emplace_back(
-            def.name,
-            impl_->gauges[def.idx].load(std::memory_order_relaxed));
-        break;
-      case Kind::kHistogram: {
-        const HistogramDef& hdef = impl_->hists[def.idx];
-        HistogramSnapshot h;
-        h.name = def.name;
-        h.help = def.help;
-        h.upper = hdef.upper;
-        h.count.resize(hdef.spec.buckets);
-        for (std::uint32_t i = 0; i < hdef.spec.buckets; ++i)
-          h.count[i] = impl_->slot_total(def.slot + i);
-        h.sum = impl_->slot_total(def.slot + hdef.spec.buckets);
-        h.total = impl_->slot_total(def.slot + hdef.spec.buckets + 1);
-        snap.histograms.push_back(std::move(h));
-        break;
-      }
-    }
-  }
-  return snap;
-}
-
-void Registry::reset() {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  std::fill(impl_->base.begin(), impl_->base.end(), 0.0);
-  for (auto& shard : impl_->shards)
-    for (std::uint32_t s = 0; s < impl_->next_slot; ++s)
-      shard->cells[s].store(0.0, std::memory_order_relaxed);
-  for (auto& g : impl_->gauges) g.store(0.0, std::memory_order_relaxed);
 }
 
 namespace {

@@ -1,13 +1,14 @@
-// metrics.hpp — lock-light metrics registry: counters, gauges, and
-// fixed log-bucket histograms with per-thread accumulation.
+// metrics.hpp — metric rows and their exposition.
 //
-// Design: each metric is a slot index into fixed-size per-thread shards
-// of relaxed atomics. The hot path (Counter::add, Histogram::observe)
-// touches only this thread's shard — each cell has a single writer, so
-// updates are plain load/store pairs on relaxed atomics with no CAS and
-// no lock. Registration and scraping take the registry mutex; scrape
-// sums live shards in place and drains shards whose threads have exited
-// into a base array, so dead threads cost nothing after the next scrape.
+// There is no metrics registry. Each instance that sees an event counts
+// it in its own struct or atomics (a server's ServerStats, a scheduler's
+// FaultStats, a fault injector's decision counts, a scheduler's kernel
+// table) and has one function that emits those counts as rows under
+// their Prometheus names (DESIGN.md §9). This header holds what the rows
+// share: the flat MetricRows a Stats frame carries, the typed Snapshot
+// that renders Prometheus text and JSON, and the log-bucket histogram
+// that per-instance SLO windows keep (HistogramSpec ladder,
+// HistogramSnapshot buckets and quantiles).
 //
 // Metric names follow Prometheus conventions; labels are embedded in
 // the name string, e.g. `net_frames_in_total{type="submit"}`. The
@@ -22,46 +23,9 @@
 
 namespace randla::obs {
 
-class Registry;
-
 /// Flat (name, value) metric rows: the Stats wire frame's payload and
 /// what Snapshot::flatten and the per-instance scrapes produce.
 using MetricRows = std::vector<std::pair<std::string, double>>;
-
-/// Monotonic counter (double-valued so flop counts fit). Handles are
-/// small value types; default-constructed handles are no-ops.
-class Counter {
- public:
-  Counter() = default;
-  void add(double v);
-  void inc() { add(1.0); }
-  double value() const;
-  explicit operator bool() const { return reg_ != nullptr; }
-
- private:
-  friend class Registry;
-  Counter(Registry* r, std::uint32_t slot) : reg_(r), slot_(slot) {}
-  Registry* reg_ = nullptr;
-  std::uint32_t slot_ = 0;
-};
-
-/// Last-write-wins instantaneous value (queue depth, efficiency).
-/// Backed by a single shared atomic, not per-thread shards: a gauge is
-/// a point sample, so summing per-thread copies would be meaningless.
-class Gauge {
- public:
-  Gauge() = default;
-  void set(double v);
-  void add(double v);  ///< atomic read-modify-write; for up/down counts
-  double value() const;
-  explicit operator bool() const { return reg_ != nullptr; }
-
- private:
-  friend class Registry;
-  Gauge(Registry* r, std::uint32_t idx) : reg_(r), idx_(idx) {}
-  Registry* reg_ = nullptr;
-  std::uint32_t idx_ = 0;
-};
 
 /// Fixed log-spaced bucket layout: bucket i spans
 /// (first_upper*growth^(i-1), first_upper*growth^i]; the final bucket
@@ -78,22 +42,13 @@ struct HistogramSpec {
   std::vector<double> upper_bounds() const;
 };
 
-class Histogram {
- public:
-  Histogram() = default;
-  void observe(double v);
-  explicit operator bool() const { return reg_ != nullptr; }
-
- private:
-  friend class Registry;
-  Histogram(Registry* r, std::uint32_t slot, std::uint32_t def)
-      : reg_(r), slot_(slot), def_(def) {}
-  Registry* reg_ = nullptr;
-  std::uint32_t slot_ = 0;  ///< first of buckets+2 slots (…, sum, count)
-  std::uint32_t def_ = 0;   ///< index into the registry's histogram defs
-};
-
+/// A histogram's contents: what an instance keeps and what a snapshot
+/// carries. Default-constructed it has no buckets; built from a spec it
+/// is an empty histogram on that spec's ladder, ready to observe().
 struct HistogramSnapshot {
+  HistogramSnapshot() = default;
+  explicit HistogramSnapshot(const HistogramSpec& spec, std::string name = {});
+
   std::string name;
   std::string help;
   std::vector<double> upper;  ///< bucket upper bounds; last is +Inf
@@ -105,9 +60,13 @@ struct HistogramSnapshot {
   /// the containing bucket. Returns 0 on an empty histogram.
   double quantile(double q) const;
   double mean() const { return total > 0 ? sum / total : 0.0; }
+
+  /// Add one observation. Prometheus `le` semantics: a value equal to
+  /// an upper bound lands in that bucket. Not synchronized.
+  void observe(double v);
 };
 
-/// Point-in-time copy of every metric in a registry.
+/// Point-in-time copy of one instance's metrics, typed for exposition.
 struct Snapshot {
   std::vector<std::pair<std::string, double>> counters;
   std::vector<std::pair<std::string, double>> gauges;
@@ -125,40 +84,6 @@ struct Snapshot {
   /// a HistogramSpec emit byte-identical names, and a cluster router
   /// can merge shard histograms bucket-by-bucket exactly.
   MetricRows flatten(bool include_buckets = false) const;
-};
-
-class Registry {
- public:
-  Registry();
-  ~Registry();
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
-  /// Process-wide registry used by layer instrumentation. Local
-  /// registries (e.g. per-TelemetrySink) isolate their own metrics.
-  static Registry& global();
-
-  /// Idempotent: re-registering a name returns the existing handle.
-  /// Registering a name under a different kind throws std::logic_error.
-  Counter counter(std::string_view name, std::string_view help = {});
-  Gauge gauge(std::string_view name, std::string_view help = {});
-  Histogram histogram(std::string_view name, HistogramSpec spec = {},
-                      std::string_view help = {});
-
-  /// Sum live per-thread shards, fold (drain) shards whose threads have
-  /// exited, and return a copy of everything.
-  Snapshot scrape();
-
-  /// Zero all values (registrations survive). Test helper.
-  void reset();
-
-  struct Impl;  // public so the .cpp's file-local helpers can name it
-
- private:
-  friend class Counter;
-  friend class Gauge;
-  friend class Histogram;
-  Impl* impl_;
 };
 
 /// Kernel-profiling master switch. When off (the default), the BLAS

@@ -1,6 +1,5 @@
 #include "obs/slo.hpp"
 
-#include <algorithm>
 #include <string>
 
 namespace randla::obs {
@@ -31,20 +30,13 @@ HistogramSpec slo_latency_spec() {
 }
 
 SloBook::SloBook() {
-  const HistogramSpec spec = slo_latency_spec();
-  for (HistogramSnapshot& h : latency_) {
-    h.upper = spec.upper_bounds();
-    h.count.assign(spec.buckets, 0.0);
-  }
+  for (HistogramSnapshot& h : latency_)
+    h = HistogramSnapshot(slo_latency_spec());
 }
 
 void SloBook::observe(int kind, double latency_s, bool ok) {
   if (kind < 0 || kind >= kNumSloKinds) return;
-  HistogramSnapshot& h = latency_[kind];
-  const auto it = std::lower_bound(h.upper.begin(), h.upper.end(), latency_s);
-  h.count[std::min<std::size_t>(it - h.upper.begin(), h.upper.size() - 1)] += 1;
-  h.sum += latency_s;
-  h.total += 1;
+  latency_[kind].observe(latency_s);
   if (!ok || latency_s > kSloTargetS) violations_[kind] += 1;
 }
 

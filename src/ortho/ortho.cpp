@@ -259,7 +259,8 @@ void cholqr_panel_batched(Scheme scheme, MatrixView<Real>* panels,
           "cholqr_panel_batched: panels must be short-wide");
     total_flops += scheme_flops(scheme, panels[i].cols(), panels[i].rows());
   }
-  la_prof::KernelScope prof("cholqr_panel_batched", total_flops);
+  la_prof::KernelScope prof(la_prof::Kernel::CholqrPanelBatched,
+                            total_flops);
   // One walk over the pool: panels are independent, so each pool chunk
   // runs a contiguous range of them; the kernels inside a panel see the
   // nested-parallel context and degrade to serial, which is bitwise

@@ -125,6 +125,9 @@ obs::MetricRows Scheduler::stats_rows() const {
   }
   for (auto& row : telemetry_.metrics().flatten(/*include_buckets=*/true))
     m.push_back(std::move(row));
+  for (auto& row : kernels_.rows()) m.push_back(std::move(row));
+  if (opts_.injector)
+    for (auto& row : opts_.injector->stats_rows()) m.push_back(std::move(row));
   return m;
 }
 
@@ -291,6 +294,7 @@ void Scheduler::drain() {
 }
 
 void Scheduler::worker_loop(int widx) {
+  const la_prof::ScopedContext prof(la_prof::Context{.table = &kernels_});
   const auto& failed = slots_[static_cast<std::size_t>(widx)]->failed;
   for (;;) {
     auto pending = queue_.pop();

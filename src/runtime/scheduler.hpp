@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "fault/injector.hpp"
+#include "la/profile_hooks.hpp"
 #include "model/perfmodel.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/arena.hpp"
@@ -201,9 +202,11 @@ class Scheduler {
 
   /// This scheduler's Stats/Prometheus rows, read from its own counters:
   /// queue depth and in-flight, batching, failover, watchdog, cache,
-  /// RQRCP-phase and arena counts, then its telemetry's per-job counts
-  /// and SLO window. Each event is counted once, here, and exported once
-  /// under its `_total` name (DESIGN.md §9).
+  /// RQRCP-phase and arena counts, its telemetry's per-job counts and
+  /// SLO window, the `la_*` rows of the kernels its workers ran (with
+  /// profiling on), and its fault injector's rows when it has one. Each
+  /// event is counted once, here, and exported once under its `_total`
+  /// name (DESIGN.md §9).
   obs::MetricRows stats_rows() const;
 
  private:
@@ -326,6 +329,10 @@ class Scheduler {
     std::atomic<double> sketch_s{0}, panel_s{0}, update_s{0}, downdate_s{0};
     std::atomic<std::uint64_t> resketches{0}, degraded{0};
   } qrcp_;
+
+  /// Profiled kernels run by this scheduler's workers and their pool
+  /// chunks (the workers' la_prof context points here).
+  la_prof::KernelTable kernels_;
 
   std::atomic<std::uint64_t> batches_{0};       ///< dispatches of 2+ jobs
   std::atomic<std::uint64_t> batched_jobs_{0};  ///< jobs in those dispatches

@@ -28,6 +28,7 @@
 #include "la/permutation.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 
@@ -131,9 +132,11 @@ std::uint32_t owner_of(const net::JobRequest& req, int shards, int vnodes) {
   return ring.owner(routing_key(req)).value();
 }
 
-/// A seed whose request lands on `want` in a 2-shard layout.
-std::uint64_t seed_owned_by(std::uint32_t want, int vnodes) {
-  for (std::uint64_t seed = 1;; ++seed) {
+/// The first seed from `from` on whose request lands on `want` in a
+/// 2-shard layout.
+std::uint64_t seed_owned_by(std::uint32_t want, int vnodes,
+                            std::uint64_t from = 1) {
+  for (std::uint64_t seed = from;; ++seed) {
     if (owner_of(lowrank_fixed_request(1, seed), 2, vnodes) == want)
       return seed;
   }
@@ -762,8 +765,11 @@ TEST(ClusterRouter, StatsFanOutMergesShardsWithLabels) {
 
 // Two servers and a router in one process: every serving count is the
 // instance's own, so an idle shard reads 0 and the router's merge sums
-// each event exactly once.
+// each event exactly once. With profiling on, the same holds for the
+// kernel rows: each shard reports the kernels its own workers ran.
 TEST(ClusterRouter, StatsRowsArePerInstanceAndMergeOnce) {
+  const bool was_profiling = obs::profiling_enabled();
+  obs::set_profiling_enabled(true);
   runtime::Scheduler sched_a(small_sched()), sched_b(small_sched());
   net::Server shard_a(sched_a, shard_opts()), shard_b(sched_b, shard_opts());
   ASSERT_TRUE(shard_a.start());
@@ -808,9 +814,20 @@ TEST(ClusterRouter, StatsRowsArePerInstanceAndMergeOnce) {
   EXPECT_EQ(stats->value("cluster_shards_live"), 2.0);
   EXPECT_EQ(stats->value("cluster_submits_routed_total"), double(kJobs));
 
+  // The busy shard ran the gemm calls, the idle one none, and the merge
+  // counts each call once.
+  for (const auto& [name, v] : idle_stats->metrics)
+    EXPECT_NE(name.rfind("la_gemm", 0), 0u) << name;
+  double busy_gemm = 0;
+  for (const auto& [name, v] : busy.stats_rows())
+    if (name == "la_gemm_calls_total") busy_gemm = v;
+  EXPECT_GT(busy_gemm, 0.0);
+  EXPECT_EQ(stats->value("la_gemm_calls_total"), busy_gemm);
+
   router.stop();
   shard_a.stop();
   shard_b.stop();
+  obs::set_profiling_enabled(was_profiling);
 }
 
 TEST(ClusterRouter, ScrapeTimeoutDegradesToStaleCountWithoutEvicting) {
@@ -977,18 +994,29 @@ TEST(ClusterRouter, HedgedPairDeliversOneResultAndCancelsLoser) {
   shard_b.stop();
 }
 
-// Latency hedging: with `hedge` armed, an exchange whose owner stays
-// silent past the kind's p99 in the router's own SLO window (here the
-// 50 ms floor: the warm-up jobs are cache hits) gets one duplicate on
-// the successor, paid for from the token bucket that each routed submit
-// refills by 0.05.
-TEST(ClusterRouter, LatencyHedgeFiresPastOwnP99) {
+namespace {
+
+/// Hedge-bucket burst cap (router.cpp's kHedgeBurstCap): the bucket
+/// starts full, so a fresh router can hedge this many slow submits.
+constexpr int kHedgeBurst = 5;
+
+/// Shard 0's scheduler: every job sits 800 ms behind the `job_latency`
+/// fault, far past the router's hedge trigger.
+runtime::SchedulerOptions slow_sched() {
   fault::FaultConfig cfg;
   cfg.probability[static_cast<int>(fault::FaultKind::JobLatency)] = 1.0;
-  cfg.latency_ms = 800;  // every job on shard 0 sits far past the trigger
-  runtime::SchedulerOptions slow = small_sched();
-  slow.injector = std::make_shared<fault::FaultInjector>(cfg, 1);
-  runtime::Scheduler sched_a(slow), sched_b(small_sched());
+  cfg.latency_ms = 800;
+  runtime::SchedulerOptions so = small_sched();
+  so.injector = std::make_shared<fault::FaultInjector>(cfg, 1);
+  return so;
+}
+
+}  // namespace
+
+// A fresh router holds a full hedge budget: its very first submit, to
+// a slow owner, is hedged onto the successor past the 50 ms floor.
+TEST(ClusterRouter, FreshRouterHedgesItsFirstSlowSubmit) {
+  runtime::Scheduler sched_a(slow_sched()), sched_b(small_sched());
   net::Server shard_a(sched_a, shard_opts()), shard_b(sched_b, shard_opts());
   ASSERT_TRUE(shard_a.start());
   ASSERT_TRUE(shard_b.start());
@@ -997,8 +1025,44 @@ TEST(ClusterRouter, LatencyHedgeFiresPastOwnP99) {
   Router router(ro);
   ASSERT_TRUE(router.start());
 
-  // Warm shard 1's result cache directly (no routed submit, no token),
-  // so the routed warm-ups below are fast hits.
+  net::Client client(client_for(router));
+  ASSERT_TRUE(client.connect());
+  const net::JobRequest req =
+      lowrank_fixed_request(1, seed_owned_by(0, ro.vnodes));
+  const net::CallResult res = client.call(req);
+  ASSERT_EQ(res.status, net::CallStatus::Ok) << res.detail;
+  ASSERT_EQ(res.header.status, runtime::JobStatus::Done) << res.header.error;
+  EXPECT_LT(fixed_rank_residual(req, res), 1e-8);
+
+  const RouterStats stats = router.stats();
+  EXPECT_EQ(stats.hedges_fired, 1u);
+  EXPECT_EQ(stats.hedge_wins, 1u);
+  EXPECT_EQ(stats.hedge_budget_exhausted, 0u);
+  EXPECT_EQ(stats.results_relayed, 1u);
+
+  router.stop();
+  shard_a.stop();
+  shard_b.stop();
+}
+
+// Latency hedging: with `hedge` armed, an exchange whose owner stays
+// silent past the kind's p99 in the router's own SLO window (here the
+// 50 ms floor: the warm-up jobs are cache hits) gets one duplicate on
+// the successor, paid for from the token bucket. The bucket starts at
+// its burst cap and each routed submit refills 0.05, so the burst
+// drains after kHedgeBurst slow jobs and the next one is suppressed.
+TEST(ClusterRouter, LatencyHedgeFiresPastOwnP99) {
+  runtime::Scheduler sched_a(slow_sched()), sched_b(small_sched());
+  net::Server shard_a(sched_a, shard_opts()), shard_b(sched_b, shard_opts());
+  ASSERT_TRUE(shard_a.start());
+  ASSERT_TRUE(shard_b.start());
+  RouterOptions ro = router_over({&shard_a, &shard_b});
+  ro.hedge = true;
+  Router router(ro);
+  ASSERT_TRUE(router.start());
+
+  // Warm shard 1's result cache directly, so the routed warm-ups below
+  // are fast hits that fill the router's window without hedging.
   const std::uint64_t fast_seed = seed_owned_by(1, ro.vnodes);
   net::ClientOptions direct_opt;
   direct_opt.port = shard_b.port();
@@ -1007,9 +1071,7 @@ TEST(ClusterRouter, LatencyHedgeFiresPastOwnP99) {
   ASSERT_EQ(direct.call(lowrank_fixed_request(1, fast_seed)).status,
             net::CallStatus::Ok);
 
-  // The bucket first holds a whole token at the 20th routed submit, so
-  // none of these 19 warm-ups can hedge, and the slow job can.
-  constexpr int kWarm = 19;
+  constexpr int kWarm = 10;
   net::Client client(client_for(router));
   ASSERT_TRUE(client.connect());
   for (int id = 1; id <= kWarm; ++id)
@@ -1018,29 +1080,36 @@ TEST(ClusterRouter, LatencyHedgeFiresPastOwnP99) {
   const RouterStats warm = router.stats();
   EXPECT_EQ(warm.hedges_fired, 0u);
 
-  const net::JobRequest req =
-      lowrank_fixed_request(1000, seed_owned_by(0, ro.vnodes));
-  const net::CallResult res = client.call(req);
-  ASSERT_EQ(res.status, net::CallStatus::Ok) << res.detail;
-  ASSERT_EQ(res.header.status, runtime::JobStatus::Done) << res.header.error;
-  EXPECT_LT(fixed_rank_residual(req, res), 1e-8);
-
+  // Each slow job (a fresh matrix, so no cache can answer it) is hedged
+  // once: the fast successor wins, the slow owner's leg is cancelled.
+  std::uint64_t slow_seed = 0;
+  auto next_slow = [&](std::uint64_t id) {
+    slow_seed = seed_owned_by(0, ro.vnodes, slow_seed + 1);
+    return lowrank_fixed_request(id, slow_seed);
+  };
+  for (int i = 0; i < kHedgeBurst; ++i) {
+    const net::JobRequest slow = next_slow(1000 + std::uint64_t(i));
+    const net::CallResult res = client.call(slow);
+    ASSERT_EQ(res.status, net::CallStatus::Ok) << res.detail;
+    ASSERT_EQ(res.header.status, runtime::JobStatus::Done) << res.header.error;
+    EXPECT_LT(fixed_rank_residual(slow, res), 1e-8);
+    const RouterStats stats = router.stats();
+    EXPECT_EQ(stats.hedges_fired, std::uint64_t(i + 1));
+    EXPECT_EQ(stats.hedge_wins, std::uint64_t(i + 1));
+    EXPECT_EQ(stats.hedge_cancels, std::uint64_t(i + 1));
+    EXPECT_EQ(stats.hedge_budget_exhausted, warm.hedge_budget_exhausted);
+  }
   RouterStats stats = router.stats();
-  EXPECT_EQ(stats.hedges_fired, 1u);
-  EXPECT_EQ(stats.hedge_wins, 1u);     // the fast successor answered
-  EXPECT_EQ(stats.hedge_cancels, 1u);  // the slow owner's leg cancelled
-  EXPECT_EQ(stats.results_relayed, std::uint64_t(kWarm + 1));
-  EXPECT_EQ(stats.hedge_budget_exhausted, warm.hedge_budget_exhausted);
+  EXPECT_EQ(stats.results_relayed, std::uint64_t(kWarm + kHedgeBurst));
   EXPECT_EQ(stats.forward_errors, 0u);
 
-  // The hedge spent the token: the next slow job is not hedged.
-  net::JobRequest again = req;
-  again.request_id = 1001;
-  ASSERT_EQ(client.call(again).status, net::CallStatus::Ok);
+  // The burst is spent: the next slow job is not hedged.
+  ASSERT_EQ(client.call(next_slow(1000 + kHedgeBurst)).status,
+            net::CallStatus::Ok);
   stats = router.stats();
-  EXPECT_EQ(stats.hedges_fired, 1u);
+  EXPECT_EQ(stats.hedges_fired, std::uint64_t(kHedgeBurst));
   EXPECT_EQ(stats.hedge_budget_exhausted, warm.hedge_budget_exhausted + 1);
-  EXPECT_EQ(stats.results_relayed, std::uint64_t(kWarm + 2));
+  EXPECT_EQ(stats.results_relayed, std::uint64_t(kWarm + kHedgeBurst + 1));
 
   router.stop();
   shard_a.stop();

@@ -114,6 +114,33 @@ TEST(Injector, DisabledDecisionsKeepSequenceAligned) {
     EXPECT_EQ(on.fire(FaultKind::ConnReset), gated.fire(FaultKind::ConnReset));
 }
 
+// Each injector exports its own counts, every row from the start, so
+// two injectors in one process never see each other's decisions.
+TEST(Injector, StatsRowsCountOnlyThisInjector) {
+  FaultInjector a(*parse_schedule("conn_reset:1:2"), 1);
+  FaultInjector b(*parse_schedule("conn_reset@1"), 2);
+  for (int i = 0; i < 3; ++i) a.fire(FaultKind::ConnReset);
+  a.fire(FaultKind::WriteDelay);
+  auto value = [](const randla::obs::MetricRows& rows, const std::string& n) {
+    for (const auto& [name, v] : rows)
+      if (name == n) return v;
+    ADD_FAILURE() << "missing " << n;
+    return -1.0;
+  };
+  const auto ra = a.stats_rows(), rb = b.stats_rows();
+  ASSERT_EQ(ra.size(), std::size_t(1 + kNumFaultKinds));
+  ASSERT_EQ(rb.size(), ra.size());
+  EXPECT_EQ(value(ra, "fault_decisions_total"), 4.0);
+  EXPECT_EQ(value(ra, "fault_injected_total{kind=\"conn_reset\"}"), 2.0);
+  EXPECT_EQ(value(ra, "fault_injected_total{kind=\"write_delay\"}"), 0.0);
+  for (int k = 0; k < kNumFaultKinds; ++k) {
+    const std::string name = std::string("fault_injected_total{kind=\"") +
+                             fault_kind_name(FaultKind(k)) + "\"}";
+    EXPECT_EQ(value(rb, name), 0.0);
+  }
+  EXPECT_EQ(value(rb, "fault_decisions_total"), 0.0);
+}
+
 // Closed → Open → HalfOpen with externally-supplied time; one probe per
 // half-open window; a probe success closes, a probe failure reopens.
 TEST(Breaker, TransitionsWithSuppliedTime) {

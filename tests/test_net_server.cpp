@@ -518,6 +518,80 @@ TEST(NetServer, StatsFrameRoundTripLiveServer) {
   EXPECT_EQ(server.stats().frames_in, 4u);
 }
 
+// randla_loadgen's chaos setup: the server and its scheduler share one
+// injector. A Stats reply carries its rows once, with only its own
+// counts, though another injector in the process has fired.
+TEST(NetServer, SharedInjectorRowsAppearOnceInStats) {
+  fault::FaultConfig cfg;
+  cfg.probability[static_cast<int>(fault::FaultKind::JobLatency)] = 1.0;
+  cfg.latency_ms = 1;
+  auto shared = std::make_shared<fault::FaultInjector>(cfg, 3);
+  fault::FaultInjector other(cfg, 4);
+  for (int i = 0; i < 5; ++i) other.fire(fault::FaultKind::JobLatency);
+  runtime::SchedulerOptions so = small_sched();
+  so.injector = shared;
+  runtime::Scheduler sched(so);
+  ServerOptions sopts;
+  sopts.injector = shared;
+  Server server(sched, sopts);
+  ASSERT_TRUE(server.start());
+  Client client(client_for(server));
+  ASSERT_TRUE(client.connect());
+  ASSERT_EQ(client.call(lowrank_fixed_request(1, 41)).status, CallStatus::Ok);
+
+  const auto stats = client.stats();
+  ASSERT_TRUE(stats.has_value()) << client.last_error();
+  int fault_rows = 0;
+  std::set<std::string> names;
+  for (const auto& [name, v] : stats->metrics) {
+    EXPECT_TRUE(names.insert(name).second) << "duplicate row " << name;
+    fault_rows += name == "fault_decisions_total" ||
+                  name.rfind("fault_injected_total{", 0) == 0;
+  }
+  EXPECT_EQ(fault_rows, 1 + fault::kNumFaultKinds);
+  EXPECT_EQ(stats->value("fault_injected_total{kind=\"job_latency\"}"), 1.0);
+  server.stop();
+  std::uint64_t decided = 0;
+  for (int k = 0; k < fault::kNumFaultKinds; ++k)
+    decided += shared->decisions(fault::FaultKind(k));
+  EXPECT_GT(stats->value("fault_decisions_total"), 0.0);
+  EXPECT_LE(stats->value("fault_decisions_total"), double(decided));
+}
+
+// A server with an injector of its own, beside its scheduler's, folds
+// both into one row per fault series.
+TEST(NetServer, ServerAndSchedulerInjectorsShareOneRowPerSeries) {
+  fault::FaultConfig slow;
+  slow.probability[static_cast<int>(fault::FaultKind::JobLatency)] = 1.0;
+  slow.latency_ms = 1;
+  runtime::SchedulerOptions so = small_sched();
+  so.injector = std::make_shared<fault::FaultInjector>(slow, 5);
+  runtime::Scheduler sched(so);
+  ServerOptions sopts;
+  sopts.injector = fault::make_injector("write_delay:1000000", 6);
+  Server server(sched, sopts);
+  ASSERT_TRUE(server.start());
+  Client client(client_for(server));
+  ASSERT_TRUE(client.connect());
+  ASSERT_EQ(client.call(lowrank_fixed_request(1, 43)).status, CallStatus::Ok);
+  server.stop();  // no more decisions while the counts are compared
+
+  const obs::MetricRows rows = server.stats_rows();
+  std::set<std::string> names;
+  double decisions = -1, job_latency = -1;
+  for (const auto& [name, v] : rows) {
+    EXPECT_TRUE(names.insert(name).second) << "duplicate row " << name;
+    if (name == "fault_decisions_total") decisions = v;
+    if (name == "fault_injected_total{kind=\"job_latency\"}") job_latency = v;
+  }
+  EXPECT_EQ(job_latency, 1.0);
+  const double server_decided = sopts.injector->stats_rows().front().second;
+  const double sched_decided = so.injector->stats_rows().front().second;
+  EXPECT_GT(server_decided, 0.0);
+  EXPECT_GT(sched_decided, 0.0);
+  EXPECT_EQ(decisions, server_decided + sched_decided);
+}
+
 TEST(NetServer, TraceIdPropagatesThroughAllLayers) {
   auto& tracer = obs::Tracer::global();
   tracer.clear();

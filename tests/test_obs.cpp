@@ -1,20 +1,21 @@
-// test_obs.cpp — observability subsystem: lock-light metrics registry
-// (counters / gauges / log-bucket histograms, drain-on-scrape shards),
-// Prometheus/JSON exposition, the span tracer, thread-local trace-id
-// propagation, the BLAS kernel profiling hooks (DESIGN.md §9), the
-// flight recorder, and the SLO latency plane (DESIGN.md §14).
+// test_obs.cpp — observability subsystem: log-bucket histograms,
+// Prometheus/JSON exposition of metric snapshots, the span tracer,
+// thread-local trace-id propagation, the BLAS kernel profiling hooks
+// and their per-owner kernel tables (DESIGN.md §9), the flight
+// recorder, and the SLO latency plane (DESIGN.md §14).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "la/blas3.hpp"
+#include "la/parallel.hpp"
+#include "la/profile_hooks.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/slo.hpp"
@@ -26,98 +27,14 @@ namespace {
 
 using namespace randla;
 
-const randla::obs::HistogramSnapshot* find_hist(const obs::Snapshot& snap,
-                                                const std::string& name) {
-  for (const auto& h : snap.histograms)
-    if (h.name == name) return &h;
-  return nullptr;
-}
-
-// ------------------------------------------------------------ counters
-
-TEST(ObsCounter, ExactUnderConcurrency) {
-  obs::Registry reg;
-  obs::Counter c = reg.counter("jobs_total", "help text");
-  const int kThreads = 8, kIters = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) c.inc();
-    });
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(reg.scrape().value("jobs_total"), double(kThreads) * kIters);
-  // Writer threads have exited; their shards were drained into the base
-  // on the scrape above. The total must survive a second scrape.
-  EXPECT_EQ(reg.scrape().value("jobs_total"), double(kThreads) * kIters);
-}
-
-TEST(ObsCounter, RegistrationIsIdempotent) {
-  obs::Registry reg;
-  obs::Counter a = reg.counter("dup_total");
-  obs::Counter b = reg.counter("dup_total");
-  a.add(2.0);
-  b.add(3.0);
-  EXPECT_EQ(reg.scrape().value("dup_total"), 5.0);
-}
-
-TEST(ObsCounter, DefaultHandleIsNoop) {
-  obs::Counter c;
-  EXPECT_FALSE(bool(c));
-  c.inc();  // must not crash
-  EXPECT_EQ(c.value(), 0.0);
-}
-
-TEST(ObsRegistry, KindMismatchThrows) {
-  obs::Registry reg;
-  reg.counter("name_total");
-  EXPECT_THROW(reg.gauge("name_total"), std::logic_error);
-  EXPECT_THROW(reg.histogram("name_total"), std::logic_error);
-  reg.gauge("depth");
-  EXPECT_THROW(reg.counter("depth"), std::logic_error);
-}
-
-TEST(ObsRegistry, ResetZeroesButKeepsRegistrations) {
-  obs::Registry reg;
-  obs::Counter c = reg.counter("c_total");
-  obs::Gauge g = reg.gauge("g");
-  obs::Histogram h = reg.histogram("h_seconds");
-  c.add(7);
-  g.set(3);
-  h.observe(0.5);
-  reg.reset();
-  const obs::Snapshot snap = reg.scrape();
-  EXPECT_EQ(snap.value("c_total"), 0.0);
-  EXPECT_EQ(snap.value("g"), 0.0);
-  const auto* hs = find_hist(snap, "h_seconds");
-  ASSERT_NE(hs, nullptr);
-  EXPECT_EQ(hs->total, 0.0);
-  // Handles issued before the reset keep working.
-  c.inc();
-  EXPECT_EQ(reg.scrape().value("c_total"), 1.0);
-}
-
-// -------------------------------------------------------------- gauges
-
-TEST(ObsGauge, SetAndAdd) {
-  obs::Registry reg;
-  obs::Gauge g = reg.gauge("queue_depth");
-  g.set(5);
-  EXPECT_EQ(g.value(), 5.0);
-  g.add(3);
-  g.add(-7);
-  EXPECT_EQ(g.value(), 1.0);
-  EXPECT_EQ(reg.scrape().value("queue_depth"), 1.0);
-}
-
 // ---------------------------------------------------------- histograms
 
 TEST(ObsHistogram, BucketBoundariesAreInclusiveUpper) {
-  obs::Registry reg;
   obs::HistogramSpec spec;
   spec.first_upper = 1.0;
   spec.growth = 2.0;
   spec.buckets = 4;  // uppers: 1, 2, 4, +Inf
-  obs::Histogram h = reg.histogram("lat", spec);
+  obs::HistogramSnapshot h(spec, "lat");
   // Prometheus `le` semantics: a value equal to an upper bound belongs
   // to that bucket, the next larger value spills into the following one.
   h.observe(0.5);  // bucket 0 (≤1)
@@ -127,60 +44,49 @@ TEST(ObsHistogram, BucketBoundariesAreInclusiveUpper) {
   h.observe(2.5);  // bucket 2
   h.observe(4.0);  // bucket 2 (inclusive)
   h.observe(100);  // +Inf bucket
-  const obs::Snapshot snap = reg.scrape();
-  const auto* hs = find_hist(snap, "lat");
-  ASSERT_NE(hs, nullptr);
-  ASSERT_EQ(hs->upper.size(), 4u);
-  EXPECT_EQ(hs->upper[0], 1.0);
-  EXPECT_EQ(hs->upper[1], 2.0);
-  EXPECT_EQ(hs->upper[2], 4.0);
-  EXPECT_TRUE(std::isinf(hs->upper[3]));
-  ASSERT_EQ(hs->count.size(), 4u);
-  EXPECT_EQ(hs->count[0], 2.0);
-  EXPECT_EQ(hs->count[1], 2.0);
-  EXPECT_EQ(hs->count[2], 2.0);
-  EXPECT_EQ(hs->count[3], 1.0);
-  EXPECT_EQ(hs->total, 7.0);
-  EXPECT_DOUBLE_EQ(hs->sum, 0.5 + 1.0 + 1.5 + 2.0 + 2.5 + 4.0 + 100.0);
+  ASSERT_EQ(h.upper.size(), 4u);
+  EXPECT_EQ(h.upper[0], 1.0);
+  EXPECT_EQ(h.upper[1], 2.0);
+  EXPECT_EQ(h.upper[2], 4.0);
+  EXPECT_TRUE(std::isinf(h.upper[3]));
+  ASSERT_EQ(h.count.size(), 4u);
+  EXPECT_EQ(h.count[0], 2.0);
+  EXPECT_EQ(h.count[1], 2.0);
+  EXPECT_EQ(h.count[2], 2.0);
+  EXPECT_EQ(h.count[3], 1.0);
+  EXPECT_EQ(h.total, 7.0);
+  EXPECT_DOUBLE_EQ(h.sum, 0.5 + 1.0 + 1.5 + 2.0 + 2.5 + 4.0 + 100.0);
 }
 
 TEST(ObsHistogram, QuantilesAreOrderedAndBracketed) {
-  obs::Registry reg;
-  obs::Histogram h = reg.histogram("q_seconds");
+  obs::HistogramSnapshot h(obs::HistogramSpec{}, "q_seconds");
   for (int i = 1; i <= 1000; ++i) h.observe(i * 1e-4);  // 0.1ms … 100ms
-  const obs::Snapshot snap = reg.scrape();
-  const auto* hs = find_hist(snap, "q_seconds");
-  ASSERT_NE(hs, nullptr);
-  const double p50 = hs->quantile(0.50);
-  const double p90 = hs->quantile(0.90);
-  const double p99 = hs->quantile(0.99);
+  const double p50 = h.quantile(0.50);
+  const double p90 = h.quantile(0.90);
+  const double p99 = h.quantile(0.99);
   EXPECT_LE(p50, p90);
   EXPECT_LE(p90, p99);
   // Log-bucket resolution is ~41%; the estimates must land within one
   // bucket-width of the exact order statistics.
   EXPECT_NEAR(p50, 0.050, 0.050 * 0.5);
   EXPECT_NEAR(p99, 0.099, 0.099 * 0.5);
-  EXPECT_NEAR(hs->mean(), 0.050, 0.050 * 0.05);
+  EXPECT_NEAR(h.mean(), 0.050, 0.050 * 0.05);
 }
 
 TEST(ObsHistogram, EmptyQuantileIsZero) {
-  obs::Registry reg;
-  reg.histogram("empty_seconds");
-  const obs::Snapshot snap = reg.scrape();
-  const auto* hs = find_hist(snap, "empty_seconds");
-  ASSERT_NE(hs, nullptr);
-  EXPECT_EQ(hs->quantile(0.5), 0.0);
-  EXPECT_EQ(hs->mean(), 0.0);
+  const obs::HistogramSnapshot h(obs::HistogramSpec{}, "empty_seconds");
+  EXPECT_EQ(h.quantile(0.5), 0.0);
+  EXPECT_EQ(h.mean(), 0.0);
 }
 
 // ---------------------------------------------------------- exposition
 
 TEST(ObsSnapshot, PrometheusGroupsLabeledFamilies) {
-  obs::Registry reg;
-  reg.counter("frames_total{type=\"submit\"}").add(3);
-  reg.counter("frames_total{type=\"ping\"}").add(1);
-  reg.gauge("depth", "queue depth").set(2);
-  const std::string text = reg.scrape().prometheus();
+  obs::Snapshot snap;
+  snap.counters = {{"frames_total{type=\"submit\"}", 3},
+                   {"frames_total{type=\"ping\"}", 1}};
+  snap.gauges = {{"depth", 2}};
+  const std::string text = snap.prometheus();
   // One TYPE line per family, not per labeled series.
   std::size_t pos = 0, type_lines = 0;
   while ((pos = text.find("# TYPE frames_total counter", pos)) !=
@@ -203,11 +109,12 @@ TEST(ObsSnapshot, PrometheusGroupsLabeledFamilies) {
                     {"bad_total{kind=\"b\"}", 4}};
   mixed.gauges = {{"p99{kind=\"a\"}", 5}, {"burn{kind=\"a\"}", 6},
                   {"p99{kind=\"b\"}", 7}};
-  obs::Registry hreg;
-  hreg.histogram("lat_seconds{kind=\"a\"}").observe(0.1);
-  hreg.histogram("wait_seconds{kind=\"a\"}").observe(0.1);
-  hreg.histogram("lat_seconds{kind=\"b\"}").observe(0.2);
-  mixed.histograms = hreg.scrape().histograms;
+  for (const auto& [name, v] : {std::pair{"lat_seconds{kind=\"a\"}", 0.1},
+                                {"wait_seconds{kind=\"a\"}", 0.1},
+                                {"lat_seconds{kind=\"b\"}", 0.2}}) {
+    mixed.histograms.emplace_back(obs::HistogramSpec{}, name);
+    mixed.histograms.back().observe(v);
+  }
   const std::string grouped = mixed.prometheus();
   auto count = [&grouped](const std::string& needle) {
     std::size_t n = 0;
@@ -232,13 +139,14 @@ TEST(ObsSnapshot, PrometheusGroupsLabeledFamilies) {
 }
 
 TEST(ObsSnapshot, FlattenCarriesHistogramCountAndSum) {
-  obs::Registry reg;
-  reg.counter("a_total").add(2);
-  reg.gauge("b").set(9);
-  obs::Histogram h = reg.histogram("lat_seconds");
+  obs::Snapshot snap;
+  snap.counters = {{"a_total", 2}};
+  snap.gauges = {{"b", 9}};
+  obs::HistogramSnapshot& h =
+      snap.histograms.emplace_back(obs::HistogramSpec{}, "lat_seconds");
   h.observe(1.0);
   h.observe(3.0);
-  const auto flat = reg.scrape().flatten();
+  const auto flat = snap.flatten();
   auto get = [&](const std::string& name) -> double {
     for (const auto& [n, v] : flat)
       if (n == name) return v;
@@ -353,6 +261,17 @@ TEST(ObsTraceId, MintedIdsAreNonzeroAndDistinct) {
 
 // ------------------------------------------------------- kernel hooks
 
+double row_or_zero(const obs::MetricRows& rows, const std::string& name) {
+  for (const auto& [n, v] : rows)
+    if (n == name) return v;
+  return 0;
+}
+
+// A row of the table that threads outside any scheduler record into.
+double kernel_row(const std::string& name) {
+  return row_or_zero(la_prof::KernelTable::process_default().rows(), name);
+}
+
 TEST(ObsKernelHooks, GemmRecordsCountersAndSpanWhenProfiling) {
   const bool was_profiling = obs::profiling_enabled();
   obs::set_profiling_enabled(true);
@@ -360,11 +279,8 @@ TEST(ObsKernelHooks, GemmRecordsCountersAndSpanWhenProfiling) {
   tr.clear();
   tr.enable();
 
-  auto snap_value = [](const char* name) {
-    return obs::Registry::global().scrape().value(name);
-  };
-  const double calls_before = snap_value("la_gemm_calls_total");
-  const double flops_before = snap_value("la_gemm_flops_total");
+  const double calls_before = kernel_row("la_gemm_calls_total");
+  const double flops_before = kernel_row("la_gemm_flops_total");
 
   const index_t m = 24, n = 16, k = 12;
   auto a = randla::testing::random_matrix<double>(m, k, 1);
@@ -376,10 +292,11 @@ TEST(ObsKernelHooks, GemmRecordsCountersAndSpanWhenProfiling) {
                        b.view(), 0.0, c.view());
   }
 
-  EXPECT_EQ(snap_value("la_gemm_calls_total"), calls_before + 1.0);
-  EXPECT_DOUBLE_EQ(snap_value("la_gemm_flops_total"),
+  EXPECT_EQ(kernel_row("la_gemm_calls_total"), calls_before + 1.0);
+  EXPECT_DOUBLE_EQ(kernel_row("la_gemm_flops_total"),
                    flops_before + 2.0 * m * n * k);
-  EXPECT_GT(snap_value("la_gemm_efficiency_vs_model"), 0.0);
+  EXPECT_GT(kernel_row("la_gemm_gflops"), 0.0);
+  EXPECT_GT(kernel_row("la_gemm_efficiency_vs_model"), 0.0);
 
   bool saw_span = false;
   for (const auto& ev : tr.events())
@@ -394,23 +311,90 @@ TEST(ObsKernelHooks, GemmRecordsCountersAndSpanWhenProfiling) {
   obs::set_profiling_enabled(was_profiling);
 }
 
+// A kernel that the pool splits records once, with its own flop count,
+// at any thread count: a gemm inside one of its chunks is nested in it
+// on whichever lane the chunk runs, so it records nothing of its own.
+TEST(ObsKernelHooks, PooledKernelsRecordOnceAtAnyThreadCount) {
+  const bool was_profiling = obs::profiling_enabled();
+  const index_t was_threads = blas_num_threads();
+  obs::set_profiling_enabled(true);
+  const index_t n = 400, k = 300;
+  const auto a = randla::testing::random_matrix<double>(n, k, 5);
+  auto t = randla::testing::random_matrix<double>(n, n, 6);
+  for (index_t i = 0; i < n; ++i) t(i, i) += double(n);  // well conditioned
+  for (const index_t threads : {index_t(1), index_t(4)}) {
+    SCOPED_TRACE(threads);
+    set_blas_num_threads(threads);
+    const double outside_gemm = kernel_row("la_gemm_calls_total");
+    la_prof::KernelTable table;
+    {
+      const la_prof::ScopedContext ctx(la_prof::Context{.table = &table});
+      Matrix<double> c(n, n);
+      blas::syrk<double>(Uplo::Upper, Op::NoTrans, 1.0, a.view(), 0.0,
+                         c.view());
+      Matrix<double> b = Matrix<double>::copy_of(a.view());
+      blas::trsm<double>(Side::Left, Uplo::Upper, Op::NoTrans, Diag::NonUnit,
+                         1.0, t.view(), b.view());
+    }
+    const obs::MetricRows rows = table.rows();
+    EXPECT_EQ(row_or_zero(rows, "la_syrk_calls_total"), 1.0);
+    EXPECT_EQ(row_or_zero(rows, "la_syrk_flops_total"), double(n) * n * k);
+    EXPECT_EQ(row_or_zero(rows, "la_trsm_calls_total"), 1.0);
+    EXPECT_EQ(row_or_zero(rows, "la_trsm_flops_total"), double(n) * n * k);
+    for (const auto& [name, v] : rows)
+      EXPECT_NE(name.rfind("la_gemm", 0), 0u) << name;
+    EXPECT_EQ(kernel_row("la_gemm_calls_total"), outside_gemm);
+  }
+  set_blas_num_threads(was_threads);
+  obs::set_profiling_enabled(was_profiling);
+}
+
+// A kernel reached from a pool chunk of non-kernel code (TSQR's fork)
+// is outermost, and records into the table of the thread that forked.
+TEST(ObsKernelHooks, KernelsInPoolChunksRecordIntoTheCallersTable) {
+  const bool was_profiling = obs::profiling_enabled();
+  const index_t was_threads = blas_num_threads();
+  obs::set_profiling_enabled(true);
+  set_blas_num_threads(4);
+  constexpr index_t kChunks = 4, n = 16;
+  const auto a = randla::testing::random_matrix<double>(n, n, 7);
+  std::vector<Matrix<double>> c(kChunks, Matrix<double>(n, n));
+  const double outside_gemm = kernel_row("la_gemm_calls_total");
+  la_prof::KernelTable table;
+  {
+    const la_prof::ScopedContext ctx(la_prof::Context{.table = &table});
+    parallel_ranges(kChunks, 1, [&](index_t b, index_t e) {
+      for (index_t i = b; i < e; ++i)
+        blas::gemm<double>(Op::NoTrans, Op::NoTrans, 1.0, a.view(), a.view(),
+                           0.0, c[std::size_t(i)].view());
+    });
+  }
+  const obs::MetricRows rows = table.rows();
+  EXPECT_EQ(row_or_zero(rows, "la_gemm_calls_total"), double(kChunks));
+  EXPECT_EQ(row_or_zero(rows, "la_gemm_flops_total"),
+            kChunks * 2.0 * n * n * n);
+  EXPECT_EQ(kernel_row("la_gemm_calls_total"), outside_gemm);
+  set_blas_num_threads(was_threads);
+  obs::set_profiling_enabled(was_profiling);
+}
+
 // ---------------------------------------------------- bucket exposition
 
-TEST(ObsSnapshot, FlattenBucketRowsAreCumulativeAndStableAcrossRegistries) {
-  // Two registries stand in for two shard processes: with a shared
+TEST(ObsSnapshot, FlattenBucketRowsAreCumulativeAndStableAcrossInstances) {
+  // Two snapshots stand in for two shard processes: with a shared
   // compile-time spec their flattened bucket-row *names* must be
   // byte-identical, which is what lets the router merge histograms by
   // exact string name (DESIGN.md §14).
-  obs::Registry a, b;
+  obs::Snapshot a, b;
   const obs::HistogramSpec spec{1.0, 2.0, 4};  // uppers 1, 2, 4, +Inf
-  obs::Histogram ha = a.histogram("lat_seconds", spec);
-  obs::Histogram hb = b.histogram("lat_seconds", spec);
+  obs::HistogramSnapshot& ha = a.histograms.emplace_back(spec, "lat_seconds");
+  obs::HistogramSnapshot& hb = b.histograms.emplace_back(spec, "lat_seconds");
   ha.observe(0.5);
   ha.observe(1.5);
   ha.observe(100.0);
   hb.observe(3.0);
-  const auto fa = a.scrape().flatten(/*include_buckets=*/true);
-  const auto fb = b.scrape().flatten(/*include_buckets=*/true);
+  const auto fa = a.flatten(/*include_buckets=*/true);
+  const auto fb = b.flatten(/*include_buckets=*/true);
   auto names = [](const std::vector<std::pair<std::string, double>>& rows) {
     std::vector<std::string> out;
     for (const auto& [n, v] : rows)
@@ -434,16 +418,16 @@ TEST(ObsSnapshot, FlattenBucketRowsAreCumulativeAndStableAcrossRegistries) {
   EXPECT_DOUBLE_EQ(get("lat_seconds_sum"), 102.0);
   // Default flatten stays bucket-free (wire-size hygiene for the plain
   // single-server scrape consumers that predate the cluster plane).
-  for (const auto& [n, v] : a.scrape().flatten())
+  for (const auto& [n, v] : a.flatten())
     EXPECT_EQ(n.find("_bucket"), std::string::npos) << n;
 }
 
 TEST(ObsSnapshot, FlattenKeepsLabeledHistogramBucketRowsDistinct) {
-  obs::Registry reg;
+  obs::Snapshot snap;
   const obs::HistogramSpec spec{1.0, 2.0, 2};
-  reg.histogram("slo_seconds{kind=\"a\"}", spec).observe(0.5);
-  reg.histogram("slo_seconds{kind=\"b\"}", spec).observe(5.0);
-  const auto flat = reg.scrape().flatten(true);
+  snap.histograms.emplace_back(spec, "slo_seconds{kind=\"a\"}").observe(0.5);
+  snap.histograms.emplace_back(spec, "slo_seconds{kind=\"b\"}").observe(5.0);
+  const auto flat = snap.flatten(true);
   auto get = [&](const char* name) -> double {
     for (const auto& [n, v] : flat)
       if (n == name) return v;
@@ -623,16 +607,17 @@ TEST(ObsSlo, SnapshotComputesQuantilesAndBurnRateAgainstTheTarget) {
   EXPECT_EQ(book.p99(2), 0.0);
   EXPECT_EQ(get("slo_latency_seconds_count{kind=\"adaptive\"}"), 10.0);
 
-  // The book's bucket rows are byte-for-byte what a registry histogram
-  // on the same ladder writes, so shard and router rows merge exactly.
-  obs::Registry reg;
-  auto h = reg.histogram("slo_latency_seconds{kind=\"adaptive\"}",
-                         obs::slo_latency_spec());
+  // The book's bucket rows are byte-for-byte what a standalone
+  // histogram on the same ladder writes, so shard and router rows merge
+  // exactly.
+  obs::Snapshot same;
+  obs::HistogramSnapshot& h = same.histograms.emplace_back(
+      obs::slo_latency_spec(), "slo_latency_seconds{kind=\"adaptive\"}");
   for (int i = 0; i < 8; ++i) h.observe(0.001);
   h.observe(1.5);
   h.observe(1.5);
   std::size_t buckets = 0;
-  for (const auto& [name, v] : reg.scrape().flatten(true)) {
+  for (const auto& [name, v] : same.flatten(true)) {
     EXPECT_EQ(get(name), v) << name;
     buckets += name.find("_bucket{") != std::string::npos;
   }
@@ -673,16 +658,13 @@ TEST(ObsSlo, RouterAndSchedulerWindowsStayIndependent) {
 TEST(ObsKernelHooks, DisabledProfilingRecordsNothing) {
   const bool was_profiling = obs::profiling_enabled();
   obs::set_profiling_enabled(false);
-  auto snap_value = [](const char* name) {
-    return obs::Registry::global().scrape().value(name);
-  };
-  const double calls_before = snap_value("la_gemm_calls_total");
+  const double calls_before = kernel_row("la_gemm_calls_total");
   auto a = randla::testing::random_matrix<double>(8, 8, 3);
   auto b = randla::testing::random_matrix<double>(8, 8, 4);
   Matrix<double> c(8, 8);
   blas::gemm<double>(Op::NoTrans, Op::NoTrans, 1.0, a.view(),
                      b.view(), 0.0, c.view());
-  EXPECT_EQ(snap_value("la_gemm_calls_total"), calls_before);
+  EXPECT_EQ(kernel_row("la_gemm_calls_total"), calls_before);
   obs::set_profiling_enabled(was_profiling);
 }
 
