@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the kernels underneath every
 // figure: GEMM (sampling), CholQR / HHQR (orthogonalization), truncated
-// QP3 (the baseline), FFT (the alternative sampler), and the Philox
-// Gaussian generator (PRNG phase).
+// QP3 (the baseline), FFT (the alternative sampler), the Philox
+// Gaussian generator (PRNG phase), and the serving caches' content
+// fingerprint.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include "qrcp/qrcp.hpp"
 #include "rng/gaussian.hpp"
 #include "rsvd/rsvd.hpp"
+#include "runtime/fingerprint.hpp"
 
 namespace {
 
@@ -180,6 +182,30 @@ void BM_GaussianFill(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GaussianFill)->Arg(2000)->Arg(8000)->Arg(10000);
+
+// Content fingerprint of an m×n input (arg0 × arg1) at arg2 BLAS
+// threads: the serving caches' key, hashed once per inline upload on a
+// scheduler worker and once more on the router's loop.
+void BM_Fingerprint(benchmark::State& state) {
+  const index_t m = state.range(0), n = state.range(1);
+  const index_t prev_threads = blas_num_threads();
+  set_blas_num_threads(state.range(2));
+  const Matrix<double> a = rng::gaussian_matrix<double>(m, n, 31);
+  for (auto _ : state) {
+    auto fp = runtime::fingerprint_matrix(a.view());
+    benchmark::DoNotOptimize(fp);
+  }
+  set_blas_num_threads(prev_threads);
+  state.counters["elems/s"] = benchmark::Counter(
+      double(m * n) * double(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Fingerprint)
+    ->Args({256, 128, 4})
+    ->Args({10000, 1000, 1})
+    ->Args({10000, 1000, 4})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 // Batched vs looped GEMM at sampling shapes (ℓ×m · m×n): arg0 = batch
 // count, arg1 = ℓ. Each problem alone sits below the parallel fan-out

@@ -74,23 +74,9 @@ std::uint64_t routing_key(const net::JobRequest& req) {
     return fp.hi ^ fp.lo;
   }
   // Generator spec: hash the canonical spec key (the same string the
-  // server memoizes materialized matrices under), packed 8 bytes per
-  // absorbed word with the length folded in against padding collisions.
-  runtime::PhiloxHasher h(0x726f757465ull);  // "route"
-  const std::string key = net::spec_key(req.matrix);
-  std::uint64_t word = 0;
-  int nbytes = 0;
-  for (unsigned char c : key) {
-    word = (word << 8) | c;
-    if (++nbytes == 8) {
-      h.absorb(word);
-      word = 0;
-      nbytes = 0;
-    }
-  }
-  h.absorb(word);
-  h.absorb(key.size());
-  const runtime::Fingerprint fp = h.digest();
+  // server memoizes materialized matrices under).
+  const runtime::Fingerprint fp =
+      runtime::fingerprint_bytes(net::spec_key(req.matrix));
   return fp.hi ^ fp.lo;
 }
 

@@ -11,8 +11,9 @@
 // caches keep their entire keyspace slice through the failure.
 //
 // Keys are 64-bit digests of the *request's matrix identity* — the
-// Philox content fingerprint for inline payloads, the Philox hash of the
-// generator spec key otherwise (the spec determines the materialized
+// content fingerprint for inline payloads (recomputed here, never taken
+// from the client), the same word-lane hash of the generator spec key's
+// bytes otherwise (the spec determines the materialized
 // bits, so spec identity and content identity coincide for generator
 // requests). Placement is therefore a pure function of the job's input
 // matrix: every request for the same matrix lands on the same shard and

@@ -829,6 +829,9 @@ void Router::Impl::start_exchange(std::uint64_t cid, PendingSubmit ps) {
     }
     return;
   }
+  // One count per client submit; hedge, replica and reroute legs only
+  // add to the per-shard `submits`.
+  bump(&RouterStats::submits_routed);
   if (!ps.replica_frame.empty())
     start_replica(xid, std::move(ps.replica_frame));
 }
@@ -972,7 +975,6 @@ bool Router::Impl::bind_to_shard(std::uint64_t xid, std::uint32_t shard) {
   u.x = xid;
   u.queue(x.frame);
   shards[shard].submits += 1;
-  bump(&RouterStats::submits_routed);
   return true;
 }
 

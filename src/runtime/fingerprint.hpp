@@ -3,16 +3,23 @@
 //
 // The cache key must identify a matrix by *contents*, not by pointer:
 // two users uploading the same A must hit the same cached sketch, and a
-// reallocated buffer must not alias a stale entry. We reuse the
-// library's Philox4x32 block cipher as the mixing function — each
-// absorbed 64-bit word keys a 10-round Philox block over a running
-// 128-bit state, which gives strong diffusion with code we already
-// trust for bitwise reproducibility.
+// reallocated buffer must not alias a stale entry. The digest runs at
+// memory speed: sixteen independent multiply-rotate lanes absorb the
+// entries' 64-bit words interleaved (word i feeds lane i mod 16), so
+// the lanes' multiplies overlap instead of forming one dependent chain.
+// The matrix is cut into fixed column blocks of about 2^15 entries
+// hashed on the pool; each block's lanes and every block digest, in
+// block order, are finalized through the library's Philox4x32 cipher.
+// The block split depends on the shape alone, so the digest is a pure
+// function of (rows, cols, the bit pattern of each entry in column-major
+// order) — the same at any leading dimension and any thread count.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "la/matrix.hpp"
@@ -32,36 +39,25 @@ struct Fingerprint {
   std::string hex() const;
 };
 
-/// Streaming hasher absorbing 64-bit words through Philox rounds.
-class PhiloxHasher {
- public:
-  explicit PhiloxHasher(std::uint64_t seed = 0x72616e646c61ull);  // "randla"
-
-  void absorb(std::uint64_t word);
-  void absorb_double(double v);
-
-  Fingerprint digest() const;
-
- private:
-  std::uint64_t hi_;
-  std::uint64_t lo_;
-  std::uint64_t count_ = 0;
-};
-
 /// Fingerprint of a matrix's shape and contents (bit pattern of every
-/// entry, column-major order). O(m·n) Philox blocks — computed once per
-/// uploaded matrix and memoized by MatrixHandle.
+/// entry, column-major order). One pass over the entries; a matrix
+/// larger than one column block fans out over the BLAS pool.
 Fingerprint fingerprint_matrix(ConstMatrixView<double> a);
 
+/// Fingerprint of a byte string through the same word lanes (bytes
+/// packed 8 to a word, the tail zero-padded), with the length folded in
+/// so padding cannot collide. The router keys generator specs with it.
+Fingerprint fingerprint_bytes(std::string_view bytes);
+
 /// An input matrix paired with its content fingerprint, shared between
-/// jobs. Construct once per upload; every job referencing the handle
-/// reuses the digest (and therefore the cache lineage) for free.
+/// jobs. The digest is computed on the first fingerprint() call — on a
+/// scheduler worker, never on the server's loop thread that decoded the
+/// upload — and memoized, so every job referencing the handle reuses
+/// the digest (and therefore the cache lineage) for free.
 class FingerprintedMatrix {
  public:
   explicit FingerprintedMatrix(Matrix<double> data)
-      : data_(std::move(data)),
-        view_(data_.view()),
-        fp_(fingerprint_matrix(view_)) {}
+      : data_(std::move(data)), view_(data_.view()) {}
 
   /// Zero-copy: adopt externally owned storage (e.g. the arena block
   /// the wire decoder filled). `keepalive` pins the bytes for the
@@ -69,9 +65,7 @@ class FingerprintedMatrix {
   /// without this object ever copying them.
   FingerprintedMatrix(ConstMatrixView<double> view,
                       std::shared_ptr<const void> keepalive)
-      : keepalive_(std::move(keepalive)),
-        view_(view),
-        fp_(fingerprint_matrix(view_)) {}
+      : keepalive_(std::move(keepalive)), view_(view) {}
 
   // view_ points into data_ on the owning path; pin the object.
   FingerprintedMatrix(const FingerprintedMatrix&) = delete;
@@ -80,7 +74,12 @@ class FingerprintedMatrix {
   ConstMatrixView<double> view() const { return view_; }
   index_t rows() const { return view_.rows(); }
   index_t cols() const { return view_.cols(); }
-  const Fingerprint& fingerprint() const { return fp_; }
+  /// Safe to call from several threads: the first caller hashes, the
+  /// rest wait for it and read the same digest.
+  const Fingerprint& fingerprint() const {
+    std::call_once(fp_once_, [this] { fp_ = fingerprint_matrix(view_); });
+    return fp_;
+  }
   /// True when this handle runs on adopted (non-owned) storage.
   bool zero_copy() const { return keepalive_ != nullptr; }
 
@@ -88,7 +87,8 @@ class FingerprintedMatrix {
   Matrix<double> data_;                    ///< owning path only
   std::shared_ptr<const void> keepalive_;  ///< zero-copy path only
   ConstMatrixView<double> view_;
-  Fingerprint fp_;
+  mutable std::once_flag fp_once_;
+  mutable Fingerprint fp_;
 };
 
 }  // namespace randla::runtime

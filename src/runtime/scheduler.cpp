@@ -184,10 +184,15 @@ void Scheduler::complete(PendingJob pending, JobOutcome outcome) {
         exec_ema_s_ <= 0 ? tr.exec_s : 0.8 * exec_ema_s_ + 0.2 * tr.exec_s;
   }
   telemetry_.record(tr);
-  pending.handle->fulfill(std::move(outcome));
-  inflight_.fetch_sub(1);
   {
-    std::lock_guard<std::mutex> lk(drain_mu_);  // pairs with drain()'s wait
+    // Leave in-flight before fulfilling, so a client holding its result
+    // reads this job as gone; both under drain_mu_, so drain() cannot
+    // see 0 before the handle is fulfilled. fulfill takes only the
+    // handle's lock and then the loop's wake lock, neither of which is
+    // ever held while taking drain_mu_.
+    std::lock_guard<std::mutex> lk(drain_mu_);
+    inflight_.fetch_sub(1);
+    pending.handle->fulfill(std::move(outcome));
   }
   drain_cv_.notify_all();
 }

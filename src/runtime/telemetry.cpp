@@ -1,6 +1,7 @@
 #include "runtime/telemetry.hpp"
 
 #include <cstdio>
+#include <cstring>
 
 #include "obs/recorder.hpp"
 
@@ -131,6 +132,18 @@ std::string to_json(const JobTrace& t) {
   return out;
 }
 
+namespace {
+
+/// All-zero bits, i.e. default-constructed (the phase structs are plain
+/// doubles with no padding).
+template <class T>
+bool is_zero(const T& v) {
+  static const T zero{};
+  return std::memcmp(&v, &zero, sizeof v) == 0;
+}
+
+}  // namespace
+
 void TelemetrySink::record(JobTrace trace) {
   // Flight-recorder terminal events. The recorder is the postmortem
   // source of truth, so every job leaves exactly one terminal event
@@ -174,7 +187,18 @@ void TelemetrySink::record(JobTrace trace) {
   // JobKind wire values match the obs SLO kind indices by construction.
   slo_.observe(static_cast<int>(trace.kind), trace.queue_wait_s + trace.exec_s,
                trace.status == JobStatus::Done);
-  traces_.push_back(std::move(trace));
+  const std::string* tag = &*tags_.insert(std::move(trace.tag)).first;
+  const Detail* detail = nullptr;
+  if (!is_zero(trace.phases) || !is_zero(trace.flops) ||
+      !trace.error.empty())
+    detail = &details_.emplace_back(
+        Detail{trace.phases, trace.flops, std::move(trace.error)});
+  traces_.push_back(Kept{trace.job_id, trace.trace_id, trace.submit_s,
+                         trace.queue_wait_s, trace.exec_s, trace.modeled_s,
+                         trace.deadline_s, trace.q_requested, trace.q_used,
+                         tag, detail, trace.worker, trace.retries,
+                         trace.cholqr_fallbacks, trace.batch_size, trace.kind,
+                         trace.status, trace.cache, trace.degraded});
 }
 
 obs::Snapshot TelemetrySink::metrics() const {
@@ -196,7 +220,35 @@ obs::Snapshot TelemetrySink::metrics() const {
 
 std::vector<JobTrace> TelemetrySink::traces() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return traces_;
+  std::vector<JobTrace> out(traces_.size());
+  for (std::size_t i = 0; i < traces_.size(); ++i) {
+    const Kept& k = traces_[i];
+    JobTrace& t = out[i];
+    t.job_id = k.job_id;
+    t.trace_id = k.trace_id;
+    t.tag = *k.tag;
+    t.kind = k.kind;
+    t.status = k.status;
+    t.worker = k.worker;
+    t.submit_s = k.submit_s;
+    t.queue_wait_s = k.queue_wait_s;
+    t.exec_s = k.exec_s;
+    t.modeled_s = k.modeled_s;
+    if (k.detail != nullptr) {
+      t.phases = k.detail->phases;
+      t.flops = k.detail->flops;
+      t.error = k.detail->error;
+    }
+    t.cache = k.cache;
+    t.retries = k.retries;
+    t.cholqr_fallbacks = k.cholqr_fallbacks;
+    t.degraded = k.degraded;
+    t.q_requested = k.q_requested;
+    t.q_used = k.q_used;
+    t.deadline_s = k.deadline_s;
+    t.batch_size = k.batch_size;
+  }
+  return out;
 }
 
 std::string TelemetrySink::traces_json() const {

@@ -10,9 +10,11 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "la/matrix.hpp"
@@ -117,8 +119,34 @@ class TelemetrySink {
   obs::Snapshot metrics() const;
 
  private:
+  struct Detail {
+    rsvd::PhaseTimes phases;
+    rsvd::PhaseFlops flops;
+    std::string error;
+  };
+  /// One kept trace. The sink keeps every job, so its size grows with
+  /// the job count, and a fast server runs many jobs. Most of them are
+  /// cache hits: zero phase times and flops, no error, one of a few
+  /// tags. Those parts live out of line (an interned tag, a Detail only
+  /// when one is set), so a kept job costs ~100 bytes rather than
+  /// sizeof(JobTrace). traces() rebuilds the JobTraces exactly.
+  struct Kept {
+    std::uint64_t job_id, trace_id;
+    double submit_s, queue_wait_s, exec_s, modeled_s, deadline_s;
+    index_t q_requested, q_used;
+    const std::string* tag;  ///< in tags_ (node-based: stable)
+    const Detail* detail;    ///< in details_ (deque: stable); null = none
+    int worker, retries, cholqr_fallbacks, batch_size;
+    JobKind kind;
+    JobStatus status;
+    CacheDisposition cache;
+    bool degraded;
+  };
+
   mutable std::mutex mu_;
-  std::vector<JobTrace> traces_;
+  std::deque<Kept> traces_;
+  std::deque<Detail> details_;
+  std::unordered_set<std::string> tags_;
   std::array<std::uint64_t, std::size_t(JobStatus::Expired) + 1> by_status_{};
   std::array<std::uint64_t, std::size_t(CacheDisposition::Result) + 1>
       by_cache_{};

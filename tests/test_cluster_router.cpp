@@ -1039,6 +1039,14 @@ TEST(ClusterRouter, FreshRouterHedgesItsFirstSlowSubmit) {
   EXPECT_EQ(stats.hedge_wins, 1u);
   EXPECT_EQ(stats.hedge_budget_exhausted, 0u);
   EXPECT_EQ(stats.results_relayed, 1u);
+  // One client submit is one routed submit; the hedge leg only adds to
+  // the successor's per-shard count.
+  const auto scraped = client.stats();
+  ASSERT_TRUE(scraped.has_value());
+  EXPECT_EQ(scraped->value("cluster_submits_routed_total"), 1.0);
+  EXPECT_EQ(scraped->value("cluster_shard_submits{shard=\"0\"}") +
+                scraped->value("cluster_shard_submits{shard=\"1\"}"),
+            2.0);
 
   router.stop();
   shard_a.stop();

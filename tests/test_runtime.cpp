@@ -5,12 +5,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "fault/injector.hpp"
+#include "la/parallel.hpp"
 #include "obs/recorder.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/fingerprint.hpp"
@@ -49,6 +51,130 @@ TEST(Fingerprint, DeterministicAndContentSensitive) {
   auto c = randla::testing::random_matrix<double>(17, 40, 7);
   const auto fc = fingerprint_matrix(ConstMatrixView<double>(c.view()));
   EXPECT_FALSE(fa == fc);
+}
+
+/// Entries that are exact binary fractions, so the golden digests below
+/// do not depend on any RNG or libm.
+Matrix<double> exact_matrix(index_t m, index_t n) {
+  Matrix<double> a(m, n);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i)
+      a(i, j) = double((i * 131 + j * 7919) % 1009) / 64.0 - 7.0;
+  return a;
+}
+
+double from_bits(std::uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+Fingerprint fp_of(const Matrix<double>& a) {
+  return fingerprint_matrix(ConstMatrixView<double>(a.view()));
+}
+
+// Pinned values: a change to the digest moves every cache key and ring
+// placement, so it must be a deliberate, visible change to these lines.
+TEST(Fingerprint, GoldenDigests) {
+  // 256×128 is exactly one column block: the serial path.
+  EXPECT_EQ(fp_of(exact_matrix(256, 128)).hex(),
+            "42757a9071d8bf741b7b80e5c041c9df");
+  // 1000×100 splits into four 32-column blocks, combined in order.
+  EXPECT_EQ(fp_of(exact_matrix(1000, 100)).hex(),
+            "aba867d44a8052afa66d04a179478a66");
+  EXPECT_EQ(fingerprint_bytes("gen:lowrank/64x32").hex(),
+            "9e4f7ddc50455fa729ce1b004dc1d83b");
+}
+
+TEST(Fingerprint, SameDigestAtEveryThreadCount) {
+  const index_t prev = blas_num_threads();
+  auto a = randla::testing::random_matrix<double>(1000, 300, 11);
+  std::vector<Fingerprint> got;
+  for (const index_t t : {1, 2, 4}) {
+    set_blas_num_threads(t);
+    got.push_back(fp_of(a));
+  }
+  set_blas_num_threads(prev);
+  EXPECT_EQ(got[0], got[1]);
+  EXPECT_EQ(got[0], got[2]);
+}
+
+TEST(Fingerprint, StridedViewHashesLikeItsCompactCopy) {
+  // One block (40×30) and several blocks (300×250, per-column absorb).
+  for (const auto [m, n] : {std::pair<index_t, index_t>{40, 30}, {300, 250}}) {
+    auto big = randla::testing::random_matrix<double>(m + 7, n, 5);
+    const ConstMatrixView<double> sub =
+        ConstMatrixView<double>(big.view()).block(3, 0, m, n);
+    ASSERT_GT(sub.ld(), sub.rows());
+    const Matrix<double> compact = Matrix<double>::copy_of(sub);
+    EXPECT_EQ(fingerprint_matrix(sub), fp_of(compact)) << m << "x" << n;
+  }
+}
+
+TEST(Fingerprint, NearCollisionsDiffer) {
+  const Matrix<double> a = exact_matrix(64, 24);
+  const Fingerprint fa = fp_of(a);
+
+  // Entries 0 and 16 of a 64-row column feed the same one of the 16
+  // lanes, in that order.
+  Matrix<double> swapped = Matrix<double>::copy_of(a.view());
+  std::swap(swapped(0, 3), swapped(16, 3));
+  ASSERT_NE(swapped(0, 3), swapped(16, 3));
+  EXPECT_NE(fp_of(swapped), fa);
+
+  // The transpose, and the same bytes read as the transposed shape.
+  Matrix<double> at(24, 64);
+  for (index_t j = 0; j < 64; ++j)
+    for (index_t i = 0; i < 24; ++i) at(i, j) = a(j, i);
+  EXPECT_NE(fp_of(at), fa);
+  EXPECT_NE(fingerprint_matrix(ConstMatrixView<double>(24, 64, a.data(), 24)),
+            fa);
+  const Matrix<double> sq = exact_matrix(32, 32);
+  Matrix<double> sqt(32, 32);
+  for (index_t j = 0; j < 32; ++j)
+    for (index_t i = 0; i < 32; ++i) sqt(i, j) = sq(j, i);
+  EXPECT_NE(fp_of(sqt), fp_of(sq));
+
+  // +0 and −0 compare equal as doubles but are different bit patterns.
+  Matrix<double> pz = Matrix<double>::copy_of(a.view());
+  Matrix<double> nz = Matrix<double>::copy_of(a.view());
+  pz(5, 5) = 0.0;
+  nz(5, 5) = -0.0;
+  EXPECT_NE(fp_of(pz), fp_of(nz));
+
+  // Two quiet NaNs with different payloads.
+  Matrix<double> n1 = Matrix<double>::copy_of(a.view());
+  Matrix<double> n2 = Matrix<double>::copy_of(a.view());
+  n1(7, 2) = from_bits(0x7ff8000000000001ull);
+  n2(7, 2) = from_bits(0x7ff8000000000002ull);
+  EXPECT_NE(fp_of(n1), fp_of(n2));
+
+  // Empty matrices differ by shape alone.
+  EXPECT_NE(fp_of(Matrix<double>(0, 5)), fp_of(Matrix<double>(5, 0)));
+  EXPECT_NE(fp_of(Matrix<double>(0, 5)), fp_of(Matrix<double>(0, 0)));
+
+  // Byte strings: the length is folded in, so zero padding is visible.
+  EXPECT_NE(fingerprint_bytes("ab"),
+            fingerprint_bytes(std::string("ab\0", 3)));
+  EXPECT_NE(fingerprint_bytes(""), fingerprint_bytes(std::string(8, '\0')));
+}
+
+// The handle hashes on first read, not in its constructor; concurrent
+// first readers must all see one digest (TSan covers the lazy path).
+TEST(Fingerprint, ConcurrentFirstReadComputesOnce) {
+  auto a = randla::testing::random_matrix<double>(600, 200, 9);
+  const Fingerprint want = fp_of(a);
+  const MatrixHandle h = make_input(std::move(a));
+  constexpr int kReaders = 4;
+  std::vector<const Fingerprint*> seen(kReaders, nullptr);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r)
+    readers.emplace_back([&, r] { seen[r] = &h->fingerprint(); });
+  for (auto& t : readers) t.join();
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(seen[r], seen[0]);  // one memoized digest, not per reader
+    EXPECT_EQ(*seen[r], want);
+  }
 }
 
 TEST(BoundedQueue, BackpressureRejectsPastHighWater) {
@@ -389,6 +515,54 @@ TEST(Scheduler, CoalescedCacheHitsCountOnce) {
   EXPECT_EQ(r1.misses - r0.misses, 1u);  // the blocker
   EXPECT_EQ(s1.hits - s0.hits, 0u);
   EXPECT_EQ(s1.misses - s0.misses, 1u);  // the blocker
+}
+
+// The sink keeps traces compactly (interned tags, phase/flop/error
+// detail only when set); traces() must hand back every field exactly.
+TEST(Telemetry, KeptTracesRoundTripEveryField) {
+  JobTrace full;
+  full.job_id = 7;
+  full.trace_id = 0xabcdef;
+  full.tag = "a-tag-longer-than-the-small-string-buffer";
+  full.kind = JobKind::Rqrcp;
+  full.status = JobStatus::Failed;
+  full.worker = 3;
+  full.submit_s = 1.25;
+  full.queue_wait_s = 0.5;
+  full.exec_s = 0.75;
+  full.modeled_s = 0.125;
+  full.phases.prng = 1;
+  full.phases.comms = 2;
+  full.flops.qr = 3;
+  full.cache = CacheDisposition::Sketch;
+  full.retries = 2;
+  full.cholqr_fallbacks = 1;
+  full.degraded = true;
+  full.q_requested = 4;
+  full.q_used = 2;
+  full.deadline_s = 9.5;
+  full.batch_size = 3;
+  full.error = "boom";
+  JobTrace hit;  // a cache hit: no detail row, same tag
+  hit.job_id = 8;
+  hit.tag = full.tag;
+  hit.status = JobStatus::Done;
+  hit.cache = CacheDisposition::Result;
+  hit.exec_s = 1e-6;
+  hit.phases.qr = -0.0;  // not all-zero bits: kept, sign and all
+
+  TelemetrySink sink;
+  sink.record(full);
+  sink.record(hit);
+  const std::vector<JobTrace> got = sink.traces();
+  ASSERT_EQ(got.size(), 2u);
+  for (int i = 0; i < 2; ++i) {
+    const JobTrace& want = i == 0 ? full : hit;
+    EXPECT_EQ(to_json(got[i]), to_json(want));
+    EXPECT_EQ(std::memcmp(&got[i].phases, &want.phases, sizeof want.phases),
+              0);
+    EXPECT_EQ(std::memcmp(&got[i].flops, &want.flops, sizeof want.flops), 0);
+  }
 }
 
 // summarize() derives every latency figure from the traces it holds:
