@@ -132,7 +132,8 @@ class JobHandle {
   /// Completion callback (one slot). Runs at once if the handle is
   /// already fulfilled, otherwise exactly once from fulfill() — on the
   /// fulfilling thread, after the handle lock is released, so it may
-  /// call done() or wait().
+  /// call done() or wait(). The Scheduler runs it holding none of its
+  /// own locks either, so it may also call back into the Scheduler.
   void on_done(std::function<void()> fn) {
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -146,6 +147,13 @@ class JobHandle {
 
   /// Scheduler-side: publish the outcome, wake waiters, run on_done.
   void fulfill(JobOutcome outcome) {
+    if (auto cb = publish(std::move(outcome))) cb();
+  }
+
+  /// fulfill() without running on_done: publish the outcome, wake
+  /// waiters, and return the callback (possibly empty) for the caller
+  /// to run once it has released its own locks.
+  [[nodiscard]] std::function<void()> publish(JobOutcome outcome) {
     std::function<void()> cb;
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -155,7 +163,7 @@ class JobHandle {
       cb = std::exchange(on_done_, nullptr);
     }
     cv_.notify_all();
-    if (cb) cb();
+    return cb;
   }
 
  private:

@@ -184,17 +184,20 @@ void Scheduler::complete(PendingJob pending, JobOutcome outcome) {
         exec_ema_s_ <= 0 ? tr.exec_s : 0.8 * exec_ema_s_ + 0.2 * tr.exec_s;
   }
   telemetry_.record(tr);
+  std::function<void()> on_done;
   {
-    // Leave in-flight before fulfilling, so a client holding its result
+    // Leave in-flight before publishing, so a client holding its result
     // reads this job as gone; both under drain_mu_, so drain() cannot
-    // see 0 before the handle is fulfilled. fulfill takes only the
-    // handle's lock and then the loop's wake lock, neither of which is
-    // ever held while taking drain_mu_.
+    // see 0 before the outcome is published. publish takes only the
+    // handle's lock, which is never held while taking drain_mu_. The
+    // on_done callback runs after drain_mu_ is released, so it may call
+    // back into the Scheduler.
     std::lock_guard<std::mutex> lk(drain_mu_);
     inflight_.fetch_sub(1);
-    pending.handle->fulfill(std::move(outcome));
+    on_done = pending.handle->publish(std::move(outcome));
   }
   drain_cv_.notify_all();
+  if (on_done) on_done();
 }
 
 void Scheduler::handoff(PendingJob pending, int widx) {

@@ -136,7 +136,9 @@ class Scheduler {
   /// the queue; their handle is fulfilled immediately.
   SubmitResult submit(Job job);
 
-  /// Block until every accepted job has been fulfilled.
+  /// Block until every accepted job has been fulfilled. A job's
+  /// on_done callback runs just after its handle is fulfilled, so it
+  /// may still be running on a worker when drain() returns.
   void drain();
 
   /// Seconds since the scheduler started (the trace time base).

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "obs/recorder.hpp"
 
@@ -142,6 +143,27 @@ bool is_zero(const T& v) {
   return std::memcmp(&v, &zero, sizeof v) == 0;
 }
 
+/// Converts to any member type, so T{AnyField{}...} compiles exactly
+/// when T is an aggregate with at least that many fields.
+struct AnyField {
+  template <class T>
+  operator T() const;
+};
+
+template <class T, std::size_t... I>
+constexpr bool takes_fields(std::index_sequence<I...>) {
+  return requires { T{(static_cast<void>(I), AnyField{})...}; };
+}
+
+/// The number of fields of aggregate T.
+template <class T, std::size_t N = 0>
+constexpr std::size_t field_count() {
+  if constexpr (takes_fields<T>(std::make_index_sequence<N + 1>{}))
+    return field_count<T, N + 1>();
+  else
+    return N;
+}
+
 }  // namespace
 
 void TelemetrySink::record(JobTrace trace) {
@@ -187,7 +209,6 @@ void TelemetrySink::record(JobTrace trace) {
   // JobKind wire values match the obs SLO kind indices by construction.
   slo_.observe(static_cast<int>(trace.kind), trace.queue_wait_s + trace.exec_s,
                trace.status == JobStatus::Done);
-  const std::string* tag = &*tags_.insert(std::move(trace.tag)).first;
   const Detail* detail = nullptr;
   if (!is_zero(trace.phases) || !is_zero(trace.flops) ||
       !trace.error.empty())
@@ -196,9 +217,10 @@ void TelemetrySink::record(JobTrace trace) {
   traces_.push_back(Kept{trace.job_id, trace.trace_id, trace.submit_s,
                          trace.queue_wait_s, trace.exec_s, trace.modeled_s,
                          trace.deadline_s, trace.q_requested, trace.q_used,
-                         tag, detail, trace.worker, trace.retries,
-                         trace.cholqr_fallbacks, trace.batch_size, trace.kind,
-                         trace.status, trace.cache, trace.degraded});
+                         std::move(trace.tag), detail, trace.worker,
+                         trace.retries, trace.cholqr_fallbacks,
+                         trace.batch_size, trace.kind, trace.status,
+                         trace.cache, trace.degraded});
 }
 
 obs::Snapshot TelemetrySink::metrics() const {
@@ -219,6 +241,10 @@ obs::Snapshot TelemetrySink::metrics() const {
 }
 
 std::vector<JobTrace> TelemetrySink::traces() const {
+  // Every JobTrace field is in Kept or in Detail (Kept's detail pointer
+  // standing for all of Detail), so none is dropped below.
+  static_assert(field_count<JobTrace>() ==
+                field_count<Kept>() - 1 + field_count<Detail>());
   std::lock_guard<std::mutex> lk(mu_);
   std::vector<JobTrace> out(traces_.size());
   for (std::size_t i = 0; i < traces_.size(); ++i) {
@@ -226,7 +252,7 @@ std::vector<JobTrace> TelemetrySink::traces() const {
     JobTrace& t = out[i];
     t.job_id = k.job_id;
     t.trace_id = k.trace_id;
-    t.tag = *k.tag;
+    t.tag = k.tag;
     t.kind = k.kind;
     t.status = k.status;
     t.worker = k.worker;

@@ -14,7 +14,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "la/matrix.hpp"
@@ -124,18 +123,20 @@ class TelemetrySink {
     rsvd::PhaseFlops flops;
     std::string error;
   };
-  /// One kept trace. The sink keeps every job, so its size grows with
-  /// the job count, and a fast server runs many jobs. Most of them are
-  /// cache hits: zero phase times and flops, no error, one of a few
-  /// tags. Those parts live out of line (an interned tag, a Detail only
-  /// when one is set), so a kept job costs ~100 bytes rather than
-  /// sizeof(JobTrace). traces() rebuilds the JobTraces exactly.
+  /// One kept trace: a JobTrace whose Detail lives out of line, only
+  /// when one of its fields is set. The sink keeps every job, so its
+  /// size grows with the job count. A result-cache hit sets none, so it
+  /// costs sizeof(Kept), 136 bytes on x86-64, rather than
+  /// sizeof(JobTrace), 272; a miss costs the same 272 in two parts. A
+  /// hot-key cluster's shards serve nearly every job from the result
+  /// cache. traces() rebuilds the JobTraces exactly; a static check in
+  /// it ties the field counts together.
   struct Kept {
     std::uint64_t job_id, trace_id;
     double submit_s, queue_wait_s, exec_s, modeled_s, deadline_s;
     index_t q_requested, q_used;
-    const std::string* tag;  ///< in tags_ (node-based: stable)
-    const Detail* detail;    ///< in details_ (deque: stable); null = none
+    std::string tag;
+    const Detail* detail;  ///< in details_ (deque: stable); null = none
     int worker, retries, cholqr_fallbacks, batch_size;
     JobKind kind;
     JobStatus status;
@@ -146,7 +147,6 @@ class TelemetrySink {
   mutable std::mutex mu_;
   std::deque<Kept> traces_;
   std::deque<Detail> details_;
-  std::unordered_set<std::string> tags_;
   std::array<std::uint64_t, std::size_t(JobStatus::Expired) + 1> by_status_{};
   std::array<std::uint64_t, std::size_t(CacheDisposition::Result) + 1>
       by_cache_{};

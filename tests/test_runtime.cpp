@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -517,8 +518,8 @@ TEST(Scheduler, CoalescedCacheHitsCountOnce) {
   EXPECT_EQ(s1.misses - s0.misses, 1u);  // the blocker
 }
 
-// The sink keeps traces compactly (interned tags, phase/flop/error
-// detail only when set); traces() must hand back every field exactly.
+// The sink keeps phase times, flops and error out of line, only when
+// set; traces() must hand back every field exactly.
 TEST(Telemetry, KeptTracesRoundTripEveryField) {
   JobTrace full;
   full.job_id = 7;
@@ -543,7 +544,7 @@ TEST(Telemetry, KeptTracesRoundTripEveryField) {
   full.deadline_s = 9.5;
   full.batch_size = 3;
   full.error = "boom";
-  JobTrace hit;  // a cache hit: no detail row, same tag
+  JobTrace hit;  // a cache hit: no detail row
   hit.job_id = 8;
   hit.tag = full.tag;
   hit.status = JobStatus::Done;
@@ -891,6 +892,39 @@ TEST(JobHandle, RejectedAtSubmitFiresOnDoneImmediately) {
   sub.handle->on_done([&] { ++calls; });
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(sub.handle->wait().status, JobStatus::Rejected);
+}
+
+TEST(Scheduler, OnDoneMayCallBackIntoTheScheduler) {
+  // complete() runs the callback after releasing drain_mu_. A callback
+  // that drains, or whose resubmission is shed at the door (which ends
+  // in complete() again), would otherwise deadlock on its own worker.
+  // The first dispatch is held, so the callback is registered before
+  // the job completes and runs on the worker.
+  auto cfg = *fault::parse_schedule("job_latency:1");
+  cfg.latency_ms = 50;
+  for (int round = 0; round < 3; ++round) {
+    SchedulerOptions so;
+    so.num_workers = 1;
+    so.injector = std::make_shared<fault::FaultInjector>(cfg, 23);
+    Scheduler sched(so);
+    const auto make_job = [round] {
+      Job job;
+      job.payload = FixedRankJob{
+          make_input(randla::testing::random_matrix<double>(64, 32, round)),
+          rsvd::FixedRankOptions{}};
+      return job;
+    };
+    auto sub = sched.submit(make_job());
+    ASSERT_EQ(sub.status, PushStatus::Ok);
+    std::promise<JobStatus> resubmitted;
+    sub.handle->on_done([&] {
+      sched.drain();
+      sched.fail_device(0);  // no healthy device: the resubmit is shed
+      resubmitted.set_value(sched.submit(make_job()).handle->wait().status);
+    });
+    EXPECT_EQ(resubmitted.get_future().get(), JobStatus::Rejected)
+        << "round " << round;
+  }
 }
 
 std::size_t live_threads() {
